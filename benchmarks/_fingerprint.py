@@ -5,7 +5,21 @@ Usage::
 
     PYTHONPATH=src python benchmarks/_fingerprint.py out.json [--scale 0.02]
 
-Compare two dumps with ``diff`` — they must be identical.
+writes one section per drive mode in :data:`VARIANTS` — ``event/``,
+``batch/`` (``step_interval=300``) and ``faulted/`` (seeded MTTF
+timeline) — keyed ``<section>/<trace>/<scheme>``.  Compare two dumps
+with ``diff`` — they must be identical.
+
+Baseline comparison::
+
+    PYTHONPATH=src python benchmarks/_fingerprint.py --compare FILE [--scale 0.02]
+
+re-runs whichever sections FILE holds (unprefixed keys count as
+``event``) and prints one ``FINGERPRINTS-IDENTICAL`` line per section
+on a match.  Comparisons are schema-tolerant: only the decision keys
+are diffed, so a dump written before a diagnostic counter was added
+still compares.  The committed baseline is
+``benchmarks/results/fingerprint_scale0.005.json``.
 
 Parallel invariance::
 
@@ -15,27 +29,6 @@ runs the grid serially and across a 2-worker process pool and asserts
 the fingerprints are identical — the grid engine's core guarantee.
 ``--workers N`` fingerprints through an N-worker pool (for diffing a
 parallel dump against a serial one).
-
-Allocator invariance::
-
-    PYTHONPATH=src python benchmarks/_fingerprint.py --vs-naive [--scale 0.02]
-
-runs every scheme twice — once on the incremental occupancy indexes
-and once on the naive recompute-per-call search paths
-(``REPRO_NAIVE_SEARCH=1``) — and asserts byte-identical decisions.
-``--compare FILE`` instead checks the current code against a previously
-written dump and prints ``FINGERPRINTS-IDENTICAL`` on a match.
-Comparisons are schema-tolerant: only the decision keys are diffed, so
-a dump written before a diagnostic counter was added still compares.
-
-Scheduling-pass invariance::
-
-    PYTHONPATH=src python benchmarks/_fingerprint.py --vs-scalar [--scale 0.02]
-
-runs every scheme twice — once on the vectorized scheduling pass and
-once on the scalar twin (``REPRO_NAIVE_PASS=1``) — and asserts
-byte-identical decisions, in event-driven, batch-step *and* faulted
-replay.
 
 Event-drain invariance::
 
@@ -112,6 +105,18 @@ DECISION_KEYS = (
     "overall_utilization", "alloc_attempts", "unscheduled",
 )
 
+#: the drive modes a default dump and the twin checks cover, as
+#: ``(section label, run_scheme keyword arguments)``
+VARIANTS = (
+    ("event", {}),
+    ("batch", dict(step_interval=300.0)),
+    ("faulted", dict(
+        mttf=20_000.0, fault_seed=1,
+        fault_victim_policy="requeue-remaining",
+        checkpoint_interval=600.0,
+    )),
+)
+
 
 def _decisions(fp: dict) -> dict:
     """Project a fingerprint dict onto its decision keys."""
@@ -153,7 +158,6 @@ def fingerprint(
                 # Diagnostic counters (not decision keys; see above).
                 "queue_prefiltered": result.queue_prefiltered,
                 "size_cut_skips": result.size_cut_skips,
-                "pass_vector_rounds": result.pass_vector_rounds,
             }
     return out
 
@@ -189,102 +193,12 @@ def _diff(label_a: str, a: dict, label_b: str, b: dict) -> int:
     return len(mismatches)
 
 
-def vs_naive(scale: float) -> None:
-    """Assert the indexed and naive allocator search paths decide
-    identically — the decision-invariance contract of the incremental
-    occupancy indexes, the bitset shape search and the cross-pass memo
-    — in event-driven, batch-step and faulted replay."""
-    variants = (
-        ("event", {}),
-        ("batch", dict(step_interval=300.0)),
-        ("faulted", dict(
-            mttf=20_000.0, fault_seed=1,
-            fault_victim_policy="requeue-remaining",
-            checkpoint_interval=600.0,
-        )),
-    )
-    prev = os.environ.pop("REPRO_NAIVE_SEARCH", None)
-    try:
-        for label, kwargs in variants:
-            os.environ.pop("REPRO_NAIVE_SEARCH", None)
-            indexed = fingerprint(scale, **kwargs)
-            os.environ["REPRO_NAIVE_SEARCH"] = "1"
-            naive = fingerprint(scale, **kwargs)
-            # Decision keys only: the naive paths disable the batch
-            # screens, so the prefilter diagnostics legitimately differ.
-            bad = _diff(
-                f"indexed[{label}]", _decisions(indexed),
-                f"naive[{label}]", _decisions(naive),
-            )
-            if bad:
-                raise SystemExit(
-                    f"indexed vs naive fingerprints differ "
-                    f"({label}: {bad} of {len(indexed)} runs)"
-                )
-            print(
-                f"vs-naive ok: {len(indexed)} fingerprints identical "
-                f"({label} runs, indexed vs naive search, scale {scale})"
-            )
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_NAIVE_SEARCH", None)
-        else:
-            os.environ["REPRO_NAIVE_SEARCH"] = prev
-
-
-def vs_scalar(scale: float) -> None:
-    """Assert the vectorized and scalar scheduling passes decide
-    identically — event-driven, batch-step and faulted replay."""
-    variants = (
-        ("event", {}),
-        ("batch", dict(step_interval=300.0)),
-        ("faulted", dict(
-            mttf=20_000.0, fault_seed=1,
-            fault_victim_policy="requeue-remaining",
-            checkpoint_interval=600.0,
-        )),
-    )
-    prev = os.environ.pop("REPRO_NAIVE_PASS", None)
-    try:
-        for label, kwargs in variants:
-            os.environ.pop("REPRO_NAIVE_PASS", None)
-            vector = _decisions(fingerprint(scale, **kwargs))
-            os.environ["REPRO_NAIVE_PASS"] = "1"
-            scalar = _decisions(fingerprint(scale, **kwargs))
-            bad = _diff(
-                f"vector[{label}]", vector, f"scalar[{label}]", scalar
-            )
-            if bad:
-                raise SystemExit(
-                    f"FINGERPRINTS-DIFFER: vector vs scalar pass "
-                    f"({label}: {bad} of {len(vector)} runs)"
-                )
-            print(
-                f"FINGERPRINTS-IDENTICAL ({len(vector)}/{len(vector)} "
-                f"{label} runs, vector vs scalar pass, scale {scale})"
-            )
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_NAIVE_PASS", None)
-        else:
-            os.environ["REPRO_NAIVE_PASS"] = prev
-
-
 def vs_scalar_events(scale: float) -> None:
     """Assert the columnar and one-event-at-a-time drains decide
     identically — event-driven, batch-step and faulted replay."""
-    variants = (
-        ("event", {}),
-        ("batch", dict(step_interval=300.0)),
-        ("faulted", dict(
-            mttf=20_000.0, fault_seed=1,
-            fault_victim_policy="requeue-remaining",
-            checkpoint_interval=600.0,
-        )),
-    )
     prev = os.environ.pop("REPRO_NAIVE_EVENTS", None)
     try:
-        for label, kwargs in variants:
+        for label, kwargs in VARIANTS:
             os.environ.pop("REPRO_NAIVE_EVENTS", None)
             columnar = _decisions(fingerprint(scale, **kwargs))
             os.environ["REPRO_NAIVE_EVENTS"] = "1"
@@ -374,10 +288,7 @@ def faulted_selfcheck(scale: float, workers: int = 2) -> None:
     between the serial and parallel runs (they are part of the
     fingerprint here).
     """
-    kwargs = dict(
-        mttf=20_000.0, fault_seed=1,
-        fault_victim_policy="requeue-remaining", checkpoint_interval=600.0,
-    )
+    kwargs = dict(VARIANTS)["faulted"]
 
     def faulted(n):
         out = {}
@@ -450,27 +361,52 @@ def batch_selfcheck(
     )
 
 
+def dump(
+    scale: float, workers: Optional[int] = None, sections=None, **run_kwargs
+) -> dict:
+    """Fingerprints of every :data:`VARIANTS` section (or only the
+    labels in ``sections``), keyed ``<section>/<trace>/<scheme>``."""
+    out = {}
+    for label, kwargs in VARIANTS:
+        if sections is not None and label not in sections:
+            continue
+        fp = fingerprint(scale, workers=workers, **kwargs, **run_kwargs)
+        out.update((f"{label}/{key}", entry) for key, entry in fp.items())
+    return out
+
+
 def compare(
     path: str, scale: float, workers: Optional[int], **run_kwargs
 ) -> None:
     """Fingerprint the current code and diff against a saved dump.
 
-    Only the decision keys are compared (schema-tolerant: a dump
-    written before a diagnostic counter existed still compares, and a
-    newer dump's extra counters are ignored by older code).  Extra
-    keyword arguments (e.g. ``profiled=True, provenance=True`` from
+    Re-runs whichever sections the saved file holds; unprefixed keys
+    (a dump written before sections existed) count as ``event``.  Only
+    the decision keys are compared (schema-tolerant: a dump written
+    before a diagnostic counter existed still compares, and a newer
+    dump's extra counters are ignored by older code).  Extra keyword
+    arguments (e.g. ``profiled=True, provenance=True`` from
     ``--with-prof``) thread into the runs being fingerprinted.
     """
+    labels = [label for label, _ in VARIANTS]
     with open(path) as fh:
-        saved = json.load(fh)
-    current = fingerprint(scale, workers=workers, **run_kwargs)
+        saved = {
+            key if key.split("/", 1)[0] in labels else f"event/{key}": entry
+            for key, entry in json.load(fh).items()
+        }
+    sections = [
+        label for label in labels
+        if any(key.startswith(f"{label}/") for key in saved)
+    ]
+    current = dump(scale, workers, sections, **run_kwargs)
     bad = _diff("saved", _decisions(saved), "current", _decisions(current))
     if bad:
         raise SystemExit(
             f"FINGERPRINTS-DIFFER ({bad} of {len(current)} runs vs {path})"
         )
-    print(f"FINGERPRINTS-IDENTICAL ({len(current)}/{len(current)} runs "
-          f"vs {path})")
+    for label in sections:
+        n = sum(key.startswith(f"{label}/") for key in current)
+        print(f"FINGERPRINTS-IDENTICAL ({n}/{n} {label} runs vs {path})")
 
 
 if __name__ == "__main__":
@@ -482,12 +418,6 @@ if __name__ == "__main__":
         workers = int(sys.argv[sys.argv.index("--workers") + 1])
     if "--selfcheck" in sys.argv:
         selfcheck(scale, workers=workers or 2)
-        sys.exit(0)
-    if "--vs-naive" in sys.argv:
-        vs_naive(scale)
-        sys.exit(0)
-    if "--vs-scalar" in sys.argv:
-        vs_scalar(scale)
         sys.exit(0)
     if "--vs-scalar-events" in sys.argv:
         vs_scalar_events(scale)
@@ -515,7 +445,7 @@ if __name__ == "__main__":
                 **extra)
         sys.exit(0)
     path = sys.argv[1]
-    data = fingerprint(scale, workers=workers)
+    data = dump(scale, workers=workers)
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
     print(f"wrote {len(data)} fingerprints to {path}")

@@ -111,20 +111,18 @@ def bench_jigsaw_by_cluster_size(benchmark, radix):
 
 
 def bench_allocator_micro_summary(save_result, save_bench):
-    """Indexed vs naive per-cycle cost, with the search-effort counters.
+    """Per-cycle cost with the search-effort counters.
 
     Times one allocate/release cycle with ``perf_counter`` (the
     pytest-benchmark fixtures above track regressions; this one writes
-    the committed before/after record) and saves it under
+    the committed record) and saves it under
     ``benchmarks/results/allocator_micro.txt``.  Radix 28 is the paper's
     largest cluster (Synth-28).
     """
     lines = [
         "Allocator micro-benchmark: one allocate/release cycle at 85% "
-        "occupancy,",
-        "incremental occupancy indexes vs naive recompute-per-call "
-        "search (us/cycle).",
-        "Counters are the indexed run's totals (prefill + timed cycles).",
+        "occupancy (us/cycle).",
+        "Counters are the run's totals (prefill + timed cycles).",
         "",
     ]
     for radix, schemes, cycles in (
@@ -132,41 +130,25 @@ def bench_allocator_micro_summary(save_result, save_bench):
         (28, ("jigsaw", "lc+s"), 60),
     ):
         for scheme in schemes:
-            per_cycle = {}
-            counters = ""
-            for naive in (False, True):
-                tree = FatTree.from_radix(radix)
-                allocator = make_allocator(scheme, tree)
-                if naive:
-                    allocator.use_indexes = False
-                _prefill(allocator, occupancy=0.85)
-                size = 13 if radix == 18 else 2 * tree.m1 + 3
-                job_id = [10**6]
+            tree = FatTree.from_radix(radix)
+            allocator = make_allocator(scheme, tree)
+            _prefill(allocator, occupancy=0.85)
+            size = 13 if radix == 18 else 2 * tree.m1 + 3
+            job_id = [10**6]
 
-                def one_cycle():
-                    job_id[0] += 1
-                    if allocator.allocate(job_id[0], size) is not None:
-                        allocator.release(job_id[0])
+            def one_cycle():
+                job_id[0] += 1
+                if allocator.allocate(job_id[0], size) is not None:
+                    allocator.release(job_id[0])
 
-                one_cycle()  # warm-up
-                t0 = time.perf_counter()
-                for _ in range(cycles):
-                    one_cycle()
-                per_cycle["naive" if naive else "indexed"] = (
-                    1e6 * (time.perf_counter() - t0) / cycles
-                )
-                if not naive:
-                    counters = _counters(allocator)
-            speedup = (
-                per_cycle["naive"] / per_cycle["indexed"]
-                if per_cycle["indexed"]
-                else float("inf")
-            )
+            one_cycle()  # warm-up
+            t0 = time.perf_counter()
+            for _ in range(cycles):
+                one_cycle()
+            us = 1e6 * (time.perf_counter() - t0) / cycles
             lines.append(
-                f"radix {radix:>2} {scheme:>8}: "
-                f"indexed {per_cycle['indexed']:8.1f} us  "
-                f"naive {per_cycle['naive']:8.1f} us  "
-                f"({speedup:4.1f}x)  [{counters}]"
+                f"radix {radix:>2} {scheme:>8}: {us:8.1f} us  "
+                f"[{_counters(allocator)}]"
             )
     save_result("allocator_micro", "\n".join(lines))
     save_bench(bench_payload())

@@ -1,31 +1,21 @@
-"""Vectorized scheduling-pass speed on Synth-28, plus the radix-32 smoke.
+"""Scheduling-pass speed on Synth-28, plus the radix-32 smoke.
 
-Runs every scheme through both passes on the same Synth-28 trace — the
-vectorized pass (the default) and its scalar twin
-(``use_vector_pass=False``) — and tabulates end-to-end wall ms/job
-(best of ``REPEATS`` deterministic runs, so repeats only strip OS
-noise), the allocator sched-time ratio, the prefilter counters, and
-the decision invariants (identical placements, identical charged
-allocator attempts).  Then takes the new radix-32 preset for a bounded
-smoke run: Synth-32 on the 8192-node cluster, vector pass, must drain
-the queue.
+Runs every scheme through the scheduling pass on the Synth-28 trace and
+tabulates end-to-end wall ms/job (best of ``REPEATS`` deterministic
+runs, so repeats only strip OS noise), the allocator sched time per job
+and the prefilter counters.  Then takes the radix-32 preset for a
+bounded smoke run: Synth-32 on the 8192-node cluster must drain the
+queue.
 
-A third leg measures the bitset shape search + cross-pass memo against
-the ``REPRO_NAIVE_SEARCH`` scalar twin for the search-heavy schemes
-(jigsaw, laas, lc+s) on the same trace.
+A third leg measures the bitset shape search + cross-pass memo for the
+search-heavy schemes (jigsaw, laas, lc+s) on the same trace: wall
+ms/job and the memo counters.
 
-Targets: the vector pass must cut end-to-end wall ms/job by >= 1.5x
-for the paper's own scheme (jigsaw) on Synth-28, and the indexed
-search must beat the naive twin by >= 1.5x on jigsaw/laas (>= 1.2x on
-lc+s, whose step budget caps the win).  Wall-clock ratios get CI
-head-room; the deterministic invariants (placement identity,
-attempt equality, a moving prefilter counter) carry the strict checks.
-``baseline`` and ``ta`` appear in the table but are exempt from the
-speed bound: their searches are already so cheap that the column build
-is pure overhead (baseline, ~0.85x) or a wash (ta, ~1.0x).
+Decision invariance is not measured here: the golden digests in
+``tests/data/decision_digests.json`` and the fingerprint baseline
+``benchmarks/results/fingerprint_scale0.005.json`` hold it.
 """
 
-import os
 import time
 
 from repro.experiments.grid import run_grid, setup_for, sim_cell
@@ -38,20 +28,9 @@ SCALE_TRACE = "Synth-32"
 SMOKE_SCHEME = "jigsaw"
 SCHEMES = ("baseline", "ta", "laas", "jigsaw", "lc+s")
 
-#: the vector pass must be at least this much faster (wall ms/job) for
-#: the scored scheme; the other search-heavy schemes get CI head-room
-MIN_SPEEDUP = 1.5
-SPEEDUP_SCHEMES = ("laas", "jigsaw", "lc+s")
-
-#: end-to-end ms/job floors for the bitset shape search + cross-pass
-#: memo (indexed search vs the ``REPRO_NAIVE_SEARCH`` scalar twin) on
-#: Synth-28.  lc+s gets a lower floor: its 50k step budget bounds how
-#: much scalar work the columnar inner loop can displace.
-SEARCH_MIN_SPEEDUP = {"jigsaw": 1.5, "laas": 1.5, "lc+s": 1.2}
-
-#: wall-clock floors get CI head-room (shared runners are noisy); the
-#: committed baseline documents the full measured speedup.
-SEARCH_SPEEDUP_HEADROOM = 0.7
+#: the search-heavy schemes whose bitset search + memo the third leg
+#: measures
+SEARCH_SCHEMES = ("jigsaw", "laas", "lc+s")
 
 #: schemes whose restricted shapes give the prefilter something to skip
 #: (baseline's only failure mode is the free-node count, which the
@@ -64,48 +43,35 @@ REPEATS = 2
 
 
 def pass_scale(scale=None, seed=0, workers=None):
-    """(scheme -> row) wall-time table for vector vs scalar passes."""
+    """(scheme -> row) wall-time table for the scheduling pass."""
     # Warm the setup cache so trace/tree construction stays out of the
     # first cell's wall time.
     setup_for(TRACE, scale=scale, seed=seed)
-    cells = []
-    for scheme in SCHEMES:
-        for _ in range(REPEATS):
-            cells.append(sim_cell(trace=TRACE, scheme=scheme, scale=scale,
-                                  seed=seed))
-            cells.append(sim_cell(trace=TRACE, scheme=scheme, scale=scale,
-                                  seed=seed, use_vector_pass=False))
+    cells = [
+        sim_cell(trace=TRACE, scheme=scheme, scale=scale, seed=seed)
+        for scheme in SCHEMES
+        for _ in range(REPEATS)
+    ]
     outcomes = iter(run_grid(cells, workers=workers))
     rows = {}
     for scheme in SCHEMES:
-        vec_outs, sca_outs = [], []
-        for _ in range(REPEATS):
-            vec_outs.append(next(outcomes))
-            sca_outs.append(next(outcomes))
-        vec, sca = vec_outs[0].value, sca_outs[0].value
-        jobs = len(vec.jobs) or 1
-        ve_ms = min(o.wall_seconds for o in vec_outs) * 1e3 / jobs
-        sc_ms = min(o.wall_seconds for o in sca_outs) * 1e3 / jobs
-        sched_ratio = (sca.mean_sched_time_per_job
-                       / vec.mean_sched_time_per_job
-                       if vec.mean_sched_time_per_job else float("inf"))
+        outs = [next(outcomes) for _ in range(REPEATS)]
+        result = outs[0].value
+        jobs = len(result.jobs) or 1
         rows[scheme] = {
-            "util%": vec.steady_state_utilization,
-            "ms/job": f"{sc_ms:.3f}->{ve_ms:.3f}",
-            "speedup": sc_ms / ve_ms if ve_ms else float("inf"),
-            "sched x": sched_ratio,
-            "prefiltered": vec.queue_prefiltered,
-            "cut skips": vec.size_cut_skips,
-            "attempts": vec.alloc_attempts,
-            "rounds": vec.pass_vector_rounds,
-            "_vec": vec,
-            "_sca": sca,
+            "util%": result.steady_state_utilization,
+            "ms/job": min(o.wall_seconds for o in outs) * 1e3 / jobs,
+            "sched ms/job": result.mean_sched_time_per_job * 1e3,
+            "prefiltered": result.queue_prefiltered,
+            "cut skips": result.size_cut_skips,
+            "attempts": result.alloc_attempts,
+            "rounds": result.scheduling_rounds,
         }
     return rows
 
 
 def scale_smoke(scale=None, seed=0):
-    """One bounded radix-32 run (8192 nodes) with the vector pass."""
+    """One bounded radix-32 run (8192 nodes)."""
     setup = setup_for(SCALE_TRACE, scale=scale, seed=seed)
     outcome = run_grid([
         sim_cell(trace=SCALE_TRACE, scheme=SMOKE_SCHEME, scale=scale,
@@ -124,65 +90,27 @@ def scale_smoke(scale=None, seed=0):
     }
 
 
-def _timed_search_run(scheme, naive, scale, seed):
-    """One in-process run with the indexed or naive search selected.
+def search_cost(scale=None, seed=0):
+    """(scheme -> row) bitset search + cross-pass memo on Synth-28.
 
-    The naive twin is selected the same way the fingerprint harness
-    selects it — via ``REPRO_NAIVE_SEARCH`` at allocator construction —
-    so this measures exactly the path the invariance checks certify.
-    Runs in-process (no grid pool) so the environment toggle is seen.
+    End-to-end wall ms/job, best of ``REPEATS`` in-process runs, with
+    the memo counters of the run.
     """
-    old = os.environ.get("REPRO_NAIVE_SEARCH")
-    if naive:
-        os.environ["REPRO_NAIVE_SEARCH"] = "1"
-    else:
-        os.environ.pop("REPRO_NAIVE_SEARCH", None)
-    try:
-        setup = setup_for(TRACE, scale=scale, seed=seed)
-        t0 = time.perf_counter()
-        result = run_scheme(setup, scheme, seed=seed)
-        return result, time.perf_counter() - t0
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_NAIVE_SEARCH", None)
-        else:
-            os.environ["REPRO_NAIVE_SEARCH"] = old
-
-
-def search_speedup(scale=None, seed=0):
-    """(scheme -> row) bitset search + cross-pass memo vs naive twin.
-
-    End-to-end wall ms/job on Synth-28, best of ``REPEATS`` runs per
-    variant, for the search-heavy schemes.  The decision invariants are
-    asserted by the caller (identical placements, identical leftovers);
-    this just measures and carries both results.
-    """
-    setup_for(TRACE, scale=scale, seed=seed)
     rows = {}
-    for scheme in SEARCH_MIN_SPEEDUP:
-        walls, results = {}, {}
-        for naive in (False, True):
-            best = float("inf")
-            result = None
-            for _ in range(REPEATS):
-                result, wall = _timed_search_run(scheme, naive, scale, seed)
-                best = min(best, wall)
-            walls[naive], results[naive] = best, result
-        indexed, nai = results[False], results[True]
-        jobs = len(indexed.jobs) or 1
-        ix_ms = walls[False] * 1e3 / jobs
-        na_ms = walls[True] * 1e3 / jobs
+    for scheme in SEARCH_SCHEMES:
+        best = float("inf")
+        for _ in range(REPEATS):
+            setup = setup_for(TRACE, scale=scale, seed=seed)
+            t0 = time.perf_counter()
+            result = run_scheme(setup, scheme, seed=seed)
+            best = min(best, time.perf_counter() - t0)
+        jobs = len(result.jobs) or 1
         rows[scheme] = {
-            "ms/job": f"{na_ms:.3f}->{ix_ms:.3f}",
-            "speedup": na_ms / ix_ms if ix_ms else float("inf"),
-            "floor": SEARCH_MIN_SPEEDUP[scheme],
-            "memo hits": indexed.xpass_memo_hits,
-            "epoch flushes": indexed.xpass_memo_epoch_flushes,
-            "replayed steps": indexed.xpass_memo_replayed_steps,
-            "_indexed": indexed,
-            "_naive": nai,
-            "_indexed_ms": ix_ms,
-            "_naive_ms": na_ms,
+            "ms/job": best * 1e3 / jobs,
+            "memo hits": result.xpass_memo_hits,
+            "epoch flushes": result.xpass_memo_epoch_flushes,
+            "replayed steps": result.xpass_memo_replayed_steps,
+            "_result": result,
         }
     return rows
 
@@ -191,93 +119,72 @@ def pass_scale_suite(scale=None, seed=0, workers=None):
     """All three measurements, in one timed unit."""
     return (pass_scale(scale=scale, seed=seed, workers=workers),
             scale_smoke(scale=scale, seed=seed),
-            search_speedup(scale=scale, seed=seed))
+            search_cost(scale=scale, seed=seed))
+
+
+def _visible(rows):
+    return {
+        key: {k: v for k, v in row.items() if not k.startswith("_")}
+        for key, row in rows.items()
+    }
 
 
 def render(rows, smoke, search_rows):
-    columns = ("util%", "ms/job", "speedup", "sched x", "prefiltered",
-               "cut skips", "attempts", "rounds")
-    visible = {
-        scheme: {k: v for k, v in row.items() if not k.startswith("_")}
-        for scheme, row in rows.items()
-    }
     main = render_table(
-        f"Vectorized scheduling pass: {TRACE}, scalar twin vs vector "
-        "(wall ms/job)",
-        visible, columns, row_header="scheme",
+        f"Scheduling pass: {TRACE} (wall ms/job)",
+        _visible(rows),
+        ("util%", "ms/job", "sched ms/job", "prefiltered", "cut skips",
+         "attempts", "rounds"),
+        row_header="scheme",
     )
     smoke_tbl = render_table(
-        f"Radix-32 scale-up smoke: {SCALE_TRACE} "
-        f"({smoke['nodes']} nodes), vector pass",
-        {SMOKE_SCHEME: {k: v for k, v in smoke.items()
-                        if not k.startswith("_")}},
+        f"Radix-32 scale-up smoke: {SCALE_TRACE} ({smoke['nodes']} nodes)",
+        _visible({SMOKE_SCHEME: smoke}),
         ("nodes", "jobs", "wall s", "ms/job", "util%", "unscheduled"),
         row_header="scheme",
     )
     search_tbl = render_table(
-        f"Bitset search + cross-pass memo: {TRACE}, naive twin vs "
-        "indexed (wall ms/job)",
-        {scheme: {k: v for k, v in row.items() if not k.startswith("_")}
-         for scheme, row in search_rows.items()},
-        ("ms/job", "speedup", "floor", "memo hits", "epoch flushes",
-         "replayed steps"),
+        f"Bitset search + cross-pass memo: {TRACE} (wall ms/job)",
+        _visible(search_rows),
+        ("ms/job", "memo hits", "epoch flushes", "replayed steps"),
         row_header="scheme",
     )
     return main + "\n\n" + smoke_tbl + "\n\n" + search_tbl
 
 
 def bench_payload(scale: float = GATE_SCALE, seed: int = 0) -> dict:
-    """The ``BENCH_pass_scale.json`` document: vector vs scalar pass on
-    the gate slice (Synth-28 under jigsaw) plus the bitset-search vs
-    naive-twin leg for the search-heavy schemes, wall time tolerant and
-    the work proxies (attempts, memo counters) exact.
-
-    The search leg enforces the ms/job floors (with CI head-room) and
-    the decision invariant — naive and indexed runs must place the same
-    jobs at the same times — so the gate fails loudly if either the
-    speedup collapses or the twin paths ever diverge.
+    """The ``BENCH_pass_scale.json`` document: the scheduling pass on
+    the gate slice (Synth-28 under jigsaw) plus the bitset-search leg
+    for the search-heavy schemes, wall time tolerant and the work
+    proxies (attempts, memo counters) exact.
     """
     setup_for(TRACE, scale=scale, seed=seed)
-    vec_out, sca_out = run_grid([
+    (out,) = run_grid([
         sim_cell(trace=TRACE, scheme=SMOKE_SCHEME, scale=scale, seed=seed),
-        sim_cell(trace=TRACE, scheme=SMOKE_SCHEME, scale=scale, seed=seed,
-                 use_vector_pass=False),
     ])
-    vec, sca = vec_out.value, sca_out.value
-    jobs = len(vec.jobs) or 1
+    result = out.value
+    jobs = len(result.jobs) or 1
     quantities = {
         "vector_ms_per_job": {
-            "value": vec_out.wall_seconds * 1e3 / jobs, "unit": "ms"},
-        "scalar_ms_per_job": {
-            "value": sca_out.wall_seconds * 1e3 / jobs, "unit": "ms"},
+            "value": out.wall_seconds * 1e3 / jobs, "unit": "ms"},
     }
     counters = {
-        "alloc_attempts": vec.alloc_attempts,
-        "queue_prefiltered": vec.queue_prefiltered,
-        "size_cut_skips": vec.size_cut_skips,
-        "pass_vector_rounds": vec.pass_vector_rounds,
+        "alloc_attempts": result.alloc_attempts,
+        "queue_prefiltered": result.queue_prefiltered,
+        "size_cut_skips": result.size_cut_skips,
         "jobs": jobs,
-        "unscheduled": len(vec.unscheduled),
+        "unscheduled": len(result.unscheduled),
     }
-    for scheme, row in search_speedup(scale=scale, seed=seed).items():
-        indexed, naive = row["_indexed"], row["_naive"]
-        assert [(j.job_id, j.start, j.end) for j in indexed.jobs] == [
-            (j.job_id, j.start, j.end) for j in naive.jobs
-        ], scheme
-        assert indexed.unscheduled == naive.unscheduled, scheme
-        floor = SEARCH_MIN_SPEEDUP[scheme]
-        assert row["speedup"] >= floor * SEARCH_SPEEDUP_HEADROOM, (
-            scheme, row["speedup"], floor)
+    for scheme, row in search_cost(scale=scale, seed=seed).items():
+        searched = row["_result"]
         tag = scheme.replace("+", "")
         quantities[f"search_indexed_ms_per_job.{tag}"] = {
-            "value": row["_indexed_ms"], "unit": "ms"}
-        quantities[f"search_naive_ms_per_job.{tag}"] = {
-            "value": row["_naive_ms"], "unit": "ms"}
-        counters[f"search_xpass_memo_hits.{tag}"] = indexed.xpass_memo_hits
+            "value": row["ms/job"], "unit": "ms"}
+        counters[f"search_xpass_memo_hits.{tag}"] = searched.xpass_memo_hits
         counters[f"search_xpass_memo_epoch_flushes.{tag}"] = (
-            indexed.xpass_memo_epoch_flushes)
+            searched.xpass_memo_epoch_flushes)
         counters[f"search_xpass_memo_replayed_steps.{tag}"] = (
-            indexed.xpass_memo_replayed_steps)
+            searched.xpass_memo_replayed_steps)
     return make_bench_result(
         "pass_scale", quantities, counters, env=environment(scale),
     )
@@ -290,45 +197,13 @@ def bench_pass_scale(benchmark, save_result, save_bench, scale):
     save_result("pass_scale", render(rows, smoke, search_rows))
 
     for scheme, row in rows.items():
-        vec, sca = row["_vec"], row["_sca"]
-        # Decision invariance: the vector pass changes speed, never
-        # placements — same starts, same charged attempts, same leftovers.
-        assert [(j.job_id, j.start, j.end) for j in vec.jobs] == [
-            (j.job_id, j.start, j.end) for j in sca.jobs
-        ], scheme
-        assert vec.alloc_attempts == sca.alloc_attempts, scheme
-        assert vec.unscheduled == sca.unscheduled, scheme
-        # The vector run took the vector path; the twin never did.
-        assert vec.pass_vector_rounds == vec.scheduling_rounds, scheme
-        assert sca.pass_vector_rounds == 0, scheme
         if scheme in PREFILTER_SCHEMES:
             # Deterministic speed proxy: the prefilter skipped real work.
-            assert vec.queue_prefiltered > 0, scheme
-        if scheme in SPEEDUP_SCHEMES:
-            assert row["speedup"] >= MIN_SPEEDUP * 0.7, (
-                scheme, row["speedup"])
+            assert row["prefiltered"] > 0, scheme
     # The monotone size cut fired somewhere on this contended trace.
     assert sum(row["cut skips"] for row in rows.values()) > 0, rows
 
-    # The headline target: >= 1.5x wall ms/job for the paper's own
-    # scheme (the table saved above reports every other scheme).
-    assert rows["jigsaw"]["speedup"] >= MIN_SPEEDUP, rows["jigsaw"]
-
-    # Bitset search + cross-pass memo: the indexed search must beat the
-    # naive twin by its per-scheme floor while deciding identically.
-    for scheme, row in search_rows.items():
-        indexed, naive = row["_indexed"], row["_naive"]
-        assert [(j.job_id, j.start, j.end) for j in indexed.jobs] == [
-            (j.job_id, j.start, j.end) for j in naive.jobs
-        ], scheme
-        assert indexed.unscheduled == naive.unscheduled, scheme
-        assert row["speedup"] >= SEARCH_MIN_SPEEDUP[scheme], (
-            scheme, row["speedup"])
-
-    # Radix-32 smoke: the 8192-node preset drains its queue on the
-    # vector pass, and the run actually went through it.
-    result = smoke["_result"]
-    assert not result.unscheduled, result.unscheduled
-    assert result.pass_vector_rounds == result.scheduling_rounds
+    # Radix-32 smoke: the 8192-node preset drains its queue.
+    assert not smoke["_result"].unscheduled, smoke["_result"].unscheduled
 
     save_bench(bench_payload())

@@ -125,10 +125,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--topology", type=int, default=None, metavar="RADIX",
                    help="override the trace's cluster switch radix "
                    "(e.g. 32 = the 8192-node scale-up preset)")
-    p.add_argument("--naive-pass", action="store_true",
-                   help="use the scalar scheduling pass instead of the "
-                   "vectorized one (identical decisions; for invariance "
-                   "checks and timing comparisons)")
     p.add_argument("--naive-events", action="store_true",
                    help="drain events one at a time instead of in "
                    "columnar batches (identical decisions; for "
@@ -284,7 +280,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                             fault_victim_policy=args.fault_victim_policy,
                             checkpoint_interval=args.checkpoint_interval,
                             step_interval=args.step_interval,
-                            use_vector_pass=not args.naive_pass,
                             use_columnar_events=not args.naive_events,
                             profiled=profiled,
                             provenance=bool(args.provenance_out))
@@ -308,10 +303,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{result.candidate_hits} candidate-list hits, "
               f"{result.memo_hits} memo hits, "
               f"{result.backtrack_steps} backtracking steps")
-        if result.pass_vector_rounds:
-            print(f"vector pass: {result.pass_vector_rounds} rounds, "
-                  f"{result.queue_prefiltered} candidates prefiltered "
-                  f"({result.size_cut_skips} by the size cut)")
+        print(f"pass prefilter: {result.queue_prefiltered} candidates "
+              f"skipped ({result.size_cut_skips} by the size cut)")
         from repro.experiments.report import render_sparkline
         from repro.sched.metrics import utilization_timeline
 

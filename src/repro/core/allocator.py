@@ -112,7 +112,7 @@ class AllocatorStats:
     xpass_memo_epoch_flushes: int = 0
     #: backtracking steps replayed from the cross-pass memo instead of
     #: executed; ``backtrack_steps + xpass_memo_replayed_steps`` is
-    #: invariant under the memo (the twin-equivalence tests rely on it)
+    #: invariant under the memo (the memo-invariance tests rely on it)
     xpass_memo_replayed_steps: int = 0
     #: budgeted backtracking steps actually executed across all searches
     backtrack_steps: int = 0
@@ -122,9 +122,6 @@ class AllocatorStats:
     #: subset of ``queue_prefiltered`` rejected by the monotone size cut
     #: (a smaller effective size already failed durably this round)
     size_cut_skips: int = 0
-    #: scheduling passes executed on the vectorized (column-oriented)
-    #: pass; 0 when ``use_vector_pass=False`` / ``REPRO_NAIVE_PASS=1``
-    pass_vector_rounds: int = 0
 
     def record(self, success: bool, seconds: float) -> None:
         self.attempts += 1

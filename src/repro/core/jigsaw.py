@@ -58,30 +58,14 @@ class JigsawAllocator(Allocator):
     name = "jigsaw"
     isolating = True
 
-    #: read feasibility summaries from the ClusterState incremental
-    #: occupancy indexes (vectorized pod prefilter, maintained candidate
-    #: order, O(1) best-fit picks).  ``False`` falls back to the naive
-    #: recompute-per-call scans; both paths make byte-identical decisions
-    #: — the equivalence tests and ``benchmarks/_fingerprint.py`` hold
-    #: them to that.
-    use_indexes: bool = True
-
     #: score the two-level shape search on the occupancy-index columns
     #: (one numpy pass per shape over all feasible pods) instead of
     #: running the per-pod backtracking for every candidate.  Only exact
     #: for pods without uplink-claimed leaves — others fall back to the
-    #: scalar search — and only engaged with ``strategy="scored"`` on
-    #: the indexed path.  The LC family disables it: its step budget is
-    #: decision-relevant and its link masks are bandwidth-dependent.
+    #: scalar search — and only engaged with ``strategy="scored"``.  The
+    #: LC family disables it: its step budget is decision-relevant and
+    #: its link masks are bandwidth-dependent.
     vector_two_level: bool = True
-
-    #: keep negative per-pod sub-search verdicts *across* allocate()
-    #: calls, validated by the pod's mutation epoch
-    #: (:attr:`ClusterState.pod_epoch`).  A hit replays the recorded
-    #: step cost through :meth:`_charge` so budget-limited schemes time
-    #: out at the identical step.  Disabled automatically on the naive
-    #: twin; ``REPRO_NO_XPASS_MEMO=1`` disables it for invariance tests.
-    use_xpass_memo: bool = True
 
     #: backtracking-step ceiling per allocation attempt; generous enough
     #: that Jigsaw never hits it in practice (its search space is small —
@@ -218,8 +202,6 @@ class JigsawAllocator(Allocator):
         passing candidate may still fail on link availability — so
         survivors always run the real search.
         """
-        if not self.use_indexes:
-            return None
         state = self.state
         m1 = self.tree.m1
         two_ok = effs <= int(state.pod_free.max())
@@ -249,11 +231,7 @@ class JigsawAllocator(Allocator):
         """
         prof = self.prof
         profiling = prof.enabled
-        if (
-            self.strategy == "scored"
-            and self.use_indexes
-            and self.vector_two_level
-        ):
+        if self.strategy == "scored" and self.vector_two_level:
             return self._search_two_level_vector(alloc_size)
         if self.strategy == "first":
             for shape in self._two_level_shape_iter(alloc_size):
@@ -493,41 +471,25 @@ class JigsawAllocator(Allocator):
     def _two_level_pods(self, alloc_size: int, shape: TwoLevelShape) -> List[int]:
         """Pods worth searching for ``shape``, in ascending pod order.
 
-        The indexed path is one vectorized pass over the occupancy
-        counters: ``pod_free >= size`` and ``LT`` leaves with ``>= nL``
-        free nodes.  Both are exactly the *tick-free* rejections
-        :meth:`_find_two_level_in_pod` (and, for single-leaf shapes,
-        :meth:`_pick_single_leaf`) would perform — skipping those pods
-        costs no budget and changes no decision.
+        One vectorized pass over the occupancy counters: ``pod_free >=
+        size`` and ``LT`` leaves with ``>= nL`` free nodes.  Both are
+        exactly the *tick-free* rejections :meth:`_find_two_level_in_pod`
+        (and, for single-leaf shapes, its best-fit leaf pick) would
+        perform — skipping those pods costs no budget and changes no
+        decision.
         """
-        if self.use_indexes:
-            pods = self.state.feasible_pods(
-                alloc_size, shape.nL, shape.LT
-            ).tolist()
-            self.stats.pods_pruned += self.tree.num_pods - len(pods)
-            return pods
-        pod_free = self.state.pod_free
-        return [
-            p for p in range(self.tree.num_pods) if pod_free[p] >= alloc_size
-        ]
+        pods = self.state.feasible_pods(
+            alloc_size, shape.nL, shape.LT
+        ).tolist()
+        self.stats.pods_pruned += self.tree.num_pods - len(pods)
+        return pods
 
     def _pod_candidates(self, pod: int, min_free: int) -> List[int]:
         """Leaves of ``pod`` with at least ``min_free`` free nodes in
-        best-fit order (ascending free count, then leaf id).
-
-        The indexed path reads the maintained bucket order; the naive
-        path re-sorts per call.  Identical sequences by construction.
-        """
-        if self.use_indexes:
-            self.stats.candidate_hits += 1
-            return self.state.leaf_candidates(pod, min_free)
-        tree = self.tree
-        free = self.state.free_leaf_counts_in_pod(pod)
-        base = tree.first_leaf_of_pod(pod)
-        return sorted(
-            (base + k for k in range(tree.m2) if free[k] >= min_free),
-            key=lambda leaf: (free[leaf - base], leaf),
-        )
+        best-fit order (ascending free count, then leaf id), read off
+        the maintained bucket order."""
+        self.stats.candidate_hits += 1
+        return self.state.leaf_candidates(pod, min_free)
 
     # ------------------------------------------------------------------
     # find_L2: search one pod for a two-level allocation
@@ -581,7 +543,7 @@ class JigsawAllocator(Allocator):
         self.stats.xpass_memo_hits += 1
         # Replayed-step accounting mirrors what the un-memoized search
         # would have *executed*: when the budget binds mid-replay, the
-        # scalar twin only runs the steps left before timing out.
+        # un-memoized search only runs the steps left before timing out.
         self.stats.xpass_memo_replayed_steps += min(cost, self._steps_left)
         return cost
 
@@ -595,8 +557,6 @@ class JigsawAllocator(Allocator):
         times out at the identical step) and ``None`` is returned
         without re-walking the pod.  Only *completed* failed searches
         are recorded — a budget abort propagates before the store."""
-        if not (self.use_indexes and self.use_xpass_memo):
-            return self._find_two_level_in_pod_impl(pod, shape)
         key = ("2l", pod, shape.LT, shape.nL, shape.nrL, self._memo_bw_key())
         cost = self._xpass_memo_lookup(key)
         if cost is not None:
@@ -625,7 +585,7 @@ class JigsawAllocator(Allocator):
 
         # Whole job on one leaf: no links needed at all.
         if shape.single_leaf:
-            leaf = self._pick_single_leaf(pod, shape.nL)
+            leaf = state.best_fit_leaf(pod, shape.nL)
             if leaf is None:
                 return None
             return [leaf], 0, None, 0
@@ -662,21 +622,6 @@ class JigsawAllocator(Allocator):
             return None
         s_mask, rem_leaf, sr_mask = result
         return list(chosen), s_mask, rem_leaf, sr_mask
-
-    def _pick_single_leaf(self, pod: int, n: int) -> Optional[int]:
-        """Best-fit leaf in ``pod`` with at least ``n`` free nodes."""
-        if self.use_indexes:
-            return self.state.best_fit_leaf(pod, n)
-        tree = self.tree
-        free = self.state.free_leaf_counts_in_pod(pod)
-        best: Optional[int] = None
-        best_free = tree.m1 + 1
-        for k in range(tree.m2):
-            f = int(free[k])
-            if n <= f < best_free:
-                best = tree.first_leaf_of_pod(pod) + k
-                best_free = f
-        return best
 
     def _finish_two_level(
         self, pod: int, shape: TwoLevelShape, chosen: Sequence[int], inter: int
@@ -734,20 +679,11 @@ class JigsawAllocator(Allocator):
         # nodes AND fully free uplinks.  Counting merely fully-free
         # leaves here let the search pick a leaf whose uplink was held
         # by a fault, and the subsequent claim blew up mid-allocation.
-        if self.use_indexes:
-            prefiltered = state.feasible_pods(
-                0, min_full_leaves=shape.LT
-            ).tolist()
-            self.stats.pods_pruned += tree.num_pods - len(prefiltered)
-            candidates = [
-                p for p in prefiltered
-                if state.usable_full_leaves(p) >= shape.LT
-            ]
-        else:
-            candidates = [
-                p for p in range(tree.num_pods)
-                if self._usable_full_leaf_mask(p).bit_count() >= shape.LT
-            ]
+        prefiltered = state.feasible_pods(0, min_full_leaves=shape.LT).tolist()
+        self.stats.pods_pruned += tree.num_pods - len(prefiltered)
+        candidates = [
+            p for p in prefiltered if state.usable_full_leaves(p) >= shape.LT
+        ]
         if len(candidates) < shape.T:
             return None
 
@@ -797,22 +733,19 @@ class JigsawAllocator(Allocator):
             return None, None, 0, s_star, [0] * n_i
 
         taken = set(chosen)
-        if self.use_indexes:
-            # Every condition is *necessary* for _fit_remainder_pod to
-            # succeed and its rejections are tick-free, so prefiltering
-            # the remainder-pod scan is decision-invariant: LrT fully
-            # free leaves (checked first thing in _fit_remainder_pod),
-            # and — when there is a remainder leaf — some leaf with
-            # >= nrL free nodes plus the implied node total.
-            rps = self.state.feasible_pods(
-                shape.LrT * tree.m1 + shape.nrL,
-                shape.nrL,
-                1 if shape.nrL else 0,
-                min_full_leaves=shape.LrT,
-            ).tolist()
-            self.stats.pods_pruned += tree.num_pods - len(rps)
-        else:
-            rps = range(tree.num_pods)
+        # Every condition is *necessary* for _fit_remainder_pod to
+        # succeed and its rejections are tick-free, so prefiltering the
+        # remainder-pod scan is decision-invariant: LrT fully free
+        # leaves (checked first thing in _fit_remainder_pod), and — when
+        # there is a remainder leaf — some leaf with >= nrL free nodes
+        # plus the implied node total.
+        rps = self.state.feasible_pods(
+            shape.LrT * tree.m1 + shape.nrL,
+            shape.nrL,
+            1 if shape.nrL else 0,
+            min_full_leaves=shape.LrT,
+        ).tolist()
+        self.stats.pods_pruned += tree.num_pods - len(rps)
         for rp in rps:
             if rp in taken:
                 continue
@@ -830,7 +763,7 @@ class JigsawAllocator(Allocator):
         tree = self.tree
         state = self.state
         n_i = tree.l2_per_pod
-        if self._usable_full_leaf_mask(rp).bit_count() < shape.LrT:
+        if state.usable_full_leaves(rp) < shape.LrT:
             return None
 
         # Spine availability seen from the remainder pod, restricted to
@@ -883,7 +816,7 @@ class JigsawAllocator(Allocator):
         # leaves to remain.  A fully-free leaf with a claimed uplink is
         # fair game — it can never serve as a full leaf anyway.  First
         # eligible leaf in best-fit order == the old min-scan's pick.
-        usable = self._usable_full_leaf_mask(rp)
+        usable = self.state.usable_full_leaf_mask(rp)
         usable_count = usable.bit_count()
         for leaf in self._pod_candidates(rp, shape.nrL):
             if (usable >> (leaf - base)) & 1 and usable_count <= shape.LrT:
@@ -981,27 +914,6 @@ class JigsawAllocator(Allocator):
             shape=shape,
         )
 
-    def _usable_full_leaf_mask(self, pod: int) -> int:
-        """Bitmask of leaf offsets usable as *full* leaves: every node
-        free **and** every uplink cable free.
-
-        Three-level assembly claims all ``l2_per_pod`` uplinks of each
-        full leaf, so a leaf-link fault (or any partial uplink claim)
-        disqualifies an otherwise fully-free leaf — the search must not
-        offer it, or the claim raises mid-allocation.
-        """
-        if self.use_indexes:
-            return self.state.usable_full_leaf_mask(pod)
-        tree = self.tree
-        free = self.state.free_leaf_counts_in_pod(pod)
-        base = tree.first_leaf_of_pod(pod)
-        full = (1 << tree.l2_per_pod) - 1
-        mask = 0
-        for k in range(tree.m2):
-            if free[k] == tree.m1 and self._leaf_mask(base + k) == full:
-                mask |= 1 << k
-        return mask
-
     def _pick_full_free_leaves(
         self, pod: int, count: int, exclude: Optional[int]
     ) -> List[int]:
@@ -1011,7 +923,7 @@ class JigsawAllocator(Allocator):
             return []
         base = self.tree.first_leaf_of_pod(pod)
         out: List[int] = []
-        mask = self._usable_full_leaf_mask(pod)
+        mask = self.state.usable_full_leaf_mask(pod)
         while mask:
             low = mask & -mask
             mask ^= low

@@ -75,8 +75,6 @@ class LaaSAllocator(JigsawAllocator):
         pod with ``>= eff`` free nodes.  Both are necessary conditions,
         budget-independent and durable under claims.
         """
-        if not self.use_indexes:
-            return None
         state = self.state
         m1 = self.tree.m1
         two_ok = effs <= int(state.pod_free.max())

@@ -121,31 +121,27 @@ class LeastConstrainedAllocator(JigsawAllocator):
     # ------------------------------------------------------------------
     def _leaf_mask(self, leaf: int) -> int:
         if self.share_links:
-            if self.use_indexes:
-                # Columnar per-search cache: bandwidth and link state
-                # are fixed for the duration of one _search, so all of
-                # a pod's leaf masks are built in one vectorized pass
-                # (identical IEEE comparison, see
-                # :meth:`LinkCapacityState.leaf_masks_of_pod`) on first
-                # touch instead of one Python loop per leaf per probe.
-                pod = leaf // self.tree.m2
-                row = self._leaf_mask_cache.get(pod)
-                if row is None:
-                    row = self.links.leaf_masks_of_pod(pod, self._bw)
-                    self._leaf_mask_cache[pod] = row
-                return row[leaf - pod * self.tree.m2]
-            return self.links.leaf_mask(leaf, self._bw)
+            # Columnar per-search cache: bandwidth and link state are
+            # fixed for the duration of one _search, so all of a pod's
+            # leaf masks are built in one vectorized pass (identical
+            # IEEE comparison, see
+            # :meth:`LinkCapacityState.leaf_masks_of_pod`) on first
+            # touch instead of one Python loop per leaf per probe.
+            pod = leaf // self.tree.m2
+            row = self._leaf_mask_cache.get(pod)
+            if row is None:
+                row = self.links.leaf_masks_of_pod(pod, self._bw)
+                self._leaf_mask_cache[pod] = row
+            return row[leaf - pod * self.tree.m2]
         return self.state.leaf_up_mask[leaf]
 
     def _spine_mask(self, pod: int, i: int) -> int:
         if self.share_links:
-            if self.use_indexes:
-                row = self._spine_mask_cache.get(pod)
-                if row is None:
-                    row = self.links.spine_masks_of_pod(pod, self._bw)
-                    self._spine_mask_cache[pod] = row
-                return row[i]
-            return self.links.spine_mask(pod, i, self._bw)
+            row = self._spine_mask_cache.get(pod)
+            if row is None:
+                row = self.links.spine_masks_of_pod(pod, self._bw)
+                self._spine_mask_cache[pod] = row
+            return row[i]
         return self.state.spine_free_mask[pod][i]
 
     def _search(self, job_id: int, size: int, bw_need: Optional[float]):
@@ -235,17 +231,14 @@ class LeastConstrainedAllocator(JigsawAllocator):
         """All (capped) sub-allocations of ``LT`` leaves x ``nL`` nodes in
         ``pod``, each optionally with an ``nrL``-node remainder leaf.
 
-        On the indexed path results are memoized per ``_search`` under
-        their exact ``(pod, LT, nL, nrL)`` key — the cluster state and
-        the job's bandwidth need are fixed for the duration of a search,
-        so a repeat call (``_finish_general`` probes the same remainder
-        pods once per completed pod combination) must return the same
-        solutions.  A hit replays the recorded step cost through
+        Results are memoized per ``_search`` under their exact ``(pod,
+        LT, nL, nrL)`` key — the cluster state and the job's bandwidth
+        need are fixed for the duration of a search, so a repeat call
+        (``_finish_general`` probes the same remainder pods once per
+        completed pod combination) must return the same solutions.  A hit replays the recorded step cost through
         :meth:`_charge` so the LC+S budget timeout fires at exactly the
         step it would have fired at without the memo.
         """
-        if not self.use_indexes:
-            return self._find_all_in_pod_uncached(pod, LT, nL, nrL)
         key = (pod, LT, nL, nrL)
         hit = self._pod_memo.get(key)
         if hit is not None:
@@ -257,25 +250,23 @@ class LeastConstrainedAllocator(JigsawAllocator):
             else:
                 self._charge(cost)
             return sols
-        xkey = None
-        if self.use_xpass_memo:
-            # Cross-pass negative memo: an earlier allocate() proved
-            # this pod empty for the same sub-shape and bandwidth, and
-            # the pod's epochs have not moved.  Replay the recorded
-            # cost (the budget must time out at the identical step) and
-            # seed the per-search memo so repeat probes within this
-            # search count memo_hits exactly as they would have.
-            xkey = ("pe", pod, LT, nL, nrL, self._memo_bw_key())
-            cost = self._xpass_memo_lookup(xkey)
-            if cost is not None:
-                if self.prof.enabled:
-                    with self.prof.stage("memo_replay"):
-                        self._charge(cost)
-                else:
+        # Cross-pass negative memo: an earlier allocate() proved this
+        # pod empty for the same sub-shape and bandwidth, and the pod's
+        # epochs have not moved.  Replay the recorded cost (the budget
+        # must time out at the identical step) and seed the per-search
+        # memo so repeat probes within this search count memo_hits
+        # exactly as they would have.
+        xkey = ("pe", pod, LT, nL, nrL, self._memo_bw_key())
+        cost = self._xpass_memo_lookup(xkey)
+        if cost is not None:
+            if self.prof.enabled:
+                with self.prof.stage("memo_replay"):
                     self._charge(cost)
-                self._pod_memo[key] = ([], cost)
-                return []
-            epoch = self._pod_epoch_key(pod)
+            else:
+                self._charge(cost)
+            self._pod_memo[key] = ([], cost)
+            return []
+        epoch = self._pod_epoch_key(pod)
         before = self._steps_left
         if self.prof.enabled:
             with self.prof.stage("pod_enum"):
@@ -284,7 +275,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
             sols = self._find_all_in_pod_uncached(pod, LT, nL, nrL)
         cost = before - self._steps_left
         self._pod_memo[key] = (sols, cost)
-        if xkey is not None and not sols:
+        if not sols:
             self._xpass_memo[xkey] = (epoch, cost)
         return sols
 
@@ -296,15 +287,9 @@ class LeastConstrainedAllocator(JigsawAllocator):
         need = LT * nL + nrL
         if state.pod_free[pod] < need:
             return []
-        if self.use_indexes:
-            # Ascending leaf-id order off the maintained buckets — the
-            # exact sequence the naive comprehension builds.
-            self.stats.candidate_hits += 1
-            candidates = state.leaf_candidates_by_id(pod, nL)
-        else:
-            free = state.free_leaf_counts_in_pod(pod)
-            base = tree.first_leaf_of_pod(pod)
-            candidates = [base + k for k in range(tree.m2) if free[k] >= nL]
+        # Ascending leaf-id order off the maintained buckets.
+        self.stats.candidate_hits += 1
+        candidates = state.leaf_candidates_by_id(pod, nL)
         if len(candidates) < LT:
             return []
         solutions: List[_PodSolution] = []
@@ -358,16 +343,13 @@ class LeastConstrainedAllocator(JigsawAllocator):
     def _find_three_level(self, shape: ThreeLevelShape):
         tree = self.tree
         n_i = tree.l2_per_pod
-        if self.use_indexes:
-            # Vectorized replica of _find_all_in_pod's tick-free
-            # rejections (pod_free and candidate-count): pruned pods
-            # would have returned [] without spending budget.
-            scan = self.state.feasible_pods(
-                shape.LT * shape.nL, shape.nL, shape.LT
-            ).tolist()
-            self.stats.pods_pruned += tree.num_pods - len(scan)
-        else:
-            scan = range(tree.num_pods)
+        # Vectorized replica of _find_all_in_pod's tick-free rejections
+        # (pod_free and candidate-count): pruned pods would have
+        # returned [] without spending budget.
+        scan = self.state.feasible_pods(
+            shape.LT * shape.nL, shape.nL, shape.LT
+        ).tolist()
+        self.stats.pods_pruned += tree.num_pods - len(scan)
         sols: Dict[int, List[_PodSolution]] = {}
         for pod in scan:
             s = self._find_all_in_pod(pod, shape.LT, shape.nL, 0)
@@ -430,22 +412,17 @@ class LeastConstrainedAllocator(JigsawAllocator):
             if picked is None:
                 return None
             return list(chosen), None, picked
-        if self.use_indexes:
-            # Necessary, tick-free conditions for the per-rp probes to
-            # yield any solution: LrT leaves with >= nL free plus the
-            # node total (the _find_all_in_pod early-outs), or — for a
-            # bare remainder leaf — one leaf with >= nrL free.
-            if shape.LrT:
-                rps = self.state.feasible_pods(
-                    shape.LrT * shape.nL + shape.nrL, shape.nL, shape.LrT
-                ).tolist()
-            else:
-                rps = self.state.feasible_pods(
-                    shape.nrL, shape.nrL, 1
-                ).tolist()
-            self.stats.pods_pruned += tree.num_pods - len(rps)
+        # Necessary, tick-free conditions for the per-rp probes to yield
+        # any solution: LrT leaves with >= nL free plus the node total
+        # (the _find_all_in_pod early-outs), or — for a bare remainder
+        # leaf — one leaf with >= nrL free.
+        if shape.LrT:
+            rps = self.state.feasible_pods(
+                shape.LrT * shape.nL + shape.nrL, shape.nL, shape.LrT
+            ).tolist()
         else:
-            rps = range(tree.num_pods)
+            rps = self.state.feasible_pods(shape.nrL, shape.nrL, 1).tolist()
+        self.stats.pods_pruned += tree.num_pods - len(rps)
         for rp in rps:
             if rp in taken:
                 continue
@@ -470,8 +447,6 @@ class LeastConstrainedAllocator(JigsawAllocator):
         which no real :meth:`_find_all_in_pod` call can produce
         (``TwoLevelShape``/``ThreeLevelShape`` force ``LT >= 1``).
         """
-        if not self.use_indexes:
-            return self._remainder_only_uncached(rp, shape)
         key = (rp, 0, 0, shape.nrL)
         hit = self._pod_memo.get(key)
         if hit is not None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict
 
 from repro.core.allocator import Allocator
@@ -40,16 +39,4 @@ def make_allocator(name: str, tree: XGFT, **kwargs) -> Allocator:
         raise ValueError(
             f"unknown scheme {name!r}; expected one of {sorted(_FACTORIES)}"
         ) from None
-    allocator = factory(tree, **kwargs)
-    # REPRO_NAIVE_SEARCH=1 flips every allocator to its naive
-    # recompute-per-call search path.  Decisions are identical either
-    # way — benchmarks/_fingerprint.py --vs-naive proves it — so this
-    # exists only for that invariance check and for before/after timing.
-    if os.environ.get("REPRO_NAIVE_SEARCH", "") not in ("", "0"):
-        allocator.use_indexes = False
-    # REPRO_NO_XPASS_MEMO=1 disables only the cross-call negative memo
-    # while keeping the indexed search; placements and budget ticks are
-    # identical either way (the memo replays the recorded cost).
-    if os.environ.get("REPRO_NO_XPASS_MEMO", "") not in ("", "0"):
-        allocator.use_xpass_memo = False
-    return allocator
+    return factory(tree, **kwargs)

@@ -59,11 +59,6 @@ class TopologyAwareAllocator(Allocator):
     name = "ta"
     isolating = True
 
-    #: vectorize the containment-rule scans with numpy; ``False`` falls
-    #: back to the per-leaf Python loops.  Both paths make byte-identical
-    #: decisions (equivalence-tested).
-    use_indexes: bool = True
-
     def __init__(self, tree: XGFT, t1_shares_multi_leaf: bool = False):
         super().__init__(tree)
         self.t1_shares_multi_leaf = t1_shares_multi_leaf
@@ -111,8 +106,6 @@ class TopologyAwareAllocator(Allocator):
         here is a proof of (durable) infeasibility, and TA's failed
         searches vanish entirely under the vector pass.
         """
-        if not self.use_indexes:
-            return None
         tree = self.tree
         free = self.state.free_per_leaf
         usable = np.where(self._multi_owner == -1, free, 0)
@@ -148,38 +141,20 @@ class TopologyAwareAllocator(Allocator):
             return self._search_t2(job_id, size)
         return self._search_t3(job_id, size)
 
-    def _leaf_usable_by_multi(self, leaf: int) -> bool:
-        """Leaves free of other multi-leaf jobs' implicit reservations."""
-        return self._multi_owner[leaf] == -1
-
     def _search_t1(self, job_id: int, size: int) -> Optional[Allocation]:
         """Best-fit single leaf with ``size`` free nodes."""
         state = self.state
         tree = self.tree
-        if self.use_indexes:
-            free = state.free_per_leaf
-            eligible = free >= size
-            if not self.t1_shares_multi_leaf:
-                eligible &= self._multi_owner == -1
-            # argmin over (free where eligible else m1+1) returns the
-            # *first* leaf achieving the minimum — the same best-fit
-            # tie-break as the scan's strict < comparison.
-            scored = np.where(eligible, free, tree.m1 + 1)
-            best = int(np.argmin(scored))
-            if scored[best] > tree.m1:
-                return None
-        else:
-            best = None
-            best_free = tree.m1 + 1
-            for leaf in range(tree.num_leaves):
-                f = int(state.free_per_leaf[leaf])
-                if f < size or f >= best_free:
-                    continue
-                if not self.t1_shares_multi_leaf and not self._leaf_usable_by_multi(leaf):
-                    continue
-                best, best_free = leaf, f
-            if best is None:
-                return None
+        free = state.free_per_leaf
+        eligible = free >= size
+        if not self.t1_shares_multi_leaf:
+            eligible &= self._multi_owner == -1
+        # argmin over (free where eligible else m1+1) returns the *first*
+        # leaf achieving the minimum: fewest free nodes, lowest leaf id.
+        scored = np.where(eligible, free, tree.m1 + 1)
+        best = int(np.argmin(scored))
+        if scored[best] > tree.m1:
+            return None
         nodes = state.free_node_ids(best, size)
         return Allocation(job_id=job_id, size=size, nodes=tuple(nodes))
 
@@ -192,84 +167,49 @@ class TopologyAwareAllocator(Allocator):
     def _search_t2(self, job_id: int, size: int) -> Optional[Allocation]:
         """Single pod, on leaves with no other multi-leaf job's nodes."""
         tree = self.tree
-        state = self.state
-        if self.use_indexes:
-            usable_free = self._usable_free()
-            totals = usable_free.reshape(tree.num_pods, tree.m2).sum(axis=1)
-            ok = np.flatnonzero(totals >= size)
-            self.stats.pods_pruned += tree.num_pods - int(ok.size)
-            if ok.size == 0:
-                return None
-            pod = int(ok[0])  # first feasible pod, as in the serial scan
-            lo = pod * tree.m2
-            seg = usable_free[lo : lo + tree.m2]
-            idx = np.flatnonzero(seg > 0)
-            return self._take_from_leaves_v(job_id, size, seg[idx], idx + lo)
-        for pod in range(tree.num_pods):
-            usable = []  # (free, leaf)
-            total = 0
-            for leaf in tree.leaves_of_pod(pod):
-                if not self._leaf_usable_by_multi(leaf):
-                    continue
-                f = int(state.free_per_leaf[leaf])
-                if f:
-                    usable.append((f, leaf))
-                    total += f
-            if total < size:
-                continue
-            return self._take_from_leaves(job_id, size, usable)
-        return None
+        usable_free = self._usable_free()
+        totals = usable_free.reshape(tree.num_pods, tree.m2).sum(axis=1)
+        ok = np.flatnonzero(totals >= size)
+        self.stats.pods_pruned += tree.num_pods - int(ok.size)
+        if ok.size == 0:
+            return None
+        pod = int(ok[0])  # first feasible pod
+        lo = pod * tree.m2
+        seg = usable_free[lo : lo + tree.m2]
+        idx = np.flatnonzero(seg > 0)
+        return self._take_from_leaves(job_id, size, seg[idx], idx + lo)
 
     def _search_t3(self, job_id: int, size: int) -> Optional[Allocation]:
         """Across pods that no other T3 job touches, on unreserved leaves."""
         tree = self.tree
-        state = self.state
-        if self.use_indexes:
-            usable_free = self._usable_free()
-            eligible = self._t3_owner == -1
-            self.stats.pods_pruned += int((~eligible).sum())
-            per_pod = usable_free.reshape(tree.num_pods, tree.m2).sum(axis=1)
-            cum = np.cumsum(np.where(eligible, per_pod, 0))
-            if int(cum[-1]) < size:
-                return None
-            # First pod index at which the running usable total reaches
-            # the job — exactly where the serial scan breaks.
-            cut = int(np.searchsorted(cum, size))
-            limit = (cut + 1) * tree.m2
-            mask = np.repeat(eligible[: cut + 1], tree.m2)
-            idx = np.flatnonzero((usable_free[:limit] > 0) & mask)
-            return self._take_from_leaves_v(job_id, size, usable_free[idx], idx)
-        pod_leaves = []  # (free, leaf)
-        total = 0
-        for pod in range(tree.num_pods):
-            if self._t3_owner[pod] != -1:
-                continue
-            for leaf in tree.leaves_of_pod(pod):
-                if not self._leaf_usable_by_multi(leaf):
-                    continue
-                f = int(state.free_per_leaf[leaf])
-                if f:
-                    pod_leaves.append((f, leaf))
-                    total += f
-            if total >= size:
-                break
-        if total < size:
+        usable_free = self._usable_free()
+        eligible = self._t3_owner == -1
+        self.stats.pods_pruned += int((~eligible).sum())
+        per_pod = usable_free.reshape(tree.num_pods, tree.m2).sum(axis=1)
+        cum = np.cumsum(np.where(eligible, per_pod, 0))
+        if int(cum[-1]) < size:
             return None
-        return self._take_from_leaves(job_id, size, pod_leaves)
+        # Pods in index order up to the first one at which the running
+        # usable total reaches the job.
+        cut = int(np.searchsorted(cum, size))
+        limit = (cut + 1) * tree.m2
+        mask = np.repeat(eligible[: cut + 1], tree.m2)
+        idx = np.flatnonzero((usable_free[:limit] > 0) & mask)
+        return self._take_from_leaves(job_id, size, usable_free[idx], idx)
 
-    def _take_from_leaves_v(
+    def _take_from_leaves(
         self,
         job_id: int,
         size: int,
         free_arr: np.ndarray,
         leaf_arr: np.ndarray,
     ) -> Allocation:
-        """Columnar :meth:`_take_from_leaves`: rank with one lexsort and
-        stop at the prefix the running total proves sufficient.
+        """Take ``size`` nodes, emptiest leaves first (fewest leaves
+        touched, so the fewest uplink sets are implicitly reserved).
 
         ``np.lexsort`` keys are (secondary, primary) = (leaf, -free), so
-        the order is emptiest-first with leaf-id tie-break — exactly the
-        scalar ``sort(key=(-free, leaf))`` ranking.
+        the order is emptiest-first with leaf-id tie-break; the take
+        stops at the prefix the running total proves sufficient.
         """
         order = np.lexsort((leaf_arr, -free_arr))
         f = free_arr[order]
@@ -281,23 +221,6 @@ class TopologyAwareAllocator(Allocator):
             take = min(int(f[i]), remaining)
             nodes.extend(self.state.free_node_ids(int(leaves[i]), take))
             remaining -= take
-        assert remaining == 0, "capacity was checked before taking nodes"
-        return Allocation(job_id=job_id, size=size, nodes=tuple(nodes))
-
-    def _take_from_leaves(
-        self, job_id: int, size: int, usable: List[Tuple[int, int]]
-    ) -> Allocation:
-        """Take ``size`` nodes, emptiest leaves first (fewest leaves touched,
-        so the fewest uplink sets are implicitly reserved)."""
-        usable.sort(key=lambda fl: (-fl[0], fl[1]))
-        nodes: List[int] = []
-        remaining = size
-        for f, leaf in usable:
-            take = min(f, remaining)
-            nodes.extend(self.state.free_node_ids(leaf, take))
-            remaining -= take
-            if remaining == 0:
-                break
         assert remaining == 0, "capacity was checked before taking nodes"
         return Allocation(job_id=job_id, size=size, nodes=tuple(nodes))
 

@@ -112,7 +112,7 @@ def sim_cell(
 
     Extra keyword arguments are forwarded to :func:`run_scheme`
     (``backfill_window``, ``queue_order``, ``step_interval``,
-    ``use_vector_pass``, allocator options, ...), except ``topology``
+    allocator options, ...), except ``topology``
     (a switch-radix override), which routes to :func:`setup_for`; they
     must stay plain picklable values so the cell crosses the process
     pool unchanged.

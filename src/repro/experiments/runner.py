@@ -171,7 +171,6 @@ def run_scheme(
     fault_victim_policy: str = "requeue-full",
     checkpoint_interval: float = 0.0,
     step_interval: Optional[float] = None,
-    use_vector_pass: bool = True,
     use_columnar_events: bool = True,
     profiler=None,
     profiled: bool = False,
@@ -204,9 +203,6 @@ def run_scheme(
     :class:`repro.sched.simulator.Simulator`); a plain float, so it
     pickles through the grid engine's process pool unchanged.
 
-    ``use_vector_pass=False`` selects the scalar scheduling-pass twin
-    (identical decisions; see the vector-pass notes on
-    :class:`~repro.sched.simulator.Simulator`).
     ``use_columnar_events=False`` selects the one-event-at-a-time drain
     twin (identical decisions; see the columnar-event notes there).
 
@@ -267,7 +263,6 @@ def run_scheme(
         fault_victim_policy=fault_victim_policy,
         checkpoint_interval=checkpoint_interval,
         step_interval=step_interval,
-        use_vector_pass=use_vector_pass,
         use_columnar_events=use_columnar_events,
         provenance=provenance,
     )

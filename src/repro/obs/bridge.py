@@ -69,9 +69,6 @@ STATS_METRICS = {
     "size_cut_skips": (
         "repro_size_cut_skips_total", "counter",
         "prefilter skips proven by the monotone size cut"),
-    "pass_vector_rounds": (
-        "repro_pass_vector_rounds_total", "counter",
-        "scheduling passes run on the column-oriented path"),
 }
 
 #: SimResult field -> (metric name, kind, help); counter mirrors of the
@@ -101,7 +98,6 @@ RESULT_METRICS = {
     "backtrack_steps": STATS_METRICS["backtrack_steps"],
     "queue_prefiltered": STATS_METRICS["queue_prefiltered"],
     "size_cut_skips": STATS_METRICS["size_cut_skips"],
-    "pass_vector_rounds": STATS_METRICS["pass_vector_rounds"],
     "faults_injected": ("repro_fault_injections_total", "counter",
                         "fault-timeline fail events applied"),
     "faults_repaired": ("repro_fault_repairs_total", "counter",

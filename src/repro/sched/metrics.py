@@ -167,8 +167,6 @@ class SimResult:
     queue_prefiltered: int = 0
     #: prefilter skips proven by the monotone size cut specifically
     size_cut_skips: int = 0
-    #: scheduling passes that ran the column-oriented (vector) path
-    pass_vector_rounds: int = 0
     #: per-interval time-series rows, when the run was sampled
     #: (see :mod:`repro.obs.sampler`); empty otherwise.  Plain dicts so
     #: the result stays picklable across the grid engine's process pool.

@@ -104,9 +104,8 @@ class FreeProfile:
         breakpoint, and a candidate fits iff its own level is good and
         the next bad breakpoint lies at or past ``t0 + duration`` (the
         same float addition and ``>=`` the scalar loop performs, so the
-        verdicts are bit-identical).  Used by the vectorized
-        conservative pass; the scalar loop above is the
-        ``REPRO_NAIVE_PASS=1`` twin.
+        verdicts are bit-identical).  Used by the conservative pass;
+        the loop above is the reference it matches.
         """
         times = self._times
         n = len(times)

@@ -59,12 +59,7 @@ import numpy as np
 
 from repro.core.allocator import Allocator
 from repro.obs.sampler import simulator_row
-from repro.sched.backfill import (
-    Reservation,
-    compute_reservation,
-    may_backfill,
-    reservation_from_arrays,
-)
+from repro.sched.backfill import Reservation, reservation_from_arrays
 from repro.sched.eventcore import (
     ARRIVAL,
     COMPLETION,
@@ -108,15 +103,6 @@ class Simulator:
         event batch.  A positive Δt selects batch-step mode: scheduling
         rounds on the grid ``first_event + k·Δt``, with events
         accumulating between rounds (see the module docstring).
-    use_vector_pass:
-        ``True`` (default) runs the column-oriented scheduling pass:
-        queue scans are batched over the job table's size/bandwidth
-        columns, proven-infeasible candidates are skipped without a
-        search (charged through ``Allocator.charge_skip`` so the
-        attempt accounting is unchanged), and the backfill bookkeeping
-        is vectorized.  ``False`` — or ``REPRO_NAIVE_PASS=1`` in the
-        environment — selects the scalar twin; both produce identical
-        placements (``benchmarks/_fingerprint.py --vs-scalar``).
     use_columnar_events:
         ``True`` (default) drains events between scheduling passes in
         columnar batches: completions release their allocations through
@@ -180,7 +166,6 @@ class Simulator:
         fault_victim_policy: str = "requeue-full",
         checkpoint_interval: float = 0.0,
         step_interval: Optional[float] = None,
-        use_vector_pass: bool = True,
         use_columnar_events: bool = True,
         provenance: bool = False,
     ):
@@ -248,14 +233,9 @@ class Simulator:
         self.checkpoint_interval = checkpoint_interval
         #: batch-step round length (None = event-driven)
         self.step_interval = step_interval
-        #: column-oriented scheduling pass (the scalar twin stays
-        #: available for invariance checks; the env knob mirrors
-        #: ``REPRO_NAIVE_SEARCH`` in :mod:`repro.core.registry`)
-        if os.environ.get("REPRO_NAIVE_PASS", "") not in ("", "0"):
-            use_vector_pass = False
-        self.use_vector_pass = bool(use_vector_pass)
-        #: columnar event drain between passes (scalar twin stays
-        #: available for invariance checks, same knob pattern)
+        #: columnar event drain between passes (the scalar twin stays
+        #: available for invariance checks; ``REPRO_NAIVE_EVENTS=1``
+        #: selects it)
         if os.environ.get("REPRO_NAIVE_EVENTS", "") not in ("", "0"):
             use_columnar_events = False
         self.use_columnar_events = bool(use_columnar_events)
@@ -299,18 +279,6 @@ class Simulator:
         state = _RunState(self, table)
         state.drive()
         return state.result(name)
-
-    # ------------------------------------------------------------------
-    def _reservation(
-        self, now: float, head_job: Job,
-        running_pairs: List[Tuple[float, int]],
-    ) -> Reservation:
-        return compute_reservation(
-            now,
-            self.allocator.effective_size(head_job.size),
-            self.allocator.free_nodes,
-            list(running_pairs),
-        )
 
 
 class _RunState:
@@ -847,159 +815,25 @@ class _RunState:
                 return
 
     # -- scheduling passes ---------------------------------------------
-    def conservative_schedule(self, now: float) -> None:
-        """Every job in the window gets a reservation; a job starts
-        only if its reservation is 'now' (so no earlier job is ever
-        delayed by a later one)."""
-        from repro.sched.profile import FOREVER, FreeProfile
-
-        self.prune_fifo_front()
-        failed: set = set()
-        profile = FreeProfile(now, self.allocator.free_nodes)
-        for est_end, eff_size in self.running_pairs():
-            profile.release_at(est_end, eff_size)
-        scanned = 0
-        idx = self.head - 1
-        while scanned <= self.sim.backfill_window:
-            idx += 1
-            if idx >= len(self.queue):
-                break
-            job = self.queue[idx]
-            if job.id in self.started_out_of_order:
-                continue
-            scanned += 1
-            size = self.eff(job)
-            wall = self.walltime_est(job)
-            start = profile.earliest_fit(size, wall)
-            key = (size, job.bw_need)
-            if start <= now:
-                if key not in failed and self.try_start(
-                    job, now, via="reserved"
-                ):
-                    self.note_started_out_of_order(job.id)
-                    self.pending -= 1
-                    profile.reserve(now, now + wall, size)
-                    self.sample()
-                    continue
-                # The profile says the job fits now but the allocator
-                # has already proven (this pass) that it cannot place
-                # the shape — fragmentation-blocked.  Reserving at
-                # ``now`` anyway would book capacity the job provably
-                # cannot use and push every later reservation behind
-                # phantom load, so the reservation defers to the next
-                # expected release, where the free pattern can change.
-                failed.add(key)
-                later = [t for t in profile._times if t > now]
-                start = later[0] if later else FOREVER
-            if start != FOREVER:
-                profile.reserve(start, start + wall, size)
+    #
+    # Both passes are column-oriented: queue scans are batched over the
+    # job table's size/bandwidth columns and the window bookkeeping
+    # (walltime estimates, shadow arithmetic, reservation profiles) runs
+    # on the job-table columns.  Their speed comes from never *running*
+    # a search whose failure is already proven: the feasibility cache,
+    # the monotone size cut and the allocator's batch screen are all
+    # durable-infeasibility proofs, so a candidate they condemn is
+    # skipped via ``charge_skip`` — which moves the attempt/failure/
+    # cache counters exactly as the failed ``allocate`` would have.
+    # Decisions are held to the golden digests in
+    # ``tests/data/decision_digests.json``.
 
     def schedule(self, now: float) -> None:
-        """One scheduling pass: dispatch to the policy × pass-mode
-        implementation.  The vector and scalar twins of each policy
-        make identical decisions (held to it by the twin-driver tests
-        and ``_fingerprint.py --vs-scalar``); the vector passes replace
-        provably-lost allocator searches with ``charge_skip`` and run
-        the window bookkeeping on the job-table columns."""
-        sim = self.sim
-        if sim.backfill_policy == "conservative":
-            if sim.use_vector_pass:
-                self.conservative_schedule_vector(now)
-            else:
-                self.conservative_schedule(now)
-            return
-        if sim.use_vector_pass:
-            self.easy_schedule_vector(now)
+        """One scheduling pass under the simulator's backfill policy."""
+        if self.sim.backfill_policy == "conservative":
+            self.conservative_schedule(now)
         else:
             self.easy_schedule(now)
-
-    def easy_schedule(self, now: float) -> None:
-        """Scalar EASY pass (the ``REPRO_NAIVE_PASS=1`` twin)."""
-        sim = self.sim
-        failed: set = set()
-        # FIFO phase: start from the head until something blocks.
-        while self.pending:
-            job = self.peek_head()
-            assert job is not None
-            if self.try_start(job, now):
-                self.advance_head()
-                self.pending -= 1
-                self.sample()
-            else:
-                failed.add((self.eff(job), job.bw_need))
-                break
-        if not self.pending or sim.backfill_window <= 0:
-            sim._sticky = None
-            return
-        head_job = self.peek_head()
-        assert head_job is not None
-        # The head's reservation is computed when it first blocks and
-        # honored according to the reservation policy.  Recomputing
-        # every event ("slip") lets the shadow slip forever under
-        # constrained allocators — the node-count shadow
-        # underestimates when fragmentation, not node count, blocks
-        # the head — which starves large jobs; never recomputing
-        # ("sticky") forces full drains.  The default renews the
-        # reservation only once its shadow time has passed.
-        expired = (
-            sim._sticky is not None
-            and sim.reservation_policy == "renew"
-            and now >= sim._sticky[1].shadow_time
-        )
-        if (
-            sim._sticky is None
-            or sim._sticky[0] != head_job.id
-            or sim.reservation_policy == "slip"
-            or expired
-        ):
-            sim._sticky = (
-                head_job.id,
-                sim._reservation(now, head_job, self.running_pairs()),
-            )
-        reservation = sim._sticky[1]
-        tracer = self.tracer
-        bspan = tracer.begin("backfill.window") if tracer.enabled else None
-        scanned = 0
-        started = 0
-        for cand in self.window_candidates():
-            scanned += 1
-            key = (self.eff(cand), cand.bw_need)
-            if key in failed:
-                continue
-            if self.eff(cand) > self.allocator.free_nodes:
-                continue
-            walltime = self.walltime_est(cand)
-            if not may_backfill(
-                cand, now, walltime, self.allocator.free_nodes,
-                self.eff(cand), reservation,
-            ):
-                continue
-            if self.try_start(cand, now, via="backfill"):
-                self.note_started_out_of_order(cand.id)
-                self.pending -= 1
-                started += 1
-                self.sample()
-            else:
-                failed.add(key)
-        if bspan is not None:
-            bspan.set(
-                window=sim.backfill_window, scanned=scanned,
-                started=started, head=head_job.id,
-                shadow_time=reservation.shadow_time,
-            )
-            tracer.end(bspan)
-
-    # -- vectorized scheduling pass --------------------------------------
-    #
-    # The vector pass makes exactly the decisions the scalar pass makes.
-    # Its speed comes from never *running* a search whose failure is
-    # already proven: the feasibility cache, the monotone size cut and
-    # the allocator's batch screen are all durable-infeasibility proofs,
-    # so a candidate they condemn is skipped via ``charge_skip`` — which
-    # moves the attempt/failure/cache counters exactly as the failed
-    # ``allocate`` would have.  Everything else (walltime estimates,
-    # shadow arithmetic, reservation profiles) is the same float/int
-    # arithmetic lifted onto the job-table columns.
 
     def dispatch_start(
         self, job: Job, now: float, via: str, key, screened: bool = False
@@ -1038,7 +872,7 @@ class _RunState:
 
     def walltimes_vec(self, rows: np.ndarray) -> np.ndarray:
         """``walltime_est`` over job-table rows — the same float ops
-        elementwise, so each entry is bit-identical to the scalar
+        elementwise, so each entry is bit-identical to the per-job
         estimate."""
         sim = self.sim
         table = self.table
@@ -1053,7 +887,8 @@ class _RunState:
 
     def reservation_vec(self, now: float, head_job: Job) -> Reservation:
         """The head's reservation straight from the running columns
-        (bit-identical to ``Simulator._reservation``)."""
+        (bit-identical to :func:`~repro.sched.backfill.compute_reservation`
+        over the running jobs)."""
         table = self.table
         rows = self.run_rows.rows()
         return reservation_from_arrays(
@@ -1064,23 +899,20 @@ class _RunState:
             table.eff_size[rows],
         )
 
-    def easy_schedule_vector(self, now: float) -> None:
-        """Column-oriented EASY pass — identical decisions to
-        :meth:`easy_schedule`.
+    def easy_schedule(self, now: float) -> None:
+        """EASY pass: FIFO from the head, then backfill the window.
 
-        The FIFO phase is the same head loop with proven failures
-        short-circuited.  The backfill window is materialized once
-        (safe: the queue cannot change mid-pass), its effective sizes,
-        walltimes and shadow checks are evaluated as columns, the batch
-        screen runs once for the whole window, and the loop then picks
-        the first eligible candidate under the *current* free count
-        until none remains.  Eligibility only shrinks as the pass
-        consumes nodes, so the sequence of charged allocator events —
-        and hence every placement — matches the scalar scan exactly.
+        The FIFO phase starts jobs from the head until one blocks, with
+        proven failures short-circuited.  The backfill window is
+        materialized once (safe: the queue cannot change mid-pass), its
+        effective sizes, walltimes and shadow checks are evaluated as
+        columns, the batch screen runs once for the whole window, and
+        the loop then picks the first eligible candidate under the
+        *current* free count until none remains.  Eligibility only
+        shrinks as the pass consumes nodes, so this is exactly an
+        in-order scan of the window.
         """
         sim = self.sim
-        alloc = self.allocator
-        alloc.stats.pass_vector_rounds += 1
         failed: set = set()
         while self.pending:
             job = self.peek_head()
@@ -1098,8 +930,14 @@ class _RunState:
             return
         head_job = self.peek_head()
         assert head_job is not None
-        # Reservation policy: same logic as the scalar pass (see the
-        # comment there); only the shadow arithmetic is vectorized.
+        # The head's reservation is computed when it first blocks and
+        # honored according to the reservation policy.  Recomputing
+        # every event ("slip") lets the shadow slip forever under
+        # constrained allocators — the node-count shadow
+        # underestimates when fragmentation, not node count, blocks
+        # the head — which starves large jobs; never recomputing
+        # ("sticky") forces full drains.  The default renews the
+        # reservation only once its shadow time has passed.
         expired = (
             sim._sticky is not None
             and sim.reservation_policy == "renew"
@@ -1118,9 +956,7 @@ class _RunState:
         cands = list(self.window_candidates())
         started = 0
         if cands:
-            started = self._backfill_window_vector(
-                now, cands, reservation, failed
-            )
+            started = self._backfill_window(now, cands, reservation, failed)
         if bspan is not None:
             bspan.set(
                 window=sim.backfill_window, scanned=len(cands),
@@ -1129,7 +965,7 @@ class _RunState:
             )
             tracer.end(bspan)
 
-    def _backfill_window_vector(
+    def _backfill_window(
         self, now: float, cands: List[Job], reservation: Reservation,
         failed: set,
     ) -> int:
@@ -1150,8 +986,8 @@ class _RunState:
         keys = [
             (int(e), j.bw_need) for e, j in zip(effs.tolist(), cands)
         ]
-        # Factor equal keys so one failure kills every twin at once —
-        # the scalar scan's per-pass ``failed`` set, vectorized.
+        # Factor equal keys so one failure kills every equal-key
+        # candidate at once — the per-pass ``failed`` set, vectorized.
         key_ids: Dict[tuple, int] = {}
         ids = np.empty(n, np.int64)
         for i, k in enumerate(keys):
@@ -1195,23 +1031,23 @@ class _RunState:
                 key_dead[key_ids[key]] = True
         return started
 
-    def conservative_schedule_vector(self, now: float) -> None:
-        """Column-oriented conservative pass — identical decisions to
-        :meth:`conservative_schedule`: same profile, same reservations,
-        same start order; the per-candidate ``earliest_fit`` runs as
-        one cumsum sweep and proven-lost searches are charged skips."""
+    def conservative_schedule(self, now: float) -> None:
+        """Every job in the window gets a reservation; a job starts
+        only if its reservation is 'now' (so no earlier job is ever
+        delayed by a later one).  The per-candidate earliest fit runs
+        as one cumsum sweep and proven-lost searches are charged
+        skips."""
         from repro.sched.profile import FOREVER, FreeProfile
 
         alloc = self.allocator
-        alloc.stats.pass_vector_rounds += 1
         self.prune_fifo_front()
         failed: set = set()
         profile = FreeProfile(now, alloc.free_nodes)
         for est_end, eff_size in self.running_pairs():
             profile.release_at(est_end, eff_size)
         # Materialize the scan window (the queue slice cannot change
-        # mid-pass; jobs started by this pass are exactly the ones the
-        # scalar loop would have already visited).
+        # mid-pass; jobs started by this pass are exactly the ones an
+        # in-order scan would have already visited).
         window = self.sim.backfill_window
         cands: List[Job] = []
         idx = self.head - 1
@@ -1246,8 +1082,13 @@ class _RunState:
                     profile.reserve(now, now + wall, size)
                     self.sample()
                     continue
-                # Fragmentation-blocked (see the scalar twin): defer
-                # the reservation to the next expected release.
+                # The profile says the job fits now but the allocator
+                # has already proven (this pass) that it cannot place
+                # the shape — fragmentation-blocked.  Reserving at
+                # ``now`` anyway would book capacity the job provably
+                # cannot use and push every later reservation behind
+                # phantom load, so the reservation defers to the next
+                # expected release, where the free pattern can change.
                 failed.add(key)
                 later = [t for t in profile._times if t > now]
                 start = later[0] if later else FOREVER
@@ -1620,7 +1461,6 @@ class _RunState:
             backtrack_steps=self.allocator.stats.backtrack_steps,
             queue_prefiltered=self.allocator.stats.queue_prefiltered,
             size_cut_skips=self.allocator.stats.size_cut_skips,
-            pass_vector_rounds=self.allocator.stats.pass_vector_rounds,
             samples=(
                 list(self.sampler.rows) if self.sampler is not None else []
             ),

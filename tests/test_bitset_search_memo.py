@@ -13,12 +13,11 @@ The PR's invariants, as regression and property tests:
   trajectory: memo-on and memo-off runs produce identical job records,
   with ``backtrack_steps + xpass_memo_replayed_steps`` equal to the
   memo-off step count, across schemes, queue orders and fault
-  timelines;
+  timelines (memo-off = every memo lookup patched to miss);
 * the vectorized two-level scored search is decision-identical to the
   scalar walk it replaces.
 """
 
-import os
 import random
 
 import numpy as np
@@ -27,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.conditions import check_allocation
+from repro.core.jigsaw import JigsawAllocator
 from repro.core.registry import make_allocator
 from repro.experiments.runner import paper_setup, run_scheme
 from repro.topology.fattree import FatTree, LinkId
@@ -56,11 +56,9 @@ class TestUsableLeafFault:
     the search never checked them."""
 
     @pytest.mark.parametrize("scheme", ["jigsaw", "laas"])
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_fault_does_not_crash_three_level(self, scheme, indexed):
+    def test_fault_does_not_crash_three_level(self, scheme):
         tree = TREE8
         alloc = make_allocator(scheme, tree)
-        alloc.use_indexes = indexed
         inj = FaultInjector(alloc)
         inj.fail_leaf_link(LinkId(0, 0))
         # Cross-pod job: on the old code pod 0 ranks first, leaf 0 is
@@ -169,17 +167,20 @@ SCHEMES = ("baseline", "ta", "laas", "jigsaw", "lc+s")
 QUEUE_ORDERS = ("fifo", "sjf", "smallest", "largest")
 
 
-def _run_pair(scheme, **kwargs):
-    """One run with the cross-pass memo and one without, same inputs."""
-    results = []
-    for disable in ("", "1"):
-        os.environ["REPRO_NO_XPASS_MEMO"] = disable
-        try:
-            setup = paper_setup("Synth-16", scale=0.004)
-            results.append(run_scheme(setup, scheme, **kwargs))
-        finally:
-            os.environ.pop("REPRO_NO_XPASS_MEMO", None)
-    return results
+def _run_pair(monkeypatch, scheme, **kwargs):
+    """One run with the cross-pass memo and one without, same inputs.
+
+    The memo-off reference patches every memo lookup to miss: entries
+    are still recorded but never replayed, so each sub-search runs."""
+    on = run_scheme(paper_setup("Synth-16", scale=0.004), scheme, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            JigsawAllocator, "_xpass_memo_lookup", lambda self, key: None
+        )
+        off = run_scheme(
+            paper_setup("Synth-16", scale=0.004), scheme, **kwargs
+        )
+    return on, off
 
 
 def _assert_memo_invariant(on, off, context):
@@ -197,19 +198,21 @@ def _assert_memo_invariant(on, off, context):
 
 @pytest.mark.parametrize("queue_order", QUEUE_ORDERS)
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_xpass_memo_invariant_across_queue_orders(scheme, queue_order):
-    on, off = _run_pair(scheme, queue_order=queue_order)
+def test_xpass_memo_invariant_across_queue_orders(
+    monkeypatch, scheme, queue_order
+):
+    on, off = _run_pair(monkeypatch, scheme, queue_order=queue_order)
     _assert_memo_invariant(on, off, (scheme, queue_order))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_xpass_memo_invariant_under_faults(scheme):
+def test_xpass_memo_invariant_under_faults(monkeypatch, scheme):
     kwargs = dict(
         mttf=20_000.0, fault_seed=1,
         fault_victim_policy="requeue-remaining",
         checkpoint_interval=600.0,
     )
-    on, off = _run_pair(scheme, **kwargs)
+    on, off = _run_pair(monkeypatch, scheme, **kwargs)
     assert on.faults_injected == off.faults_injected > 0, scheme
     _assert_memo_invariant(on, off, (scheme, "faulted"))
 

@@ -83,8 +83,7 @@ class TestParityProperty:
         # copied them at run end; nothing ran since).
         for field in ("cache_hits", "cache_misses", "pods_pruned",
                       "candidate_hits", "memo_hits", "backtrack_steps",
-                      "queue_prefiltered", "size_cut_skips",
-                      "pass_vector_rounds"):
+                      "queue_prefiltered", "size_cut_skips"):
             assert getattr(result, field) == getattr(stats, field), field
         # Derived series.
         assert _series(

@@ -9,10 +9,11 @@ Three families of checks:
   buckets) is compared against its recomputed-from-scratch counterpart;
 * **read-helper equivalence** — the bucket-backed candidate orders and
   vectorized pod prefilter answer exactly like brute-force scans;
-* **search equivalence** — every allocator makes byte-identical
-  decisions with ``use_indexes`` on and off, including under a tight
-  LC+S step budget where the memo's tick-charging must make the
-  timeout fire at exactly the same instant.
+* **search invariance** — every allocator reproduces the placement
+  stream recorded in ``tests/data/decision_digests.json`` (recorded
+  while a naive recompute-per-call search still existed and matched
+  it), including under a tight LC+S step budget where the memo's
+  tick-charging must make the timeout fire at exactly the same step.
 """
 
 import random
@@ -23,6 +24,7 @@ import pytest
 from repro.core.registry import make_allocator
 from repro.topology.fattree import FatTree
 from repro.topology.state import ClusterState, mask_of
+from tests.decision_digests import drive_placements, golden, search_configs
 
 
 # ----------------------------------------------------------------------
@@ -188,73 +190,30 @@ class TestReadHelperEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Indexed vs naive searches must make byte-identical decisions
+# Searches must reproduce their recorded placement streams
 # ----------------------------------------------------------------------
-def drive_twins(scheme, radix, seed, steps, max_size, **kwargs):
-    """Run indexed and naive twins through one random workload."""
-    tree = FatTree.from_radix(radix)
-    fast = make_allocator(scheme, tree, **kwargs)
-    slow = make_allocator(scheme, tree, **kwargs)
-    slow.use_indexes = False
-    assert fast.use_indexes
-    rng = random.Random(seed)
-    live = []
-    jid = 0
-    placed = failed = 0
-    for _ in range(steps):
-        if live and rng.random() < 0.4:
-            j = live.pop(rng.randrange(len(live)))
-            fast.release(j)
-            slow.release(j)
-            continue
-        jid += 1
-        size = rng.randint(1, max_size)
-        a = fast.allocate(jid, size)
-        b = slow.allocate(jid, size)
-        if (a is None) != (b is None):
-            raise AssertionError(
-                f"{scheme}: job {jid} size {size}: "
-                f"indexed={'ok' if a else 'fail'} "
-                f"naive={'ok' if b else 'fail'}"
-            )
-        if a is None:
-            failed += 1
-            continue
-        assert a.nodes == b.nodes, (scheme, jid, size)
-        assert a.leaf_links == b.leaf_links, (scheme, jid, size)
-        assert a.spine_links == b.spine_links, (scheme, jid, size)
-        assert a.shape == b.shape, (scheme, jid, size)
-        live.append(jid)
-        placed += 1
-    assert placed, "workload never placed a job — not a meaningful test"
-    assert (fast.state.node_owner == slow.state.node_owner).all()
-    fast.state.audit()
-    return fast, slow, failed
+def drive_golden(name):
+    """Drive one recorded allocate/release stream and hold its
+    placements to the golden digest."""
+    alloc, digest = drive_placements(**search_configs()[name])
+    assert digest == golden("search", name), name
+    return alloc, digest["failed"]
 
 
 class TestSearchEquivalence:
     @pytest.mark.parametrize("scheme", ["jigsaw", "laas", "ta", "lc+s", "lc"])
     def test_small_jobs(self, scheme):
-        drive_twins(scheme, radix=8, seed=11, steps=120, max_size=10)
+        drive_golden(f"small/{scheme}")
 
     @pytest.mark.parametrize("scheme", ["jigsaw", "laas", "ta", "lc+s"])
     def test_pod_spanning_jobs(self, scheme):
-        tree = FatTree.from_radix(8)
-        drive_twins(
-            scheme, radix=8, seed=12, steps=80,
-            max_size=tree.nodes_per_pod + tree.m1,
-        )
+        drive_golden(f"pod_spanning/{scheme}")
 
     def test_lcs_tight_budget_timeouts_match(self):
         # A budget small enough that searches genuinely exhaust it:
         # the memo's tick-charging must reproduce the exact step at
-        # which BudgetExhausted fires, or the twins diverge.
-        tree = FatTree.from_radix(8)
-        fast, slow, failed = drive_twins(
-            "lc+s", radix=8, seed=13, steps=100,
-            max_size=tree.nodes_per_pod + 2 * tree.m1,
-            step_budget=150,
-        )
+        # which BudgetExhausted fires, or the placements diverge.
+        _alloc, failed = drive_golden("lcs_tight_budget")
         assert failed, "budget never fired — test lost its teeth"
 
     def test_pod_memo_hit_replays_identical_cost(self):
@@ -287,22 +246,8 @@ class TestSearchEquivalence:
         assert allocator.stats.memo_hits == 2
 
     def test_search_effort_counters_populate(self):
-        fast, _slow, _failed = drive_twins(
-            "jigsaw", radix=8, seed=14, steps=100, max_size=20
-        )
-        stats = fast.stats
+        alloc, _failed = drive_golden("effort_counters")
+        stats = alloc.stats
         assert stats.pods_pruned > 0
         assert stats.candidate_hits > 0
         assert stats.backtrack_steps > 0
-        # the naive twin never consults the index layer
-        assert _slow.stats.candidate_hits == 0
-        assert _slow.stats.pods_pruned == 0
-
-    def test_naive_env_knob(self, monkeypatch):
-        tree = FatTree.from_radix(8)
-        monkeypatch.setenv("REPRO_NAIVE_SEARCH", "1")
-        assert make_allocator("jigsaw", tree).use_indexes is False
-        monkeypatch.setenv("REPRO_NAIVE_SEARCH", "0")
-        assert make_allocator("jigsaw", tree).use_indexes is True
-        monkeypatch.delenv("REPRO_NAIVE_SEARCH")
-        assert make_allocator("ta", tree).use_indexes is True

@@ -1,9 +1,10 @@
-"""Per-job scheduling provenance: the twin-matrix reconstruction smoke.
+"""Per-job scheduling provenance: the five-scheme reconstruction smoke.
 
 Every charged allocation attempt and every skipped consideration must be
 accounted for, per job, across all five schemes — and the account must
-be identical between the vectorized/columnar engine and its scalar
-twins, because provenance is bookkeeping, never a decision input.
+match the ledger recorded in ``tests/data/decision_digests.json``, which
+the scalar scheduling pass and event drain reproduced as well:
+provenance is bookkeeping, never a decision input.
 """
 
 import csv
@@ -19,22 +20,19 @@ from repro.sched.metrics import (
     write_provenance_csv,
     write_provenance_jsonl,
 )
+from tests.decision_digests import (
+    SCHEMES,
+    SKIP_COLUMNS,
+    golden,
+    provenance_digest,
+    run_provenance,
+)
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "benchmarks"))
 from _check_obs_schema import check_provenance  # noqa: E402
 
-SCHEMES = ("baseline", "ta", "laas", "jigsaw", "lc+s")
 TRACE = "Synth-16"
 SCALE = 0.004
-
-SKIP_COLUMNS = (
-    "skip_cache", "skip_cut", "skip_screen", "skip_search", "skip_budget",
-)
-
-
-def _run(scheme, **twin_kwargs):
-    setup = paper_setup(TRACE, scale=SCALE)
-    return run_scheme(setup, scheme, provenance=True, **twin_kwargs)
 
 
 def _assert_reconstructs(result, context):
@@ -74,31 +72,17 @@ def _assert_reconstructs(result, context):
 
 
 class TestTwinMatrix:
-    """5-scheme x engine-twin smoke: provenance reconstructs every
-    decision, identically on both engines."""
+    """5-scheme smoke: provenance reconstructs every decision, and the
+    decision ledger matches the recorded one."""
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_scheme_reconstructs_and_twins_agree(self, scheme):
-        vector = _run(scheme)
-        scalar = _run(scheme, use_vector_pass=False,
-                      use_columnar_events=False)
-        _assert_reconstructs(vector, f"{scheme}/vector")
-        _assert_reconstructs(scalar, f"{scheme}/scalar")
-        # Provenance is passive: the twins make identical decisions.
-        # The skip *breakdown* legitimately differs between engines (the
-        # vector pass rejects via the batch screen where the scalar twin
-        # reaches _search and fails there), so compare the decision
-        # ledger: per-job lifecycle and total considerations.
-        assert vector.alloc_attempts == scalar.alloc_attempts, scheme
-
-        def ledger(rows):
-            return [
-                {**{k: r[k] for k in r if k not in SKIP_COLUMNS},
-                 "skips": sum(r[c] for c in SKIP_COLUMNS)}
-                for r in rows
-            ]
-
-        assert ledger(vector.provenance) == ledger(scalar.provenance), scheme
+        result = run_provenance(scheme)
+        _assert_reconstructs(result, scheme)
+        # The ledger keeps per-job lifecycle and total considerations;
+        # the skip *breakdown* describes how a failure was proven and
+        # is not part of it.
+        assert provenance_digest(result) == golden("provenance", scheme)
 
     def test_disabled_by_default(self):
         setup = paper_setup(TRACE, scale=SCALE)
@@ -109,7 +93,7 @@ class TestTwinMatrix:
 class TestExports:
     @pytest.fixture(scope="class")
     def result(self):
-        return _run("jigsaw")
+        return run_provenance("jigsaw")
 
     def test_jsonl_roundtrip_passes_validator(self, result, tmp_path):
         path = tmp_path / "prov.jsonl"
@@ -142,7 +126,7 @@ class TestExports:
 
 class TestWaitQuantiles:
     def test_quantiles_from_provenance_waits(self):
-        result = _run("jigsaw")
+        result = run_provenance("jigsaw")
         q = result.wait_quantiles()
         waits = sorted(j.wait for j in result.jobs)
         assert q[0.5] in waits and q[0.99] in waits
@@ -153,7 +137,7 @@ class TestWaitQuantiles:
         # quantiles, which leaked into the exported wait gauges.
         import dataclasses
 
-        result = _run("baseline")
+        result = run_provenance("baseline")
         empty = dataclasses.replace(result, jobs=[])
         q = empty.wait_quantiles()
         assert all(v == 0.0 for v in q.values())
@@ -162,7 +146,7 @@ class TestWaitQuantiles:
     def test_bridge_exports_wait_gauges(self):
         from repro.obs.bridge import registry_for_result
 
-        result = _run("jigsaw")
+        result = run_provenance("jigsaw")
         snap = registry_for_result(result).snapshot()
         keys = [k for k in snap if k.startswith("repro_sched_wait_seconds")]
         assert len(keys) == 3

@@ -1,12 +1,14 @@
-"""Twin-driver equivalence: the vectorized scheduling pass vs its
-scalar twin.
+"""Decision invariance of the scheduling pass.
 
-The vector pass promises *identical decisions* — every placement, every
-charged allocator attempt, the priority-heap bookkeeping — across all
-five schemes, every queue order, both drive modes and faulted replay.
-These tests run each configuration through both passes and hold them to
-it, and a property test checks the monotone size cut directly: a size
-the cut condemns must be one the allocator's real search also rejects.
+The pass promises fixed decisions — every placement, every charged
+allocator attempt, the priority-heap bookkeeping — across all five
+schemes, every queue order, both drive modes and faulted replay.  Each
+configuration is held to its golden digest
+(``tests/data/decision_digests.json``), recorded while a second, scalar
+implementation of the pass still existed and reproduced every digest.
+A property test checks the monotone size cut directly (a size the cut
+condemns must be one the allocator's real search also rejects), and
+another checks run invariants on randomized traces.
 """
 
 import random
@@ -15,117 +17,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.conditions import check_allocation
 from repro.core.registry import make_allocator
 from repro.sched.job import Job
-from repro.sched.resilience import FaultTimeline
 from repro.sched.simulator import Simulator
 from repro.topology.fattree import FatTree
-
-SCHEMES = ("baseline", "ta", "laas", "jigsaw", "lc+s")
-QUEUE_ORDERS = ("fifo", "sjf", "smallest", "largest")
-STEP_MODES = (None, 300.0)  # event-driven and batch-step
-
-
-def _jobs(n=250, seed=0):
-    rng = random.Random(seed)
-    jobs, arrival = [], 0.0
-    for i in range(n):
-        arrival += rng.expovariate(1 / 20)
-        jobs.append(Job(
-            id=i,
-            size=rng.randint(1, 100),
-            runtime=rng.uniform(10.0, 400.0),
-            arrival=arrival,
-        ))
-    return jobs
+from tests.decision_digests import (
+    QUEUE_ORDERS,
+    SCHEMES,
+    STEP_MODES,
+    golden,
+    pass_configs,
+    pass_digest,
+    pass_name,
+    run_pass,
+)
 
 
-def _run(scheme, use_vector_pass, **sim_kwargs):
-    tree = FatTree.from_radix(8)
-    sim = Simulator(
-        make_allocator(scheme, tree),
-        use_vector_pass=use_vector_pass,
-        **sim_kwargs,
-    )
-    result = sim.run(_jobs(), "twin")
-    return sim, result
-
-
-def _assert_twin(scheme, **sim_kwargs):
-    """Run the vector and scalar passes and assert identical decisions.
-
-    Cache hit/miss counts are deliberately *not* compared: the vector
-    prefilter proves (and caches) some failures the scalar path's
-    budget-exhausted searches leave uncached — same decisions, same
-    attempt counts, different cache bookkeeping.
-    """
-    vsim, vec = _run(scheme, True, **sim_kwargs)
-    ssim, sca = _run(scheme, False, **sim_kwargs)
-    assert [(j.job_id, j.start, j.end) for j in vec.jobs] == [
-        (j.job_id, j.start, j.end) for j in sca.jobs
-    ]
-    assert vec.makespan == sca.makespan
-    assert vec.alloc_attempts == sca.alloc_attempts
-    assert vec.unscheduled == sca.unscheduled
-    assert vsim.peak_pheap_stale == ssim.peak_pheap_stale
-    assert vsim.peak_started_out_of_order == ssim.peak_started_out_of_order
-    # The vector run actually took the vector path — and only it.
-    assert vec.pass_vector_rounds == vec.scheduling_rounds
-    assert sca.pass_vector_rounds == 0
-    assert sca.queue_prefiltered == 0
-    return vec, sca
+def _assert_golden(name):
+    """Replay one pass configuration and compare it to its digest."""
+    sim, result = run_pass(**pass_configs()[name])
+    assert pass_digest(sim, result) == golden("pass", name)
+    return result
 
 
 @pytest.mark.parametrize("step_interval", STEP_MODES)
 @pytest.mark.parametrize("queue_order", QUEUE_ORDERS)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_easy_twin(scheme, queue_order, step_interval):
-    _assert_twin(
-        scheme, queue_order=queue_order, step_interval=step_interval
-    )
+    _assert_golden(pass_name("easy", scheme, queue_order, step_interval))
 
 
 @pytest.mark.parametrize("step_interval", STEP_MODES)
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_conservative_twin(scheme, step_interval):
-    _assert_twin(
-        scheme, backfill_policy="conservative", step_interval=step_interval
+    _assert_golden(
+        pass_name("conservative", scheme, step_interval=step_interval)
     )
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_faulted_twin(scheme):
-    timeline = FaultTimeline.synthetic(
-        128, mttf=40_000.0, mttr=4_000.0, horizon=20_000.0, seed=1
-    )
-    vec, _ = _assert_twin(
-        scheme,
-        fault_timeline=timeline,
-        fault_victim_policy="requeue-remaining",
-        checkpoint_interval=600.0,
-    )
-    assert vec.faults_injected > 0  # the timeline actually fired
-
-
-def test_env_knob_selects_scalar_pass(monkeypatch):
-    monkeypatch.setenv("REPRO_NAIVE_PASS", "1")
-    sim, result = _run("jigsaw", True)  # env overrides the argument
-    assert not sim.use_vector_pass
-    assert result.pass_vector_rounds == 0
-    monkeypatch.setenv("REPRO_NAIVE_PASS", "0")
-    sim, result = _run("jigsaw", True)  # "0" does not
-    assert sim.use_vector_pass
-    assert result.pass_vector_rounds == result.scheduling_rounds
+    result = _assert_golden(pass_name("faulted", scheme))
+    assert result.faults_injected > 0  # the timeline actually fired
 
 
 def test_prefilter_actually_fires():
-    """On a contended trace the vector pass must skip real work: the
-    prefilter counter moves and the attempts it replaces stay equal to
-    the scalar run's (checked by ``_assert_twin`` elsewhere)."""
-    _, vec = _run("ta", True)
-    assert vec.queue_prefiltered > 0
-    assert vec.size_cut_skips > 0
-    assert vec.queue_prefiltered >= vec.size_cut_skips
+    """On a contended trace the pass must skip real work: the prefilter
+    counter moves, and the attempts it replaces stay equal to the
+    recorded digest (checked by ``_assert_golden`` elsewhere)."""
+    _, result = run_pass("ta")
+    assert result.queue_prefiltered > 0
+    assert result.size_cut_skips > 0
+    assert result.queue_prefiltered >= result.size_cut_skips
 
 
 @settings(max_examples=15, deadline=None)
@@ -157,7 +101,9 @@ def test_size_cut_soundness(data):
     order=st.sampled_from(QUEUE_ORDERS),
 )
 def test_twin_property_random_traces(seed, scheme, order):
-    """Vector and scalar passes agree on randomized traces too."""
+    """Run invariants on randomized traces: every jigsaw/laas placement
+    satisfies the formal conditions, every job ends in exactly one
+    terminal state, and the occupancy indexes audit clean."""
     rng = random.Random(seed)
     jobs, arrival = [], 0.0
     for i in range(rng.randint(20, 80)):
@@ -166,17 +112,21 @@ def test_twin_property_random_traces(seed, scheme, order):
             id=i, size=rng.randint(1, 128),
             runtime=rng.uniform(1.0, 300.0), arrival=arrival,
         ))
-    results = []
-    for vec in (True, False):
-        tree = FatTree.from_radix(8)
-        sim = Simulator(
-            make_allocator(scheme, tree),
-            queue_order=order,
-            use_vector_pass=vec,
-        )
-        results.append(sim.run(list(jobs), "prop"))
-    vec_r, sca_r = results
-    assert [(j.job_id, j.start, j.end) for j in vec_r.jobs] == [
-        (j.job_id, j.start, j.end) for j in sca_r.jobs
-    ]
-    assert vec_r.alloc_attempts == sca_r.alloc_attempts
+    tree = FatTree.from_radix(8)
+    alloc = make_allocator(scheme, tree)
+    allocate = alloc.allocate
+
+    def checked(job_id, size, bw_need=None):
+        a = allocate(job_id, size, bw_need=bw_need)
+        if a is not None and scheme in ("jigsaw", "laas"):
+            assert check_allocation(
+                tree, a, exact_nodes=(scheme != "laas")
+            ) == [], (scheme, seed, job_id)
+        return a
+
+    alloc.allocate = checked
+    result = Simulator(alloc, queue_order=order).run(jobs, "prop")
+    terminal = [r.job_id for r in result.jobs] + list(result.unscheduled)
+    assert sorted(terminal) == [job.id for job in jobs]
+    assert alloc.state.is_idle()
+    alloc.state.audit()
