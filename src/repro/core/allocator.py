@@ -29,8 +29,6 @@ from typing import (
 import numpy as np
 
 from repro.core.shapes import ThreeLevelShape, TwoLevelShape
-from repro.obs.prof import get_profiler
-from repro.obs.tracer import get_tracer
 from repro.topology.fattree import LinkId, SpineLinkId, XGFT
 from repro.topology.state import ClusterState
 
@@ -173,16 +171,6 @@ class Allocator(ABC):
         self.tree = tree
         self.state = ClusterState(tree)
         self.stats = AllocatorStats()
-        #: span tracer for ``alloc.search`` (the process-global, disabled
-        #: tracer by default; the simulator installs its own).  Tracing
-        #: is passive — a disabled tracer costs one attribute check per
-        #: allocate() and an enabled one never changes a decision.
-        self.tracer = get_tracer()
-        #: stage profiler for the search internals (the process-global,
-        #: disabled profiler by default; ``run_scheme(profiled=True)``
-        #: installs an enabled one).  Same contract as the tracer:
-        #: passive, and one attribute check per site when disabled.
-        self.prof = get_profiler()
         self.allocations: Dict[int, Allocation] = {}
         # Allocation-feasibility cache.  A key is (effective size,
         # bw_need); a key is present iff a search with that key failed
@@ -228,60 +216,25 @@ class Allocator(ABC):
         if job_id in self.allocations:
             raise ValueError(f"job {job_id} is already allocated")
         t0 = time.perf_counter()
-        tracer = self.tracer
-        span = tracer.begin("alloc.search") if tracer.enabled else None
         alloc: Optional[Allocation] = None
         self._check_watermark()
         key = (self.effective_size(size), bw_need)
         if key in self._failed_keys:
             self.stats.cache_hits += 1
-            outcome = "cache_hit"
         else:
             self.stats.cache_misses += 1
             if size <= self.state.free_nodes_total:
-                prof = self.prof
-                if prof.enabled:
-                    prof.scheme = self.name
-                    pt = prof.push("search")
-                    try:
-                        alloc = self._search(job_id, size, bw_need)
-                    finally:
-                        prof.pop(pt)
-                else:
-                    alloc = self._search(job_id, size, bw_need)
+                alloc = self._search(job_id, size, bw_need)
             if alloc is None and self._failure_is_durable():
                 self._failed_keys.add(key)
                 self._note_durable_failure(key)
-            outcome = "placed" if alloc is not None else "failed"
         if alloc is not None:
-            prof = self.prof
-            if prof.enabled:
-                prof.scheme = self.name
-                pt = prof.push("claim")
-                try:
-                    self._claim(alloc, bw_need)
-                finally:
-                    prof.pop(pt)
-            else:
-                self._claim(alloc, bw_need)
+            self._claim(alloc, bw_need)
             self.allocations[job_id] = alloc
             if isinstance(alloc.shape, ThreeLevelShape):
                 self.stats.three_level += 1
             else:
                 self.stats.two_level += 1
-        if span is not None:
-            span.set(
-                scheme=self.name, job=job_id, size=size, eff=key[0],
-                outcome=outcome, **self._trace_attrs(size),
-            )
-            if bw_need is not None:
-                span.set(bw_need=bw_need)
-            if alloc is not None:
-                span.set(
-                    level=3 if isinstance(alloc.shape, ThreeLevelShape) else 2,
-                    nodes=len(alloc.nodes),
-                )
-            tracer.end(span)
         self.stats.record(alloc is not None, time.perf_counter() - t0)
         return alloc
 
@@ -319,16 +272,7 @@ class Allocator(ABC):
         if job_id not in self.allocations:
             raise ValueError(f"job {job_id} is not allocated")
         del self.allocations[job_id]
-        prof = self.prof
-        if prof.enabled:
-            prof.scheme = self.name
-            pt = prof.push("release")
-            try:
-                self._release(job_id)
-            finally:
-                prof.pop(pt)
-        else:
-            self._release(job_id)
+        self._release(job_id)
         self.invalidate_feasibility_cache()
         self.stats.releases += 1
         self.stats.alloc_seconds += time.perf_counter() - t0
@@ -354,16 +298,7 @@ class Allocator(ABC):
                 raise ValueError(f"job {job_id} is not allocated")
         for job_id in ids:
             del self.allocations[job_id]
-        prof = self.prof
-        if prof.enabled:
-            prof.scheme = self.name
-            pt = prof.push("release")
-            try:
-                self._release_many(ids)
-            finally:
-                prof.pop(pt)
-        else:
-            self._release_many(ids)
+        self._release_many(ids)
         self.invalidate_feasibility_cache()
         self.stats.releases += len(ids)
         self.stats.alloc_seconds += time.perf_counter() - t0
@@ -507,8 +442,6 @@ class Allocator(ABC):
         saved.  ``reason`` is ``"cache"``, ``"cut"`` or ``"screen"``.
         """
         t0 = time.perf_counter()
-        tracer = self.tracer
-        span = tracer.begin("alloc.search") if tracer.enabled else None
         self._check_watermark()
         key = (self.effective_size(size), bw_need)
         self.stats.queue_prefiltered += 1
@@ -516,20 +449,10 @@ class Allocator(ABC):
             self.stats.size_cut_skips += 1
         if key in self._failed_keys:
             self.stats.cache_hits += 1
-            outcome = "cache_hit"
         else:
             self.stats.cache_misses += 1
             self._failed_keys.add(key)
             self._note_durable_failure(key)
-            outcome = f"prefiltered:{reason}"
-        if span is not None:
-            span.set(
-                scheme=self.name, job=job_id, size=size, eff=key[0],
-                outcome=outcome, **self._trace_attrs(size),
-            )
-            if bw_need is not None:
-                span.set(bw_need=bw_need)
-            tracer.end(span)
         self.stats.record(False, time.perf_counter() - t0)
 
     @property
@@ -553,7 +476,8 @@ class Allocator(ABC):
     def _trace_attrs(self, size: int) -> Dict[str, Any]:
         """Scheme-specific attributes for the ``alloc.search`` span.
 
-        Called only when tracing is enabled; must be side-effect free.
+        Read after every traced call by the span wrapper :mod:`repro.obs`
+        installs from outside; must be side-effect free.
         """
         return {}
 

@@ -38,12 +38,6 @@ class BaselineAllocator(Allocator):
     def _search(
         self, job_id: int, size: int, bw_need: Optional[float]
     ) -> Optional[Allocation]:
-        if self.prof.enabled:
-            with self.prof.stage("fill"):
-                return self._search_fill(job_id, size)
-        return self._search_fill(job_id, size)
-
-    def _search_fill(self, job_id: int, size: int) -> Optional[Allocation]:
         state = self.state
         if size > state.free_nodes_total:
             return None

@@ -150,24 +150,15 @@ class JigsawAllocator(Allocator):
             return None
         self._steps_left = self.step_budget
         self._pod_memo.clear()
-        profiling = self.prof.enabled
         try:
             # Look for a single-subtree allocation first.
-            if profiling:
-                with self.prof.stage("two_level"):
-                    found = self._search_two_level(alloc_size)
-            else:
-                found = self._search_two_level(alloc_size)
+            found = self._search_two_level(alloc_size)
             if found is not None:
                 shape, solution = found
                 return self._build_two_level(job_id, size, shape, *solution)
             # Look for a three-level allocation if two-level failed.
             for shape in self._three_level_shape_iter(alloc_size):
-                if profiling:
-                    with self.prof.stage("three_level"):
-                        found3 = self._find_three_level(shape)
-                else:
-                    found3 = self._find_three_level(shape)
+                found3 = self._find_three_level(shape)
                 if found3 is not None:
                     return self._build_three_level(job_id, size, shape, *found3)
         except self.BudgetExhausted:
@@ -229,29 +220,19 @@ class JigsawAllocator(Allocator):
         either way; scoring only chooses *among* legal placements, which
         is exactly the freedom the paper argues precise conditions buy.
         """
-        prof = self.prof
-        profiling = prof.enabled
         if self.strategy == "scored" and self.vector_two_level:
             return self._search_two_level_vector(alloc_size)
         if self.strategy == "first":
             for shape in self._two_level_shape_iter(alloc_size):
-                for pod in self._pods_profiled(alloc_size, shape, profiling):
-                    if profiling:
-                        with prof.stage("pod_fit"):
-                            found = self._find_two_level_in_pod(pod, shape)
-                    else:
-                        found = self._find_two_level_in_pod(pod, shape)
+                for pod in self._two_level_pods(alloc_size, shape):
+                    found = self._find_two_level_in_pod(pod, shape)
                     if found is not None:
                         return shape, found
             return None
         best = None  # (score, shape, solution)
         for shape in self._two_level_shape_iter(alloc_size):
-            for pod in self._pods_profiled(alloc_size, shape, profiling):
-                if profiling:
-                    with prof.stage("pod_fit"):
-                        found = self._find_two_level_in_pod(pod, shape)
-                else:
-                    found = self._find_two_level_in_pod(pod, shape)
+            for pod in self._two_level_pods(alloc_size, shape):
+                found = self._find_two_level_in_pod(pod, shape)
                 if found is None:
                     continue
                 score = self._score_two_level(shape, found)
@@ -289,8 +270,6 @@ class JigsawAllocator(Allocator):
         the scalar search, which reproduces the scored solution.
         """
         tree = self.tree
-        prof = self.prof
-        profiling = prof.enabled
         ge_all = self.state.leaf_ge_view()
         best = None  # (broken, residue, consumed, shape_idx, pod, shape, found)
         for shape_idx, shape in enumerate(self._two_level_shape_iter(alloc_size)):
@@ -298,14 +277,10 @@ class JigsawAllocator(Allocator):
                 # No leaf can offer nL common uplinks; the scalar walk
                 # rejects every candidate set in every pod.
                 continue
-            pods = self._pods_profiled(alloc_size, shape, profiling)
+            pods = self._two_level_pods(alloc_size, shape)
             if not pods:
                 continue
-            if profiling:
-                with prof.stage("pod_fit"):
-                    ranked = self._score_shape_pods(shape, pods, ge_all)
-            else:
-                ranked = self._score_shape_pods(shape, pods, ge_all)
+            ranked = self._score_shape_pods(shape, pods, ge_all)
             if ranked is None:
                 continue
             broken, residue, consumed, pod, found = ranked
@@ -431,17 +406,6 @@ class JigsawAllocator(Allocator):
                     "vector two-level score disagreed with scalar search"
                 )
         return shape, found
-
-    def _pods_profiled(
-        self, alloc_size: int, shape: TwoLevelShape, profiling: bool
-    ) -> List[int]:
-        """``_two_level_pods`` under the ``prefilter`` stage when the
-        profiler is on (the extra call costs nothing on the disabled
-        path: the caller hoisted the ``enabled`` check)."""
-        if profiling:
-            with self.prof.stage("prefilter"):
-                return self._two_level_pods(alloc_size, shape)
-        return self._two_level_pods(alloc_size, shape)
 
     def _score_two_level(self, shape: TwoLevelShape, found) -> tuple:
         """Fragmentation cost of one candidate placement (lower is better):

@@ -244,11 +244,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
         if hit is not None:
             sols, cost = hit
             self.stats.memo_hits += 1
-            if self.prof.enabled:
-                with self.prof.stage("memo_replay"):
-                    self._charge(cost)
-            else:
-                self._charge(cost)
+            self._charge(cost)
             return sols
         # Cross-pass negative memo: an earlier allocate() proved this
         # pod empty for the same sub-shape and bandwidth, and the pod's
@@ -259,20 +255,12 @@ class LeastConstrainedAllocator(JigsawAllocator):
         xkey = ("pe", pod, LT, nL, nrL, self._memo_bw_key())
         cost = self._xpass_memo_lookup(xkey)
         if cost is not None:
-            if self.prof.enabled:
-                with self.prof.stage("memo_replay"):
-                    self._charge(cost)
-            else:
-                self._charge(cost)
+            self._charge(cost)
             self._pod_memo[key] = ([], cost)
             return []
         epoch = self._pod_epoch_key(pod)
         before = self._steps_left
-        if self.prof.enabled:
-            with self.prof.stage("pod_enum"):
-                sols = self._find_all_in_pod_uncached(pod, LT, nL, nrL)
-        else:
-            sols = self._find_all_in_pod_uncached(pod, LT, nL, nrL)
+        sols = self._find_all_in_pod_uncached(pod, LT, nL, nrL)
         cost = before - self._steps_left
         self._pod_memo[key] = (sols, cost)
         if not sols:

@@ -127,14 +127,6 @@ class TopologyAwareAllocator(Allocator):
         self, job_id: int, size: int, bw_need: Optional[float]
     ) -> Optional[Allocation]:
         cls = self.classify(size)
-        if self.prof.enabled:
-            with self.prof.stage(cls):
-                return self._search_tier(cls, job_id, size)
-        return self._search_tier(cls, job_id, size)
-
-    def _search_tier(
-        self, cls: str, job_id: int, size: int
-    ) -> Optional[Allocation]:
         if cls == "t1":
             return self._search_t1(job_id, size)
         if cls == "t2":

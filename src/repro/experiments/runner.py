@@ -218,8 +218,8 @@ def run_scheme(
     * ``metrics`` — a :class:`~repro.obs.metrics.MetricRegistry` to
       populate with live views of the run's counters.
     * ``profiler``/``profiled`` — a :class:`~repro.obs.prof.StageProfiler`
-      installed on the allocator for the run (``profiled=True`` creates
-      an enabled one, the picklable spelling); its snapshot lands in
+      attached to the allocator for the run (``profiled=True`` creates
+      a fresh one, the picklable spelling); its snapshot lands in
       ``SimResult.prof``.
     * ``provenance=True`` — record per-job scheduling provenance into
       ``SimResult.provenance`` (see :mod:`repro.sched.metrics`).
@@ -227,9 +227,7 @@ def run_scheme(
     apply_scenario(setup.trace.jobs, scenario or "none", seed=seed)
     allocator = make_allocator(scheme, setup.tree, **allocator_kwargs)
     if profiler is None and profiled:
-        profiler = StageProfiler(enabled=True)
-    if profiler is not None:
-        allocator.prof = profiler
+        profiler = StageProfiler()
     if tracer is None and traced:
         tracer = Tracer(enabled=True)
     if sampler is None and sample_interval is not None:
@@ -266,8 +264,11 @@ def run_scheme(
         use_columnar_events=use_columnar_events,
         provenance=provenance,
     )
-    result = sim.run(setup.trace)
-    if profiler is not None:
+    if profiler is None:
+        result = sim.run(setup.trace)
+    else:
+        with profiler.attach(allocator):
+            result = sim.run(setup.trace)
         result.prof = profiler.snapshot()
     if metrics is not None:
         from repro.obs.bridge import simulation_registry

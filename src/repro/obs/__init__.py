@@ -9,7 +9,9 @@ telemetry-free run (``benchmarks/_fingerprint.py --obs`` enforces it):
   ``netsim.converge``) recording wall time, simulated time and custom
   attributes, exported as Chrome ``trace_event`` JSON (loadable in
   Perfetto / ``chrome://tracing``) or raw JSONL.  A disabled tracer
-  costs one attribute check per instrumented site.
+  costs one attribute check per simulator-level site; the allocator's
+  ``alloc.search`` spans come from :func:`~repro.obs.tracer.trace_allocator`,
+  which wraps the allocator from outside for one traced run.
 * :mod:`repro.obs.metrics` — a **metric registry**
   (:class:`~repro.obs.metrics.Counter` / ``Gauge`` / ``Histogram`` with
   labels) that unifies the counters scattered across
@@ -27,8 +29,9 @@ telemetry-free run (``benchmarks/_fingerprint.py --obs`` enforces it):
 Two further pillars ride the same passivity contract:
 
 * :mod:`repro.obs.prof` — a **hierarchical stage profiler** for the
-  allocator hot path (``repro prof`` renders the attribution table,
-  ``--prof-stacks`` exports collapsed stacks for flamegraphs).
+  allocator hot path, attached from outside for one run
+  (``StageProfiler.attach``; ``repro prof`` renders the attribution
+  table, ``--prof-stacks`` exports collapsed stacks for flamegraphs).
 * :mod:`repro.obs.bench` — the **machine-readable benchmark schema**
   (``BENCH_<name>.json``) and comparator behind the CI perf gate
   (``benchmarks/_perf_gate.py``).
@@ -53,10 +56,8 @@ from repro.obs.bridge import (
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
 from repro.obs.prof import (
     StageProfiler,
-    get_profiler,
     merge_snapshots,
     render_attribution,
-    set_profiler,
     top_level_seconds,
 )
 from repro.obs.sampler import TimeSeriesSampler, merge_streams, write_jsonl
@@ -66,6 +67,7 @@ from repro.obs.tracer import (
     get_tracer,
     set_tracer,
     summarize_trace,
+    trace_allocator,
 )
 
 __all__ = [
@@ -79,7 +81,6 @@ __all__ = [
     "TimeSeriesSampler",
     "Tracer",
     "compare_bench",
-    "get_profiler",
     "get_tracer",
     "load_bench_json",
     "make_bench_result",
@@ -89,11 +90,11 @@ __all__ = [
     "registry_for_result",
     "registry_for_stats",
     "render_attribution",
-    "set_profiler",
     "set_tracer",
     "simulation_registry",
     "summarize_trace",
     "top_level_seconds",
+    "trace_allocator",
     "write_bench_json",
     "write_jsonl",
 ]

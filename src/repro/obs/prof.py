@@ -2,19 +2,19 @@
 
 Where :mod:`repro.obs.tracer` answers *which call* took the time (one
 span per ``allocate``), the stage profiler answers *which part of the
-search*: the instrumented allocators mark the internal stages of
-``_search`` — pod prefilter, per-pod shape fit, memo replay, the
-two-level/three-level phases, the final claim — and the profiler
-accumulates wall time, call counts and a log-bucketed duration
-histogram per ``(scheme, stage stack)``.
+search*: :meth:`StageProfiler.attach` wraps the allocator methods that
+make up the stages of ``_search`` — pod prefilter, per-pod shape fit,
+memo replay, the two-level/three-level phases, the final claim — and
+the profiler accumulates wall time, call counts and a log-bucketed
+duration histogram per ``(scheme, stage stack)``.
 
 The contracts mirror the tracer's:
 
-* **Free when disabled.**  Hot sites guard with a single
-  ``prof.enabled`` attribute check (hoisted to a local where a site
-  sits inside a loop); no frame object is built when profiling is off.
-  The disabled-mode budget is the same 2% bound
-  ``benchmarks/_bench_obs_overhead.py`` enforces for the tracer.
+* **Outside the code path.**  The allocators carry no profiler hooks;
+  :data:`STAGES` names, per scheme, the methods ``attach`` wraps as
+  instance attributes for the length of a ``with`` block, and the
+  instance is restored exactly on exit.  An unprofiled run executes
+  the same code as before the profiler existed.
 * **Strictly passive.**  Profiling never influences a decision;
   ``benchmarks/_fingerprint.py --prof`` replays every scheme with the
   profiler (and provenance) off and on and asserts byte-identical
@@ -31,32 +31,74 @@ CLI subcommand.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import platform
 import sys
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, TextIO, Tuple, Union,
+)
+
+from repro.obs.tracer import wrap_methods
 
 #: duration histogram buckets: bucket ``i`` counts durations in
 #: ``[2**(i-1), 2**i)`` microseconds (bucket 0 is "< 1 µs"); the last
 #: bucket is open-ended (~134 s and beyond)
 HIST_BUCKETS = 28
 
+_BASE_STAGES = {
+    "_search": "search",
+    "_claim": "claim",
+    "_release": "release",
+    "_release_many": "release",
+}
+_JIGSAW_STAGES = {
+    **_BASE_STAGES,
+    "_search_two_level": "two_level",
+    "_find_three_level": "three_level",
+    "_two_level_pods": "prefilter",
+    "_score_shape_pods": "pod_fit",
+    "_find_two_level_in_pod": "pod_fit",
+}
+_LC_STAGES = {
+    **_JIGSAW_STAGES,
+    "_find_all_in_pod_uncached": "pod_enum",
+    "_charge": "memo_replay",
+}
+
+#: scheme name -> {allocator method: stage}: the methods
+#: :meth:`StageProfiler.attach` wraps
+STAGES: Dict[str, Dict[str, str]] = {
+    "baseline": _BASE_STAGES,
+    "ta": {
+        **_BASE_STAGES,
+        "_search_t1": "t1",
+        "_search_t2": "t2",
+        "_search_t3": "t3",
+    },
+    "jigsaw": _JIGSAW_STAGES,
+    "laas": _JIGSAW_STAGES,
+    "lc+s": _LC_STAGES,
+    "lc": _LC_STAGES,
+}
+
 
 class StageProfiler:
-    """Accumulates per-scheme, per-stage-stack timing; disabled by default.
+    """Accumulates per-scheme, per-stage-stack timing.
 
-    The aggregate is a dict keyed by ``(scheme, "a;b;c")`` holding
-    ``[count, total_seconds, self_seconds, histogram]`` — everything a
-    plain int/float/list, so :meth:`snapshot` is picklable and rides on
+    Records only while attached to an allocator (:meth:`attach`) or
+    driven by hand through :meth:`push`/:meth:`pop`.  The aggregate is
+    a dict keyed by ``(scheme, "a;b;c")`` holding ``[count,
+    total_seconds, self_seconds, histogram]`` — everything a plain
+    int/float/list, so :meth:`snapshot` is picklable and rides on
     ``SimResult.prof`` through the grid engine's process pool.
     """
 
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
-        #: scheme label stamped on frames; the base ``Allocator.allocate``
-        #: sets it (inside its enabled guard) before opening ``search``
+    def __init__(self):
+        #: scheme label stamped on frames; each attached wrapper sets it
+        #: to its allocator's name before opening a frame
         self.scheme = ""
         self._stack: List[str] = []
         #: per-open-frame accumulator of enclosed child durations
@@ -65,11 +107,7 @@ class StageProfiler:
 
     # -- recording ------------------------------------------------------
     def push(self, stage: str) -> float:
-        """Open a stage frame; returns the t0 to hand back to :meth:`pop`.
-
-        Hot sites must guard with ``if prof.enabled:`` — a disabled
-        profiler costs exactly one attribute (or hoisted-local) check.
-        """
+        """Open a stage frame; returns the t0 to hand back to :meth:`pop`."""
         self._stack.append(stage)
         self._child.append(0.0)
         return perf_counter()
@@ -94,10 +132,50 @@ class StageProfiler:
         b = int(dur * 1e6).bit_length()
         rec[3][b if b < HIST_BUCKETS else HIST_BUCKETS - 1] += 1
 
-    def stage(self, name: str) -> "_StageCtx":
-        """Context-manager frame (exception-safe form for stages a
-        budget abort may unwind through)."""
-        return _StageCtx(self, name)
+    @contextlib.contextmanager
+    def attach(self, allocator) -> Iterator["StageProfiler"]:
+        """Profile ``allocator``'s stages while the block runs.
+
+        Wraps the methods :data:`STAGES` lists for the allocator's scheme
+        (the base stages for an unlisted one; :class:`ValueError` names
+        any that is missing) and restores the instance dict exactly on
+        exit, so wrappers installed before keep running underneath.  A
+        call into the stage that is already innermost belongs to the
+        open frame, and frames close when an exception (LC+S's
+        ``BudgetExhausted``) unwinds through them.
+        """
+        scheme = allocator.name
+        table = STAGES.get(scheme, _BASE_STAGES)
+        missing = sorted(
+            m for m in table if not callable(getattr(allocator, m, None))
+        )
+        if missing:
+            raise ValueError(
+                f"{type(allocator).__name__} ({scheme!r}) lacks the "
+                f"profiled stage method(s) {', '.join(missing)}"
+            )
+        wrappers = {
+            method: self._framed(scheme, stage, getattr(allocator, method))
+            for method, stage in table.items()
+        }
+        with wrap_methods(allocator, wrappers):
+            yield self
+
+    def _framed(self, scheme: str, stage: str, fn: Callable) -> Callable:
+        """``fn`` run inside a ``stage`` frame labelled ``scheme``."""
+        stack = self._stack
+
+        def framed(*args, **kwargs):
+            if stack and stack[-1] == stage:
+                return fn(*args, **kwargs)
+            self.scheme = scheme
+            t0 = self.push(stage)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.pop(t0)
+
+        return framed
 
     def clear(self) -> None:
         self._agg.clear()
@@ -153,23 +231,6 @@ class StageProfiler:
             Path(target).write_text(text, encoding="utf-8")
             return
         target.write(text)
-
-
-class _StageCtx:
-    """Context manager driving one frame on an enabled profiler."""
-
-    __slots__ = ("_prof", "_name", "_t0")
-
-    def __init__(self, prof: StageProfiler, name: str):
-        self._prof = prof
-        self._name = name
-
-    def __enter__(self) -> "_StageCtx":
-        self._t0 = self._prof.push(self._name)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._prof.pop(self._t0)
 
 
 # ----------------------------------------------------------------------
@@ -260,24 +321,3 @@ def render_attribution(snapshot: Dict[str, Any]) -> str:
     if len(lines) == 1:
         lines.append("(no stages recorded)")
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# The process-global profiler (disabled unless someone enables it)
-# ----------------------------------------------------------------------
-_ACTIVE = StageProfiler(enabled=False)
-
-
-def get_profiler() -> StageProfiler:
-    """The process-global stage profiler; allocators pick it up at
-    construction (``Allocator.__init__``), disabled by default."""
-    return _ACTIVE
-
-
-def set_profiler(prof: StageProfiler) -> StageProfiler:
-    """Install ``prof`` as the process-global one; returns the previous
-    profiler so callers can restore it."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = prof
-    return previous

@@ -15,11 +15,14 @@ span                      meaning
 ``netsim.converge``       one max-min fair-rate progressive filling
 ========================  ==================================================
 
-Disabled tracing must be free: every hot call site guards with a single
-``tracer.enabled`` attribute check (cool sites may use the
-``with tracer.span(...)`` form, which early-returns a shared no-op).
-Tracing is strictly passive — it never influences a scheduling
-decision; ``benchmarks/_fingerprint.py --obs`` holds it to that.
+Disabled tracing must be free: every simulator-level hot call site
+guards with a single ``tracer.enabled`` attribute check (cool sites may
+use the ``with tracer.span(...)`` form, which early-returns a shared
+no-op).  The allocator layer carries no tracer at all:
+:func:`trace_allocator` wraps an allocator's entry points from outside
+for the length of a traced run.  Tracing is strictly passive — it never
+influences a scheduling decision; ``benchmarks/_fingerprint.py --obs``
+holds it to that.
 
 Exports: Chrome ``trace_event`` JSON (open in Perfetto or
 ``chrome://tracing``) and raw JSONL, plus :func:`summarize_trace` for a
@@ -28,11 +31,14 @@ terminal report (the ``obs summarize`` CLI subcommand).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, TextIO, Union
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, TextIO, Union,
+)
 
 
 class Span:
@@ -263,6 +269,89 @@ def set_tracer(tracer: Tracer) -> Tracer:
     previous = _ACTIVE
     _ACTIVE = tracer
     return previous
+
+
+@contextlib.contextmanager
+def trace_allocator(tracer: Tracer, allocator) -> Iterator[Tracer]:
+    """Record one ``alloc.search`` span per placement attempt of
+    ``allocator`` while the block runs.
+
+    Wraps the instance's ``allocate`` and ``charge_skip`` (on top of
+    any wrappers already installed there) and restores them exactly on
+    exit.  Each span carries ``scheme``, ``job``, ``size``, ``eff``
+    (the effective size), ``outcome`` — ``cache_hit`` when the call was
+    answered by the feasibility cache, else ``placed``/``failed`` for
+    ``allocate`` and ``prefiltered:<reason>`` for ``charge_skip`` — the
+    scheme's ``_trace_attrs``, ``bw_need`` when given, and
+    ``level``/``nodes`` for a placed job.  A call that raises records
+    no span.
+    """
+    from repro.core.shapes import ThreeLevelShape
+
+    stats = allocator.stats
+    allocate = allocator.allocate
+    charge_skip = allocator.charge_skip
+
+    def observe(call, job_id, size, bw_need, miss):
+        span = tracer.begin("alloc.search")
+        hits = stats.cache_hits
+        try:
+            alloc = call()
+        except BaseException:
+            tracer._depth -= 1  # drop the span; a raising call records none
+            raise
+        if stats.cache_hits != hits:
+            outcome = "cache_hit"
+        else:
+            outcome = miss if alloc is None else "placed"
+        span.set(
+            scheme=allocator.name, job=job_id, size=size,
+            eff=allocator.effective_size(size), outcome=outcome,
+            **allocator._trace_attrs(size),
+        )
+        if bw_need is not None:
+            span.set(bw_need=bw_need)
+        if alloc is not None:
+            span.set(
+                level=3 if isinstance(alloc.shape, ThreeLevelShape) else 2,
+                nodes=len(alloc.nodes),
+            )
+        tracer.end(span)
+        return alloc
+
+    def traced_allocate(job_id, size, bw_need=None):
+        return observe(lambda: allocate(job_id, size, bw_need=bw_need),
+                       job_id, size, bw_need, "failed")
+
+    def traced_charge_skip(job_id, size, bw_need=None, reason="cache"):
+        observe(lambda: charge_skip(job_id, size, bw_need, reason),
+                job_id, size, bw_need, f"prefiltered:{reason}")
+
+    wrappers = {
+        "allocate": traced_allocate, "charge_skip": traced_charge_skip,
+    }
+    with wrap_methods(allocator, wrappers):
+        yield tracer
+
+
+@contextlib.contextmanager
+def wrap_methods(obj, wrappers: Dict[str, Callable]) -> Iterator[None]:
+    """Install ``wrappers`` (``{name: callable}``) as instance
+    attributes of ``obj`` for the block, then restore its instance dict
+    exactly: a name that already was an instance attribute (another
+    observer's wrapper, say) gets its old value back, the rest are
+    removed so the class methods show through again."""
+    own = vars(obj)
+    saved = {name: own[name] for name in wrappers if name in own}
+    own.update(wrappers)
+    try:
+        yield
+    finally:
+        for name in wrappers:
+            if name in saved:
+                own[name] = saved[name]
+            else:
+                own.pop(name, None)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+_INF = float("inf")
+
 
 @dataclass
 class Job:
@@ -35,14 +37,18 @@ class Job:
     row: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
+        # The chains also reject NaN (every NaN comparison is false): a
+        # NaN or infinite time would leave the job without a terminal state.
         if self.size < 1:
             raise ValueError(f"job {self.id}: size must be positive")
-        if self.runtime <= 0:
-            raise ValueError(f"job {self.id}: runtime must be positive")
-        if self.arrival < 0:
-            raise ValueError(f"job {self.id}: arrival must be non-negative")
-        if self.speedup < 0:
-            raise ValueError(f"job {self.id}: speedup must be non-negative")
+        if not 0.0 < self.runtime < _INF:
+            raise ValueError(f"job {self.id}: runtime must be finite and > 0")
+        if not 0.0 <= self.arrival < _INF:
+            raise ValueError(f"job {self.id}: arrival must be finite and >= 0")
+        if not 0.0 <= self.speedup < _INF:
+            raise ValueError(f"job {self.id}: speedup must be finite and >= 0")
+        if self.bw_need is not None and not 0.0 <= self.bw_need < _INF:
+            raise ValueError(f"job {self.id}: bw_need must be finite and >= 0")
 
     @property
     def isolated_runtime(self) -> float:

@@ -59,6 +59,7 @@ import numpy as np
 
 from repro.core.allocator import Allocator
 from repro.obs.sampler import simulator_row
+from repro.obs.tracer import get_tracer, trace_allocator
 from repro.sched.backfill import Reservation, reservation_from_arrays
 from repro.sched.eventcore import (
     ARRIVAL,
@@ -79,13 +80,6 @@ from repro.sched.resilience import (
     FaultTimeline,
     ResilienceManager,
 )
-
-# Backward-compatible aliases: the kind constants moved to eventcore
-# (their equal-time ordering is documented there).
-_FAULT_REPAIR = FAULT_REPAIR
-_COMPLETION = COMPLETION
-_ARRIVAL = ARRIVAL
-_FAULT_INJECT = FAULT_INJECT
 
 
 class Simulator:
@@ -216,10 +210,10 @@ class Simulator:
         self.queue_order = queue_order
         #: optional :class:`repro.sched.log.ScheduleLog` audit trail
         self.event_log = event_log
-        #: optional :class:`repro.obs.tracer.Tracer`; when set it is also
-        #: installed on the allocator so one trace covers both layers.
-        #: ``None`` falls back to whatever tracer the allocator carries
-        #: (the process-global one unless someone installed another).
+        #: optional :class:`repro.obs.tracer.Tracer`; ``None`` falls
+        #: back to the process-global one, read when ``run`` starts.  An
+        #: enabled tracer also records the allocator's ``alloc.search``
+        #: spans, wrapped from outside for the length of the run only.
         self.tracer = tracer
         #: optional :class:`repro.obs.sampler.TimeSeriesSampler`; when
         #: set, ``run`` fills it and the rows land in ``SimResult.samples``
@@ -277,7 +271,11 @@ class Simulator:
                 f"but the cluster has {tree.num_nodes}"
             )
         state = _RunState(self, table)
-        state.drive()
+        if state.tracer.enabled:
+            with trace_allocator(state.tracer, self.allocator):
+                state.drive()
+        else:
+            state.drive()
         return state.result(name)
 
 
@@ -295,11 +293,7 @@ class _RunState:
         self.sim = sim
         self.table = table
         self.allocator = sim.allocator
-        self.tracer = (
-            sim.tracer if sim.tracer is not None else sim.allocator.tracer
-        )
-        if sim.tracer is not None:
-            sim.allocator.tracer = self.tracer
+        self.tracer = sim.tracer if sim.tracer is not None else get_tracer()
         self.sampler = sim.sampler
         self.event_log = sim.event_log
 
@@ -569,19 +563,7 @@ class _RunState:
                 else:
                     table.skip_search[job.row] += 1
             return False
-        tracer = self.tracer
-        if tracer.enabled:
-            # One dict serves both sinks: the trace's instant event
-            # and the audit log's attrs column stay joinable.
-            attrs = {"wait": now - job.arrival, "via": via,
-                     "job": job.id, "size": job.size}
-            tracer.instant("sched.start", attrs)
-            if self.event_log is not None:
-                self.event_log.record(
-                    now, "start", job.id, job.size, via, attrs=attrs
-                )
-        elif self.event_log is not None:
-            self.event_log.record(now, "start", job.id, job.size, via)
+        self.emit(now, "start", job, via, wait=now - job.arrival)
         job.start = now
         if sim.runtime_model is not None:
             factor = sim.runtime_model.on_start(
@@ -608,6 +590,29 @@ class _RunState:
         table.state[row] = JobTable.RUNNING
         self.cur_busy += job.size
         return True
+
+    def emit(
+        self, now: float, kind: str, job: Job,
+        via: Optional[str] = None, **attrs: float,
+    ) -> None:
+        """Write one job transition to the telemetry sinks.
+
+        A traced run records a ``sched.<kind>`` instant and hands the
+        same attrs dict (``attrs``, then ``via``, ``job``, ``size``) to
+        the schedule log, so trace and log stay joinable; an untraced
+        run writes only the plain log row.
+        """
+        log = self.event_log
+        if self.tracer.enabled:
+            if via is not None:
+                attrs["via"] = via
+            attrs["job"] = job.id
+            attrs["size"] = job.size
+            self.tracer.instant("sched." + kind, attrs)
+            if log is not None:
+                log.record(now, kind, job.id, job.size, via, attrs=attrs)
+        elif log is not None:
+            log.record(now, kind, job.id, job.size, via)
 
     def enqueue(self, job: Job) -> None:
         sim = self.sim
@@ -703,16 +708,7 @@ class _RunState:
             wf[job.row] = float(wf[job.row]) * (1.0 - saved / planned)
         job.start = -1.0
         job.end = -1.0
-        if self.tracer.enabled:
-            attrs = {"job": job.id, "size": job.size,
-                     "elapsed": elapsed, "saved": saved}
-            self.tracer.instant("sched.kill", attrs)
-            if self.event_log is not None:
-                self.event_log.record(
-                    now, "kill", job.id, job.size, attrs=attrs
-                )
-        elif self.event_log is not None:
-            self.event_log.record(now, "kill", job.id, job.size)
+        self.emit(now, "kill", job, elapsed=elapsed, saved=saved)
         self.purge_queued(job)
         self.enqueue(job)
         if self.event_log is not None:
@@ -1145,15 +1141,7 @@ class _RunState:
                 table.state[job.row] = JobTable.DONE
                 self.last_completion = t
                 completions += 1
-                if tracer.enabled:
-                    attrs = {"job": job.id, "size": job.size}
-                    tracer.instant("sched.complete", attrs)
-                    if self.event_log is not None:
-                        self.event_log.record(
-                            t, "complete", job.id, job.size, attrs=attrs
-                        )
-                elif self.event_log is not None:
-                    self.event_log.record(t, "complete", job.id, job.size)
+                self.emit(t, "complete", job)
                 self.sample()
             else:  # ARRIVAL — payload is the job-table row
                 job = table.jobs[payload]

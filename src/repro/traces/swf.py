@@ -17,6 +17,7 @@ Missing values are -1; comment/header lines start with ``;``.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 from typing import List, Optional, TextIO, Union
 
@@ -55,12 +56,20 @@ def read_swf(
             raise ValueError(
                 f"SWF line {lineno}: expected {_FIELDS} fields, got {len(parts)}"
             )
-        job_id = int(parts[0])
-        submit = float(parts[1])
-        run_time = float(parts[3])
-        procs = int(parts[4])
-        if procs <= 0:
-            procs = int(parts[7])  # fall back to requested processors
+        try:
+            job_id = int(parts[0])
+            submit = float(parts[1])
+            run_time = float(parts[3])
+            procs = int(parts[4])
+            if procs <= 0:
+                procs = int(parts[7])  # fall back to requested processors
+        except ValueError as exc:
+            raise ValueError(f"SWF line {lineno}: {exc}") from None
+        if not (math.isfinite(submit) and math.isfinite(run_time)):
+            raise ValueError(
+                f"SWF line {lineno}: non-finite submit or run time "
+                f"({parts[1]!r}, {parts[3]!r})"
+            )
         if procs <= 0 or run_time <= 0:
             continue  # cancelled or malformed job
         size = max(1, -(-procs // cores_per_node))  # ceil division

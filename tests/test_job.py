@@ -30,6 +30,28 @@ def test_invalid_jobs_rejected(kwargs):
         Job(id=1, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(runtime=float("nan")),
+        dict(runtime=float("inf")),
+        dict(runtime=1.0, arrival=float("nan")),
+        dict(runtime=1.0, arrival=float("inf")),
+        dict(runtime=1.0, speedup=float("nan")),
+        dict(runtime=1.0, speedup=float("inf")),
+        dict(runtime=1.0, bw_need=float("nan")),
+        dict(runtime=1.0, bw_need=float("inf")),
+        dict(runtime=1.0, bw_need=-0.5),
+    ],
+)
+def test_non_finite_fields_rejected(kwargs):
+    # A NaN time used to slip through and drop the job from the run
+    # without any terminal state; an infinite runtime "completed" at
+    # t=inf.
+    with pytest.raises(ValueError, match="finite"):
+        Job(id=1, size=2, **kwargs)
+
+
 def test_turnaround_and_wait():
     j = Job(id=1, size=2, runtime=10.0, arrival=3.0)
     with pytest.raises(ValueError):

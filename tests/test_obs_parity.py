@@ -21,7 +21,7 @@ from repro.obs.bridge import (
 )
 from repro.obs.metrics import MetricRegistry, format_labels
 from repro.obs.sampler import TimeSeriesSampler
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, trace_allocator
 from repro.sched.job import Job
 from repro.sched.log import ScheduleLog
 from repro.sched.simulator import Simulator
@@ -167,9 +167,9 @@ class TestTelemetryInvariance:
         tree = FatTree.from_radix(8)
         allocator = make_allocator("jigsaw", tree)
         tracer = Tracer(enabled=True)
-        allocator.tracer = tracer
-        allocator.allocate(1, 5)
-        allocator.allocate(2, tree.num_nodes)  # cannot fit: failed outcome
+        with trace_allocator(tracer, allocator):
+            allocator.allocate(1, 5)
+            allocator.allocate(2, tree.num_nodes)  # cannot fit: failed
         searches = [
             e for e in tracer.events if e["name"] == "alloc.search"
         ]

@@ -8,11 +8,10 @@ from repro.core.registry import make_allocator
 from repro.experiments.runner import paper_setup, run_scheme
 from repro.obs.prof import (
     HIST_BUCKETS,
+    STAGES,
     StageProfiler,
-    get_profiler,
     merge_snapshots,
     render_attribution,
-    set_profiler,
     snapshot_collapsed,
     top_level_seconds,
 )
@@ -25,17 +24,27 @@ KNOWN_STAGES = BASE_STAGES | {
     "two_level", "three_level", "prefilter", "pod_fit",   # jigsaw/laas
     "memo_replay", "pod_enum",                            # lc+s
     "t1", "t2", "t3",                                     # ta
-    "fill",                                               # baseline
 }
 
 
 class TestStageProfiler:
     def test_disabled_by_default(self):
-        assert StageProfiler().enabled is False
-        assert get_profiler().enabled is False
+        # Only an attached profiler records: once detached, the
+        # allocator runs its plain methods again.
+        prof = StageProfiler()
+        allocator = make_allocator("jigsaw", FatTree.from_radix(8))
+        allocator.allocate(1, 3)
+        assert prof.snapshot() == {"stages": []}
+        with prof.attach(allocator):
+            allocator.allocate(2, 3)
+        before = prof.snapshot()
+        assert before["stages"]
+        allocator.allocate(3, 3)
+        allocator.release(3)
+        assert prof.snapshot() == before
 
     def test_push_pop_counts_and_nesting(self):
-        prof = StageProfiler(enabled=True)
+        prof = StageProfiler()
         prof.scheme = "x"
         t0 = prof.push("outer")
         t1 = prof.push("inner")
@@ -48,7 +57,7 @@ class TestStageProfiler:
         assert stacks["outer;inner"]["count"] == 1
 
     def test_self_time_excludes_children(self):
-        prof = StageProfiler(enabled=True)
+        prof = StageProfiler()
         prof.scheme = "x"
         t0 = prof.push("outer")
         t1 = prof.push("inner")
@@ -63,24 +72,8 @@ class TestStageProfiler:
         # Top-level totals already include child time.
         assert top_level_seconds(prof.snapshot()) == outer["total_s"]
 
-    def test_stage_ctx_exception_safe(self):
-        prof = StageProfiler(enabled=True)
-        prof.scheme = "x"
-        with pytest.raises(RuntimeError):
-            with prof.stage("outer"):
-                with prof.stage("inner"):
-                    raise RuntimeError("unwind")
-        # Both frames were popped despite the unwind...
-        stacks = {s["stack"] for s in prof.snapshot()["stages"]}
-        assert stacks == {"outer", "outer;inner"}
-        # ...and the stack is balanced for the next use.
-        with prof.stage("outer"):
-            pass
-        stacks = {s["stack"]: s for s in prof.snapshot()["stages"]}
-        assert stacks["outer"]["count"] == 2
-
     def test_histogram_buckets_sum_to_count(self):
-        prof = StageProfiler(enabled=True)
+        prof = StageProfiler()
         prof.scheme = "x"
         for _ in range(37):
             prof.pop(prof.push("s"))
@@ -89,10 +82,10 @@ class TestStageProfiler:
         assert sum(stage["hist_log2us"]) == stage["count"] == 37
 
     def test_merge_snapshots_adds(self):
-        a = StageProfiler(enabled=True)
+        a = StageProfiler()
         a.scheme = "x"
         a.pop(a.push("s"))
-        b = StageProfiler(enabled=True)
+        b = StageProfiler()
         b.scheme = "x"
         b.pop(b.push("s"))
         b.pop(b.push("t"))
@@ -102,7 +95,7 @@ class TestStageProfiler:
         assert stacks["t"]["count"] == 1
 
     def test_collapsed_stack_format(self):
-        prof = StageProfiler(enabled=True)
+        prof = StageProfiler()
         prof.scheme = "jigsaw"
         t0 = prof.push("search")
         prof.pop(prof.push("two_level"))
@@ -116,18 +109,8 @@ class TestStageProfiler:
                 assert frames.startswith("jigsaw;search")
                 assert int(us) >= 0
 
-    def test_set_profiler_restores(self):
-        prev = get_profiler()
-        mine = StageProfiler(enabled=True)
-        try:
-            assert set_profiler(mine) is prev
-            assert get_profiler() is mine
-        finally:
-            set_profiler(prev)
-        assert get_profiler() is prev
-
     def test_clear_resets(self):
-        prof = StageProfiler(enabled=True)
+        prof = StageProfiler()
         prof.scheme = "x"
         prof.pop(prof.push("s"))
         prof.clear()
@@ -135,28 +118,15 @@ class TestStageProfiler:
 
 
 class TestAllocatorIntegration:
-    def test_allocator_picks_up_global_profiler(self):
-        mine = StageProfiler(enabled=True)
-        prev = set_profiler(mine)
-        try:
-            allocator = make_allocator("jigsaw", FatTree.from_radix(8))
-        finally:
-            set_profiler(prev)
-        assert allocator.prof is mine
-        allocator.allocate(1, 3)
-        allocator.release(1)
-        stacks = {s["stack"] for s in mine.snapshot()["stages"]}
-        assert {"search", "claim", "release"} <= stacks
-
     @pytest.mark.parametrize(
         "scheme", ["baseline", "ta", "laas", "jigsaw", "lc+s"]
     )
     def test_stage_catalog_per_scheme(self, scheme):
-        prof = StageProfiler(enabled=True)
+        prof = StageProfiler()
         allocator = make_allocator(scheme, FatTree.from_radix(8))
-        allocator.prof = prof
-        for jid, size in enumerate((1, 3, 5, 8, 13, 20, 64, 3, 5), 1):
-            allocator.allocate(jid, size)
+        with prof.attach(allocator):
+            for jid, size in enumerate((1, 3, 5, 8, 13, 20, 64, 3, 5), 1):
+                allocator.allocate(jid, size)
         snap = prof.snapshot()
         names = {
             frame for s in snap["stages"]
@@ -164,6 +134,7 @@ class TestAllocatorIntegration:
         }
         assert names <= KNOWN_STAGES, names - KNOWN_STAGES
         assert "search" in names
+        assert set(STAGES[scheme].values()) <= KNOWN_STAGES
         assert all(s["scheme"] == scheme for s in snap["stages"])
 
     def test_run_scheme_attaches_snapshot(self):

@@ -56,6 +56,22 @@ def test_malformed_line_rejected():
         read_swf(io.StringIO("1 2 3"))
 
 
+def test_unparsable_field_names_its_line():
+    good = " ".join(["1", "0", "-1", "50", "4"] + ["-1"] * 13)
+    bad = " ".join(["2", "abc", "-1", "50", "4"] + ["-1"] * 13)
+    with pytest.raises(ValueError, match="SWF line 3: could not convert"):
+        read_swf(io.StringIO("\n".join([good, "; comment", bad])))
+
+
+@pytest.mark.parametrize("field,value", [(1, "nan"), (1, "inf"),
+                                         (3, "nan"), (3, "inf")])
+def test_non_finite_times_rejected(field, value):
+    fields = ["1", "0", "-1", "50", "4"] + ["-1"] * 13
+    fields[field] = value
+    with pytest.raises(ValueError, match="SWF line 1: non-finite"):
+        read_swf(io.StringIO(" ".join(fields)))
+
+
 def test_empty_file_rejected():
     with pytest.raises(ValueError, match="no usable jobs"):
         read_swf(io.StringIO("; nothing\n"))
