@@ -42,6 +42,55 @@ from repro.topology.fattree import LinkId, SpineLinkId, XGFT
 from repro.topology.state import indices_of, lowest_bits
 
 
+def _bucket_row_score(
+    row: Sequence[int], LT: int, nL: int, nrL: int, m1: int
+) -> Optional[Tuple[int, int, int]]:
+    """Score of the greedy two-level fit in a pod with all uplinks free.
+
+    ``row[f]`` is the bitmask of the pod's leaves holding exactly ``f``
+    free nodes (:meth:`ClusterState.leaf_bucket_row`).  The fit takes
+    the ``LT`` best-fit leaves (lowest ``f >= nL`` first) and, when
+    ``nrL > 0``, a remainder leaf: the best-fit leaf with ``nrL <= f <
+    nL`` if one exists — it precedes every chosen leaf in best-fit
+    order — else the (LT+1)-th leaf at or above ``nL``.  Returns the
+    ``(broken, residue, consumed)`` tuple of
+    :meth:`JigsawAllocator._score_two_level`, or ``None`` when the pod
+    lacks the leaves.
+    """
+    need = LT
+    residue = -LT * nL
+    for f in range(nL, m1 + 1):
+        count = row[f].bit_count()
+        if count >= need:
+            residue += need * f
+            spare = count - need
+            break
+        residue += count * f
+        need -= count
+    else:
+        return None
+    # Only the last bucket holds fully-free leaves.
+    full = need if f == m1 else 0
+    broken, consumed = (0, full) if nL == m1 else (full, 0)
+    if nrL:
+        fr = nrL
+        while fr < nL and not row[fr]:
+            fr += 1
+        if fr == nL:
+            # No leaf below nL: the next candidate after the chosen ones.
+            fr = f
+            if not spare:
+                fr += 1
+                while fr <= m1 and not row[fr]:
+                    fr += 1
+                if fr > m1:
+                    return None
+        residue += fr - nrL
+        if fr == m1:
+            broken += 1
+    return broken, residue, consumed
+
+
 class JigsawAllocator(Allocator):
     """Interference-free allocator with precise three-level conditions.
 
@@ -58,15 +107,6 @@ class JigsawAllocator(Allocator):
     name = "jigsaw"
     isolating = True
 
-    #: score the two-level shape search on the occupancy-index columns
-    #: (one numpy pass per shape over all feasible pods) instead of
-    #: running the per-pod backtracking for every candidate.  Only exact
-    #: for pods without uplink-claimed leaves — others fall back to the
-    #: scalar search — and only engaged with ``strategy="scored"``.  The
-    #: LC family disables it: its step budget is decision-relevant and
-    #: its link masks are bandwidth-dependent.
-    vector_two_level: bool = True
-
     #: backtracking-step ceiling per allocation attempt; generous enough
     #: that Jigsaw never hits it in practice (its search space is small —
     #: that is the point of the full-leaf restriction), but it bounds
@@ -78,6 +118,10 @@ class JigsawAllocator(Allocator):
         self, tree: XGFT, order: Order = "dense", strategy: str = "scored"
     ):
         super().__init__(tree)
+        if order not in ("dense", "sparse"):
+            raise ValueError(
+                f"unknown order {order!r}; expected 'dense' or 'sparse'"
+            )
         self.order: Order = order
         if strategy not in ("scored", "first"):
             raise ValueError(f"unknown strategy {strategy!r}")
@@ -216,12 +260,13 @@ class JigsawAllocator(Allocator):
         (the default) every feasible (shape, pod) pair is scored by the
         fragmentation it would leave behind — fully-free leaves broken,
         free nodes stranded on the touched leaves — and the least harmful
-        placement wins.  The formal conditions admit every candidate
-        either way; scoring only chooses *among* legal placements, which
-        is exactly the freedom the paper argues precise conditions buy.
+        placement wins: the first pair in (shape, pod) order whose score
+        starts ``(0, 0)``, else the strict-``<`` minimum score, the
+        earliest pair on ties.  The formal conditions admit every
+        candidate either way; scoring only chooses *among* legal
+        placements, which is exactly the freedom the paper argues
+        precise conditions buy.
         """
-        if self.strategy == "scored" and self.vector_two_level:
-            return self._search_two_level_vector(alloc_size)
         if self.strategy == "first":
             for shape in self._two_level_shape_iter(alloc_size):
                 for pod in self._two_level_pods(alloc_size, shape):
@@ -229,173 +274,71 @@ class JigsawAllocator(Allocator):
                     if found is not None:
                         return shape, found
             return None
-        best = None  # (score, shape, solution)
+        l2_per_pod = self.tree.l2_per_pod
+        best = None  # (score, shape, pod, found)
         for shape in self._two_level_shape_iter(alloc_size):
-            for pod in self._two_level_pods(alloc_size, shape):
-                found = self._find_two_level_in_pod(pod, shape)
-                if found is None:
-                    continue
-                score = self._score_two_level(shape, found)
-                if best is None or score < best[0]:
-                    best = (score, shape, found)
-                    if score[:2] == (0, 0):
-                        return shape, found  # perfect fit, stop searching
-        if best is None:
-            return None
-        return best[1], best[2]
-
-    # ------------------------------------------------------------------
-    # Vectorized scored search over the occupancy-index columns
-    # ------------------------------------------------------------------
-    def _search_two_level_vector(self, alloc_size: int):
-        """Scored two-level search evaluated on ``_leaf_ge`` columns.
-
-        For a pod without uplink-claimed leaves the backtracking of
-        :meth:`_find_two_level_in_pod_impl` degenerates to a
-        deterministic greedy: every leaf mask is full, so the L2
-        intersection never shrinks, the chosen leaves are simply the
-        first ``LT`` candidates in best-fit order and the remainder
-        leaf the first further candidate with ``>= nrL`` free nodes.
-        Feasibility and the fragmentation score are then pure functions
-        of the pod's free-count histogram, evaluated here for every
-        feasible pod of a shape in one numpy pass.  Pods holding a
-        claimed uplink fall back to the scalar per-pod search (their
-        masks can prune the backtracking).
-
-        Selection replicates the scalar loop exactly: the first
-        candidate in (shape, pod) iteration order whose score starts
-        ``(0, 0)`` wins immediately; otherwise the strict-``<`` minimum
-        over ``(broken, residue, consumed)`` with the earliest
-        (shape, pod) on ties.  The winner is re-materialized through
-        the scalar search, which reproduces the scored solution.
-        """
-        tree = self.tree
-        ge_all = self.state.leaf_ge_view()
-        best = None  # (broken, residue, consumed, shape_idx, pod, shape, found)
-        for shape_idx, shape in enumerate(self._two_level_shape_iter(alloc_size)):
-            if not shape.single_leaf and shape.nL > tree.l2_per_pod:
-                # No leaf can offer nL common uplinks; the scalar walk
+            if not shape.single_leaf and shape.nL > l2_per_pod:
+                # No leaf can offer nL common uplinks; the per-pod fit
                 # rejects every candidate set in every pod.
                 continue
             pods = self._two_level_pods(alloc_size, shape)
             if not pods:
                 continue
-            ranked = self._score_shape_pods(shape, pods, ge_all)
+            ranked = self._score_shape_pods(shape, pods)
             if ranked is None:
                 continue
-            broken, residue, consumed, pod, found = ranked
-            if broken == 0 and residue == 0:
+            score, pod, found = ranked
+            if score[:2] == (0, 0):
                 return self._materialize_two_level(shape, pod, found)
-            key = (broken, residue, consumed, shape_idx, pod)
-            if best is None or key < best[:5]:
-                best = (broken, residue, consumed, shape_idx, pod, shape, found)
+            if best is None or score < best[0]:
+                best = (score, shape, pod, found)
         if best is None:
             return None
-        return self._materialize_two_level(best[5], best[4], best[6])
+        return self._materialize_two_level(*best[1:])
 
-    def _score_shape_pods(self, shape: TwoLevelShape, pods, ge_all):
-        """Best candidate for ``shape`` among ``pods`` (ascending order).
+    def _score_shape_pods(self, shape: TwoLevelShape, pods: Sequence[int]):
+        """Best placement of ``shape`` among ``pods`` (ascending order).
 
-        Returns ``(broken, residue, consumed, pod, found)`` — the first
-        pod whose score starts ``(0, 0)`` if one exists, else the
-        lexicographic-minimum ``(score, pod)`` — or ``None`` when no pod
-        is feasible.  ``found`` is the scalar solution for pods scored
-        through the fallback path, ``None`` for vector-scored pods.
+        Returns ``(score, pod, found)`` for the first pod whose score
+        starts ``(0, 0)``, else for the strict-``<`` minimum score (the
+        lowest pod on ties), or ``None`` when no pod can host the shape.
+        ``found`` is the solution of pods fitted by
+        :meth:`_find_two_level_in_pod`, ``None`` for pods scored from
+        their bucket row.
+
+        In a pod without claimed uplinks every leaf mask is full, so the
+        backtracking of :meth:`_find_two_level_in_pod_impl` never
+        prunes: it takes the first ``LT`` leaves in best-fit order, and
+        the first further leaf with ``>= nrL`` free nodes as remainder.
+        Feasibility and the :meth:`_score_two_level` score are then
+        functions of the pod's free-count bucket row alone
+        (:func:`_bucket_row_score`).  Single-leaf shapes touch no link,
+        so this holds in every pod; otherwise a pod holding a claimed
+        uplink takes the per-pod fit, whose masks can prune.
         """
         state = self.state
         m1 = self.tree.m1
         LT, nL, nrL = shape.LT, shape.nL, shape.nrL
-        pods_arr = np.asarray(pods, dtype=np.int64)
-        if shape.single_leaf:
-            # No links touched: the histogram greedy is exact even for
-            # pods with claimed uplinks.
-            clean_pods = pods_arr
-            busy_results = []
-        else:
-            busy_sel = state.busy_leaf_any[pods_arr]
-            clean_pods = pods_arr[~busy_sel]
-            busy_results = []
-            for pod in pods_arr[busy_sel].tolist():
+        links = not shape.single_leaf
+        best = None  # (score, pod, found)
+        for pod in pods:
+            if links and state.busy_uplink_leaf_mask(pod):
                 found = self._find_two_level_in_pod(pod, shape)
-                if found is not None:
-                    busy_results.append(
-                        (pod, self._score_two_level(shape, found), found)
-                    )
-        ge = ge_all[:, clean_pods]
-        if nrL:
-            # A remainder leaf needs an (LT+1)-th distinct leaf with
-            # >= nrL free nodes; with full masks this is also sufficient.
-            ok = ge[nrL] >= LT + 1
-            if not ok.all():
-                clean_pods = clean_pods[ok]
-                ge = ge[:, ok]
-        P = clean_pods.size
-        if P:
-            # Greedy take: LT smallest sufficient free-counts, low f
-            # first (the maintained best-fit bucket order).
-            remaining = np.full(P, LT, dtype=np.int64)
-            sum_f = np.zeros(P, dtype=np.int64)
-            m1_taken = np.zeros(P, dtype=np.int64)
-            for f in range(nL, m1 + 1):
-                cnt = (ge[f] - ge[f + 1]) if f < m1 else ge[m1]
-                take = np.minimum(remaining, cnt)
-                if f == m1:
-                    m1_taken = take
-                sum_f += f * take
-                remaining -= take
-            residue = sum_f - LT * nL
-            if nL == m1:
-                consumed = m1_taken
-                broken = np.zeros(P, dtype=np.int64)
+                if found is None:
+                    continue
+                score = self._score_two_level(shape, found)
             else:
-                broken = m1_taken.astype(np.int64)
-                consumed = np.zeros(P, dtype=np.int64)
-            if nrL:
-                # Remainder free-count: the smallest f in [nrL, nL) if
-                # such a leaf exists (it precedes every chosen leaf in
-                # bucket order), else the (LT+1)-th candidate >= nL.
-                fr = np.full(P, -1, dtype=np.int64)
-                for f in range(nrL, nL):
-                    cnt = ge[f] - ge[f + 1]
-                    fr = np.where((fr < 0) & (cnt > 0), f, fr)
-                if (fr < 0).any():
-                    cum = np.zeros(P, dtype=np.int64)
-                    fr2 = np.full(P, -1, dtype=np.int64)
-                    for f in range(nL, m1 + 1):
-                        cnt = (ge[f] - ge[f + 1]) if f < m1 else ge[m1]
-                        cum += cnt
-                        fr2 = np.where((fr2 < 0) & (cum >= LT + 1), f, fr2)
-                    fr = np.where(fr < 0, fr2, fr)
-                residue = residue + (fr - nrL)
-                broken = broken + (fr == m1)
-        # First (0, 0)-scored pod in ascending pod order wins outright.
-        perfect = None
-        if P:
-            perf = np.flatnonzero((broken == 0) & (residue == 0))
-            if perf.size:
-                i = int(perf[0])
-                perfect = (0, 0, int(consumed[i]), int(clean_pods[i]), None)
-        for pod, sc, found in busy_results:
-            if sc[0] == 0 and sc[1] == 0:
-                if perfect is None or pod < perfect[3]:
-                    perfect = (sc[0], sc[1], sc[2], pod, found)
-                break
-        if perfect is not None:
-            return perfect
-        candidates = []
-        if P:
-            i = int(np.lexsort((clean_pods, consumed, residue, broken))[0])
-            candidates.append(
-                (int(broken[i]), int(residue[i]), int(consumed[i]),
-                 int(clean_pods[i]), None)
-            )
-        for pod, sc, found in busy_results:
-            candidates.append((sc[0], sc[1], sc[2], pod, found))
-        if not candidates:
-            return None
-        # Pods are unique across the two sources, so the tuple compare
-        # never reaches the solution field.
-        return min(candidates, key=lambda c: c[:4])
+                found = None
+                score = _bucket_row_score(
+                    state.leaf_bucket_row(pod), LT, nL, nrL, m1
+                )
+                if score is None:
+                    continue
+            if score[:2] == (0, 0):
+                return score, pod, found
+            if best is None or score < best[0]:
+                best = (score, pod, found)
+        return best
 
     def _materialize_two_level(self, shape: TwoLevelShape, pod: int, found):
         """Turn a winning (shape, pod) back into a concrete solution."""
@@ -403,7 +346,7 @@ class JigsawAllocator(Allocator):
             found = self._find_two_level_in_pod(pod, shape)
             if found is None:
                 raise RuntimeError(
-                    "vector two-level score disagreed with scalar search"
+                    "two-level bucket-row score disagreed with the per-pod fit"
                 )
         return shape, found
 

@@ -81,12 +81,6 @@ class LeastConstrainedAllocator(JigsawAllocator):
     #: performance scenarios treat LC+S like the isolating schemes.
     low_interference = True
 
-    #: the LC family keeps the scalar two-level walk: its 50k step
-    #: budget *binds* (the paper's scheduling timeout), so every tick is
-    #: decision-relevant, and the LC+S leaf masks are bandwidth
-    #: headroom, which the occupancy histogram cannot see.
-    vector_two_level = False
-
     def __init__(
         self,
         tree: XGFT,
@@ -149,6 +143,32 @@ class LeastConstrainedAllocator(JigsawAllocator):
         self._leaf_mask_cache = {}
         self._spine_mask_cache = {}
         return super()._search(job_id, size, bw_need)
+
+    def _search_two_level(self, alloc_size: int):
+        """Scored two-level search as a per-pod walk.
+
+        The LC family fits every (shape, pod) pair with the per-pod
+        backtracking instead of Jigsaw's bucket-row scorer: its 50k step
+        budget *binds* (the paper's scheduling timeout), so every tick
+        is decision-relevant, and the LC+S leaf masks are bandwidth
+        headroom, which the occupancy buckets cannot see.  The selection
+        rule is Jigsaw's: first ``(0, 0)`` score, else the strict-``<``
+        minimum.
+        """
+        best = None  # (score, shape, solution)
+        for shape in self._two_level_shape_iter(alloc_size):
+            for pod in self._two_level_pods(alloc_size, shape):
+                found = self._find_two_level_in_pod(pod, shape)
+                if found is None:
+                    continue
+                score = self._score_two_level(shape, found)
+                if best is None or score < best[0]:
+                    best = (score, shape, found)
+                    if score[:2] == (0, 0):
+                        return shape, found  # perfect fit, stop searching
+        if best is None:
+            return None
+        return best[1], best[2]
 
     def _memo_bw_key(self) -> Optional[float]:
         # LC+S leaf masks depend on the job's bandwidth need, so memo

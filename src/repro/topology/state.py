@@ -116,7 +116,8 @@ class ClusterState:
       ``j``-th leaf of the pod) holding exactly ``f`` free nodes; the
       ``f = m1`` bucket is the fully-free-leaf bitmask, and walking the
       buckets upward yields the allocators' best-fit candidate order
-      (:meth:`leaf_candidates`) without a per-call sort.
+      (:meth:`leaf_candidates`) without a per-call sort, and the
+      two-level scorer reads a pod's whole row (:meth:`leaf_bucket_row`).
 
     Every index is updated in O(touched leaves) inside claim/release and
     is purely derived data: rebuilding it from ``node_owner`` must give
@@ -167,9 +168,6 @@ class ClusterState:
         #: a fully-free leaf on this mask cannot host a full-bandwidth
         #: (all-uplinks) placement
         self._busy_leaf_mask: List[int] = [0] * m3
-        #: numpy column of ``_busy_leaf_mask[pod] != 0`` — lets the
-        #: vectorized shape search partition pods in one fancy-index
-        self.busy_leaf_any = np.zeros(m3, dtype=bool)
         #: per-pod mutation epoch: bumped whenever any resource of the
         #: pod (node, leaf uplink, spine link) changes hands.  Lets
         #: allocators validate cross-call memo entries in O(1).
@@ -293,14 +291,14 @@ class ClusterState:
                 return base + (bucket & -bucket).bit_length() - 1
         return None
 
-    def leaf_ge_view(self) -> np.ndarray:
-        """Read-only view of the ``_leaf_ge`` counter matrix: row ``k``,
-        column ``pod`` counts the pod's leaves with at least ``k`` free
-        nodes.  Columnar consumers (the vectorized shape search) slice
-        this instead of re-deriving histograms; writes raise."""
-        v = self._leaf_ge.view()
-        v.flags.writeable = False
-        return v
+    def leaf_bucket_row(self, pod: int) -> Sequence[int]:
+        """The bucket row of ``pod``: entry ``f`` is the bitmask of leaf
+        offsets holding exactly ``f`` free nodes (``f`` in ``0..m1``).
+
+        The maintained row itself, handed out without a copy for the
+        two-level scorer's per-pod walk: index-owned state that callers
+        only read."""
+        return self._leaf_buckets[pod]
 
     def feasible_pods(
         self,
@@ -402,7 +400,6 @@ class ClusterState:
             touched_pods.add(pod)
             if self._leaf_busy_up[leaf] == 0:
                 self._busy_leaf_mask[pod] |= 1 << (leaf - pod * m2)
-                self.busy_leaf_any[pod] = True
             self._leaf_busy_up[leaf] += 1
         for pod, i, j in spine_links:
             self.spine_free_mask[pod][i] &= ~(1 << j)
@@ -443,8 +440,6 @@ class ClusterState:
             self._leaf_busy_up[leaf] -= 1
             if self._leaf_busy_up[leaf] == 0:
                 self._busy_leaf_mask[pod] &= ~(1 << (leaf - pod * m2))
-                if not self._busy_leaf_mask[pod]:
-                    self.busy_leaf_any[pod] = False
         for pod, i, j in rec.spine_links:
             self.spine_free_mask[pod][i] |= 1 << j
             touched_pods.add(pod)
@@ -507,8 +502,6 @@ class ClusterState:
                 self._leaf_busy_up[leaf] -= 1
                 if self._leaf_busy_up[leaf] == 0:
                     self._busy_leaf_mask[pod] &= ~(1 << (leaf - pod * m2))
-                    if not self._busy_leaf_mask[pod]:
-                        self.busy_leaf_any[pod] = False
             for pod, i, j in rec.spine_links:
                 self.spine_free_mask[pod][i] |= 1 << j
                 touched_pods.add(pod)
@@ -559,8 +552,6 @@ class ClusterState:
             )
             if want_busy != self._busy_leaf_mask[pod]:
                 raise AllocationError(f"_busy_leaf_mask[{pod}] out of sync")
-            if bool(want_busy) != bool(self.busy_leaf_any[pod]):
-                raise AllocationError(f"busy_leaf_any[{pod}] out of sync")
         for leaf in range(tree.num_leaves):
             claimed = tree.l2_per_pod - self.leaf_up_mask[leaf].bit_count()
             if claimed != self._leaf_busy_up[leaf]:

@@ -14,11 +14,12 @@ The PR's invariants, as regression and property tests:
   with ``backtrack_steps + xpass_memo_replayed_steps`` equal to the
   memo-off step count, across schemes, queue orders and fault
   timelines (memo-off = every memo lookup patched to miss);
-* the vectorized two-level scored search is decision-identical to the
-  scalar walk it replaces.
+* the two-level bucket-row scorer is decision-identical to the per-pod
+  scored walk it replaced.
 """
 
 import random
+import types
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 from repro.core.conditions import check_allocation
 from repro.core.jigsaw import JigsawAllocator
 from repro.core.registry import make_allocator
+from repro.core.shapes import TwoLevelShape
 from repro.experiments.runner import paper_setup, run_scheme
 from repro.topology.fattree import FatTree, LinkId
 from repro.topology.faults import FaultInjector
@@ -218,36 +220,164 @@ def test_xpass_memo_invariant_under_faults(monkeypatch, scheme):
 
 
 # ----------------------------------------------------------------------
-# Vectorized two-level scored search vs the scalar walk
+# Two-level bucket-row scorer vs the per-pod scored walk
 # ----------------------------------------------------------------------
+#: radix 16 (m1 = m2 = 8): enough free-count buckets for the greedy to
+#: span several of them and for both remainder branches to run
+TREE16 = FatTree.from_radix(16)
+
+
+def _walk_two_level(self, alloc_size):
+    """Reference: the scored walk the bucket-row scorer replaced — fit
+    every prefiltered (shape, pod) pair with the per-pod backtracking,
+    score it, and stop at the first ``(0, 0)`` score."""
+    best = None
+    for shape in self._two_level_shape_iter(alloc_size):
+        for pod in self._two_level_pods(alloc_size, shape):
+            found = self._find_two_level_in_pod(pod, shape)
+            if found is None:
+                continue
+            score = self._score_two_level(shape, found)
+            if best is None or score < best[0]:
+                best = (score, shape, found)
+                if score[:2] == (0, 0):
+                    return shape, found
+    return None if best is None else best[1:]
+
+
+def _walk_shape(alloc, shape, pods):
+    """Reference ``(score, pod)`` of one shape over ``pods``."""
+    best = None
+    for pod in pods:
+        found = alloc._find_two_level_in_pod(pod, shape)
+        if found is None:
+            continue
+        score = alloc._score_two_level(shape, found)
+        if score[:2] == (0, 0):
+            return score, pod
+        if best is None or score < best[0]:
+            best = (score, pod)
+    return best
+
+
 @common
 @given(
     scheme=st.sampled_from(["jigsaw", "laas"]),
+    tree=st.sampled_from([TREE8, TREE16]),
     seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_vector_two_level_matches_scalar(scheme, seed):
+def test_two_level_scorer_matches_scalar_walk(scheme, tree, seed):
     rng = random.Random(seed)
-    tree = TREE8
-    vec = make_allocator(scheme, tree)
+    alloc = make_allocator(scheme, tree)
     ref = make_allocator(scheme, tree)
-    ref.vector_two_level = False
-    assert vec.vector_two_level is True
+    ref._search_two_level = types.MethodType(_walk_two_level, ref)
+    injectors = (FaultInjector(alloc), FaultInjector(ref))
     jid = 0
     live = []
     for _ in range(80):
         r = rng.random()
         if r < 0.6:
             size = rng.randint(1, tree.nodes_per_pod)
-            a = vec.allocate(jid, size)
+            a = alloc.allocate(jid, size)
             b = ref.allocate(jid, size)
             assert (a is None) == (b is None), (scheme, seed, jid, size)
             if a is not None:
+                assert a.shape == b.shape, (scheme, seed, jid)
                 assert sorted(a.nodes) == sorted(b.nodes), (scheme, seed)
                 assert sorted(a.leaf_links) == sorted(b.leaf_links)
                 live.append(jid)
             jid += 1
-        elif live:
+        elif r < 0.9 and live:
             victim = live.pop(rng.randrange(len(live)))
-            vec.release(victim)
+            alloc.release(victim)
             ref.release(victim)
-    vec.state.audit()
+        else:
+            # An uplink fault sends its pod down the per-pod fit.
+            link = LinkId(
+                rng.randrange(tree.num_leaves), rng.randrange(tree.l2_per_pod)
+            )
+            if alloc.state.leaf_up_mask[link.leaf] >> link.l2_index & 1:
+                for inj in injectors:
+                    inj.fail_leaf_link(link)
+    alloc.state.audit()
+
+
+def _pod_layout(inj, pod, free_counts):
+    """Fail nodes so that leaf ``j`` of ``pod`` keeps ``free_counts[j]``
+    free nodes."""
+    tree = inj.state.tree
+    for j, free in enumerate(free_counts):
+        leaf = pod * tree.m2 + j
+        for node in range(leaf * tree.m1 + free, (leaf + 1) * tree.m1):
+            inj.fail_node(node)
+
+
+class TestBucketRowScorer:
+    """Directed pod states for :meth:`JigsawAllocator._score_shape_pods`
+    on the radix-16 tree, each checked against the per-pod fit."""
+
+    @pytest.mark.parametrize("free, shape, score, rem_free", [
+        # remainder from [nrL, nL): the 3-free leaf precedes the chosen
+        # 5- and 6-free leaves in best-fit order
+        ([8, 8, 6, 5, 3, 2, 0, 0], TwoLevelShape(2, 5, 3), (0, 1, 0), 3),
+        # (LT+1)-th candidate, in the bucket of the last chosen leaf
+        ([8, 8, 6, 6, 6, 1, 0, 0], TwoLevelShape(2, 6, 2), (0, 4, 0), 6),
+        # (LT+1)-th candidate in the next non-empty bucket (7 is empty),
+        # which breaks a fully-free leaf
+        ([8, 8, 6, 6, 1, 0, 0, 0], TwoLevelShape(2, 6, 2), (1, 6, 0), 8),
+        # chosen leaves span buckets 6 and 7; remainder in the next one
+        ([8, 7, 6, 1, 0, 0, 0, 0], TwoLevelShape(2, 6, 2), (1, 7, 0), 8),
+    ])
+    def test_remainder_branches(self, free, shape, score, rem_free):
+        alloc = make_allocator("jigsaw", TREE16)
+        _pod_layout(FaultInjector(alloc), 0, free)
+        steps = alloc.stats.backtrack_steps
+        # Scored from the bucket row: no per-pod fit, no step.
+        assert alloc._score_shape_pods(shape, [0]) == (score, 0, None)
+        assert alloc.stats.backtrack_steps == steps
+        assert _walk_shape(alloc, shape, [0]) == (score, 0)
+        _, (_full, _s, rem_leaf, _sr) = alloc._materialize_two_level(
+            shape, 0, None
+        )
+        assert alloc.state.free_nodes_on_leaf(rem_leaf) == rem_free
+
+    @staticmethod
+    def _two_perfect_pods(busy_pod):
+        alloc = make_allocator("jigsaw", TREE16)
+        inj = FaultInjector(alloc)
+        for pod in (0, 1):
+            _pod_layout(inj, pod, [5, 5, 0, 0, 0, 0, 0, 0])
+        # A fault on an uplink of an exhausted leaf makes the pod busy
+        # without changing what it can host.
+        inj.fail_leaf_link(LinkId(busy_pod * TREE16.m2 + 2, 0))
+        assert alloc.state.busy_uplink_leaf_mask(busy_pod)
+        assert not alloc.state.busy_uplink_leaf_mask(1 - busy_pod)
+        return alloc
+
+    def test_busy_pod_below_clean_perfect_pod_wins(self):
+        alloc = self._two_perfect_pods(busy_pod=0)
+        shape = TwoLevelShape(2, 5, 0)
+        score, pod, found = alloc._score_shape_pods(shape, [0, 1])
+        assert (score, pod) == ((0, 0, 0), 0) == _walk_shape(alloc, shape, [0, 1])
+        # The per-pod fit's own solution is carried to the winner.
+        assert found is not None and found[0] == [0, 1]
+
+    def test_busy_pod_after_first_perfect_fit_is_not_fitted(self):
+        alloc = self._two_perfect_pods(busy_pod=1)
+        shape = TwoLevelShape(2, 5, 0)
+        steps = alloc.stats.backtrack_steps
+        assert alloc._score_shape_pods(shape, [0, 1]) == ((0, 0, 0), 0, None)
+        assert alloc.stats.backtrack_steps == steps
+
+    def test_shape_no_offered_pod_can_host(self):
+        alloc = make_allocator("jigsaw", TREE16)
+        inj = FaultInjector(alloc)
+        shape = TwoLevelShape(2, 6, 2)
+        for pod in (0, 1):
+            _pod_layout(inj, pod, [7, 7, 1, 0, 0, 0, 0, 0])
+        inj.fail_leaf_link(LinkId(TREE16.m2 + 3, 0))  # pod 1 is busy
+        # Both pass the prefilter (15 free nodes, two leaves with >= 6)
+        # but neither has a third leaf with >= 2 free nodes.
+        assert {0, 1} <= set(alloc._two_level_pods(shape.size, shape))
+        assert alloc._score_shape_pods(shape, [0, 1]) is None
+        assert _walk_shape(alloc, shape, [0, 1]) is None

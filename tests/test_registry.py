@@ -36,3 +36,17 @@ def test_kwargs_forwarded():
     a = make_allocator("jigsaw", tree, order="sparse", strategy="first")
     assert a.order == "sparse"
     assert a.strategy == "first"
+
+
+@pytest.mark.parametrize("scheme", ["jigsaw", "laas", "lc+s", "lc"])
+@pytest.mark.parametrize("order", ["Sparse", "DENSE", "random", None])
+def test_unknown_order_rejected(scheme, order):
+    # Every value but "sparse" used to run the dense enumeration silently.
+    with pytest.raises(ValueError, match="'dense' or 'sparse'"):
+        make_allocator(scheme, FatTree.from_radix(8), order=order)
+
+
+@pytest.mark.parametrize("scheme", ["jigsaw", "laas", "lc+s", "lc"])
+@pytest.mark.parametrize("order", ["dense", "sparse"])
+def test_known_orders_accepted(scheme, order):
+    assert make_allocator(scheme, FatTree.from_radix(8), order=order).order == order
