@@ -152,17 +152,9 @@ def fragmentation_snapshot(
     )
     prefiltered, cut_skips = stats.queue_prefiltered, stats.size_cut_skips
     free = state.free_nodes_total
-    fully_free = int(state.full_free_leaves.sum())
+    fully_free = sum(state.full_free_leaves)
     shard = free - fully_free * tree.m1
-    pod_free = tuple(
-        sorted(
-            (
-                int(state.free_per_leaf[p * tree.m2 : (p + 1) * tree.m2].sum())
-                for p in range(tree.num_pods)
-            ),
-            reverse=True,
-        )
-    )
+    pod_free = tuple(sorted(state.pod_free, reverse=True))
 
     placeable: Dict[int, bool] = {}
     largest = 0

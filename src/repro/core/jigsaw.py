@@ -239,10 +239,10 @@ class JigsawAllocator(Allocator):
         """
         state = self.state
         m1 = self.tree.m1
-        two_ok = effs <= int(state.pod_free.max())
+        two_ok = effs <= max(state.pod_free)
         full = effs // m1
         rem = effs - full * m1
-        three_ok = full <= int(state.full_free_leaves.sum())
+        three_ok = full <= sum(state.full_free_leaves)
         has_rem = rem > 0
         if np.any(has_rem & three_ok):
             free_sorted = np.sort(state.free_per_leaf)
@@ -378,16 +378,14 @@ class JigsawAllocator(Allocator):
     def _two_level_pods(self, alloc_size: int, shape: TwoLevelShape) -> List[int]:
         """Pods worth searching for ``shape``, in ascending pod order.
 
-        One vectorized pass over the occupancy counters: ``pod_free >=
-        size`` and ``LT`` leaves with ``>= nL`` free nodes.  Both are
-        exactly the *tick-free* rejections :meth:`_find_two_level_in_pod`
-        (and, for single-leaf shapes, its best-fit leaf pick) would
-        perform — skipping those pods costs no budget and changes no
-        decision.
+        One plain-int walk over the per-pod occupancy counters
+        (:meth:`ClusterState.feasible_pods`): ``pod_free >= size`` and
+        ``LT`` leaves with ``>= nL`` free nodes.  Both are exactly the
+        *tick-free* rejections :meth:`_find_two_level_in_pod` (and, for
+        single-leaf shapes, its best-fit leaf pick) would perform —
+        skipping those pods costs no budget and changes no decision.
         """
-        pods = self.state.feasible_pods(
-            alloc_size, shape.nL, shape.LT
-        ).tolist()
+        pods = self.state.feasible_pods(alloc_size, shape.nL, shape.LT)
         self.stats.pods_pruned += self.tree.num_pods - len(pods)
         return pods
 
@@ -427,7 +425,7 @@ class JigsawAllocator(Allocator):
         mutation of that state (claim/release/release_many, including
         the fault injector's) bumps the epoch — so an unchanged token
         proves the sub-search would replay identically."""
-        return int(self.state.pod_epoch[pod])
+        return self.state.pod_epoch[pod]
 
     def _xpass_memo_lookup(self, key: tuple) -> Optional[int]:
         """Step cost of a valid negative memo entry, or ``None``.
@@ -586,7 +584,7 @@ class JigsawAllocator(Allocator):
         # nodes AND fully free uplinks.  Counting merely fully-free
         # leaves here let the search pick a leaf whose uplink was held
         # by a fault, and the subsequent claim blew up mid-allocation.
-        prefiltered = state.feasible_pods(0, min_full_leaves=shape.LT).tolist()
+        prefiltered = state.feasible_pods(0, min_full_leaves=shape.LT)
         self.stats.pods_pruned += tree.num_pods - len(prefiltered)
         candidates = [
             p for p in prefiltered if state.usable_full_leaves(p) >= shape.LT
@@ -651,7 +649,7 @@ class JigsawAllocator(Allocator):
             shape.nrL,
             1 if shape.nrL else 0,
             min_full_leaves=shape.LrT,
-        ).tolist()
+        )
         self.stats.pods_pruned += tree.num_pods - len(rps)
         for rp in rps:
             if rp in taken:

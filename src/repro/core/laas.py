@@ -77,9 +77,9 @@ class LaaSAllocator(JigsawAllocator):
         """
         state = self.state
         m1 = self.tree.m1
-        two_ok = effs <= int(state.pod_free.max())
+        two_ok = effs <= max(state.pod_free)
         rounded = ((effs + m1 - 1) // m1) * m1
-        three_ok = rounded // m1 <= int(state.full_free_leaves.sum())
+        three_ok = rounded // m1 <= sum(state.full_free_leaves)
         return ~(two_ok | three_ok)
 
     # The two-level search is inherited from Jigsaw unchanged.

@@ -179,11 +179,8 @@ class LeastConstrainedAllocator(JigsawAllocator):
         # LC+S feasibility additionally reads bandwidth headroom, which
         # lives in LinkCapacityState — couple both epochs.
         if self.share_links:
-            return (
-                int(self.state.pod_epoch[pod]),
-                int(self.links.pod_epoch[pod]),
-            )
-        return int(self.state.pod_epoch[pod])
+            return (self.state.pod_epoch[pod], self.links.pod_epoch[pod])
+        return self.state.pod_epoch[pod]
 
     def _trace_attrs(self, size):
         attrs = super()._trace_attrs(size)
@@ -351,12 +348,10 @@ class LeastConstrainedAllocator(JigsawAllocator):
     def _find_three_level(self, shape: ThreeLevelShape):
         tree = self.tree
         n_i = tree.l2_per_pod
-        # Vectorized replica of _find_all_in_pod's tick-free rejections
-        # (pod_free and candidate-count): pruned pods would have
-        # returned [] without spending budget.
-        scan = self.state.feasible_pods(
-            shape.LT * shape.nL, shape.nL, shape.LT
-        ).tolist()
+        # Replica of _find_all_in_pod's tick-free rejections (pod_free
+        # and candidate-count): pruned pods would have returned []
+        # without spending budget.
+        scan = self.state.feasible_pods(shape.LT * shape.nL, shape.nL, shape.LT)
         self.stats.pods_pruned += tree.num_pods - len(scan)
         sols: Dict[int, List[_PodSolution]] = {}
         for pod in scan:
@@ -427,9 +422,9 @@ class LeastConstrainedAllocator(JigsawAllocator):
         if shape.LrT:
             rps = self.state.feasible_pods(
                 shape.LrT * shape.nL + shape.nrL, shape.nL, shape.LrT
-            ).tolist()
+            )
         else:
-            rps = self.state.feasible_pods(shape.nrL, shape.nrL, 1).tolist()
+            rps = self.state.feasible_pods(shape.nrL, shape.nrL, 1)
         self.stats.pods_pruned += tree.num_pods - len(rps)
         for rp in rps:
             if rp in taken:

@@ -93,14 +93,14 @@ def simulator_row(boundary: float, allocator, pending: int,
     """One sampler row from live simulator state.
 
     Structural fragmentation comes straight from the occupancy indexes
-    (O(leaves) numpy sums, no placement probes) — the same quantities
+    (an O(pods) sum, no placement probes) — the same quantities
     :func:`repro.core.diagnostics.fragmentation_snapshot` reports in its
     probe-free form.
     """
     tree = allocator.tree
     state = allocator.state
     free = state.free_nodes_total
-    fully_free = int(state.full_free_leaves.sum())
+    fully_free = sum(state.full_free_leaves)
     allocated = tree.num_nodes - free
     return {
         "t": boundary,

@@ -26,7 +26,7 @@ a capacity cap rather than exclusively owned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -90,6 +90,36 @@ def lowest_bits(mask: int, k: int) -> int:
     return out
 
 
+def _check_link_ids(
+    tree: XGFT,
+    leaf_links: Sequence[LinkId],
+    spine_links: Sequence[SpineLinkId],
+) -> None:
+    """Raise :class:`AllocationError` naming the first link with an id
+    component outside ``tree``.
+
+    Claims index their masks and bandwidth rows by these components, so
+    a negative one would silently *wrap* to another cable and a
+    past-the-end one would fail with a raw ``IndexError`` or a
+    misleading "not free".
+    """
+    num_leaves, num_pods = tree.num_leaves, tree.num_pods
+    l2, spines = tree.l2_per_pod, tree.spines_per_group
+    for leaf, i in leaf_links:
+        if not (0 <= leaf < num_leaves and 0 <= i < l2):
+            raise AllocationError(
+                f"leaf link ({leaf}, {i}) is outside the cluster: leaf in "
+                f"[0, {num_leaves}), L2 index in [0, {l2})"
+            )
+    for pod, i, j in spine_links:
+        if not (0 <= pod < num_pods and 0 <= i < l2 and 0 <= j < spines):
+            raise AllocationError(
+                f"spine link ({pod}, {i}, {j}) is outside the cluster: pod "
+                f"in [0, {num_pods}), L2 index in [0, {l2}), spine index "
+                f"in [0, {spines})"
+            )
+
+
 class ClusterState:
     """Mutable node/link ownership state for one fat-tree.
 
@@ -101,17 +131,18 @@ class ClusterState:
 
     Notes
     -----
-    All mutation goes through :meth:`claim` and :meth:`release`, which
-    validate the isolation invariant and keep the derived per-leaf /
-    per-pod summaries consistent.  Allocators only *read* the summaries.
+    All mutation goes through :meth:`claim`, :meth:`release` and
+    :meth:`release_many`, which validate the isolation invariant and
+    keep the derived per-leaf / per-pod summaries consistent.
+    Allocators only *read* the summaries.
 
     Beyond the plain per-leaf/per-pod counters, the state maintains an
     **incremental occupancy index** so allocator searches never recompute
     feasibility summaries from scratch:
 
-    * ``_leaf_ge[k, pod]`` — leaves of ``pod`` with at least ``k`` free
-      nodes (``k`` in ``0..m1``), the monotone counter behind the
-      vectorized pod prefilters (:meth:`feasible_pods`);
+    * ``_leaf_ge[k][pod]`` — leaves of ``pod`` with at least ``k`` free
+      nodes (``k`` in ``0..m1``), the monotone counter behind the pod
+      prefilter (:meth:`feasible_pods`);
     * ``_leaf_buckets[pod][f]`` — bitmask of leaf *offsets* (bit ``j`` =
       ``j``-th leaf of the pod) holding exactly ``f`` free nodes; the
       ``f = m1`` bucket is the fully-free-leaf bitmask, and walking the
@@ -119,9 +150,17 @@ class ClusterState:
       (:meth:`leaf_candidates`) without a per-call sort, and the
       two-level scorer reads a pod's whole row (:meth:`leaf_bucket_row`).
 
-    Every index is updated in O(touched leaves) inside claim/release and
-    is purely derived data: rebuilding it from ``node_owner`` must give
-    the same values (:meth:`audit` checks exactly that).
+    The per-pod counters, the per-node owners and the per-leaf uplink
+    counts are plain lists of ints: every reader touches one element or
+    walks at most a few dozen pods, where numpy's fixed per-call cost
+    outweighs the work.  Only ``free_per_leaf`` stays a numpy array,
+    because the tier screens, Baseline's best-fit sort and
+    ``batch_screen`` read it whole.
+
+    Every index is updated once per touched leaf inside each mutation
+    (:meth:`_shift_leaves`) and is purely derived data: rebuilding it
+    from ``node_owner`` must give the same values (:meth:`audit` checks
+    exactly that).
     """
 
     def __init__(self, tree: XGFT):
@@ -132,8 +171,8 @@ class ClusterState:
         self._full_pod_leaf_mask = (1 << m2) - 1
 
         #: owner job id per node, -1 = free
-        self.node_owner = np.full(tree.num_nodes, -1, dtype=np.int64)
-        #: free-node count per leaf
+        self.node_owner: List[int] = [-1] * tree.num_nodes
+        #: free-node count per leaf (numpy: readers scan it whole)
         self.free_per_leaf = np.full(tree.num_leaves, m1, dtype=np.int32)
         # Read-only alias handed out by free_leaf_counts_in_pod: slices
         # of a non-writeable view are non-writeable themselves, so
@@ -147,13 +186,12 @@ class ClusterState:
             [self._full_spine_mask] * tree.l2_per_pod for _ in range(m3)
         ]
         #: number of completely-free leaves per pod
-        self.full_free_leaves = np.full(m3, m2, dtype=np.int32)
-        #: total free nodes per pod (numpy so the allocators' pod
-        #: prefilter is a single vectorized comparison)
-        self.pod_free = np.full(m3, tree.nodes_per_pod, dtype=np.int64)
+        self.full_free_leaves: List[int] = [m2] * m3
+        #: total free nodes per pod
+        self.pod_free: List[int] = [tree.nodes_per_pod] * m3
         #: leaves with >= k free nodes, per pod: row k is the per-pod
-        #: vector compared against a shape's leaf demand
-        self._leaf_ge = np.full((m1 + 1, m3), m2, dtype=np.int32)
+        #: list compared against a shape's leaf demand
+        self._leaf_ge: List[List[int]] = [[m2] * m3 for _ in range(m1 + 1)]
         #: per-pod bitmask buckets of leaf offsets by exact free count;
         #: bucket m1 is the fully-free-leaf mask
         self._leaf_buckets: List[List[int]] = [
@@ -163,7 +201,7 @@ class ClusterState:
         self.free_nodes_total = tree.num_nodes
         #: count of claimed uplinks per leaf (0 = every cable to the
         #: pod's L2 switches is free); drives the usable-leaf index
-        self._leaf_busy_up = np.zeros(tree.num_leaves, dtype=np.int32)
+        self._leaf_busy_up: List[int] = [0] * tree.num_leaves
         #: per-pod bitmask of leaf offsets with >= 1 claimed uplink;
         #: a fully-free leaf on this mask cannot host a full-bandwidth
         #: (all-uplinks) placement
@@ -171,7 +209,7 @@ class ClusterState:
         #: per-pod mutation epoch: bumped whenever any resource of the
         #: pod (node, leaf uplink, spine link) changes hands.  Lets
         #: allocators validate cross-call memo entries in O(1).
-        self.pod_epoch = np.zeros(m3, dtype=np.int64)
+        self.pod_epoch: List[int] = [0] * m3
         self._claims: Dict[int, ClaimRecord] = {}
 
     # ------------------------------------------------------------------
@@ -195,13 +233,13 @@ class ClusterState:
         if k == 0:
             return ()
         base = leaf * self.tree.m1
-        owners = self.node_owner[base : base + self.tree.m1]
-        free = np.flatnonzero(owners == -1)
+        owners = self.node_owner
+        free = [n for n in range(base, base + self.tree.m1) if owners[n] == -1]
         if len(free) < k:
             raise AllocationError(
                 f"leaf {leaf} has {len(free)} free nodes, requested {k}"
             )
-        return tuple(int(base + i) for i in free[:k])
+        return tuple(free[:k])
 
     def free_leaf_counts_in_pod(self, pod: int) -> np.ndarray:
         """Read-only view of per-leaf free-node counts for ``pod``.
@@ -214,7 +252,7 @@ class ClusterState:
         return self._free_per_leaf_ro[lo : lo + self.tree.m2]
 
     # ------------------------------------------------------------------
-    # Incremental occupancy index: O(1)/vectorized read side
+    # Incremental occupancy index: O(1)/O(pods) read side
     # ------------------------------------------------------------------
     def leaves_with_at_least(self, pod: int, k: int) -> int:
         """Number of leaves of ``pod`` holding at least ``k`` free nodes.
@@ -222,7 +260,7 @@ class ClusterState:
         O(1): answered from the maintained bucket counters, never by
         rescanning the leaves.  ``k`` must be in ``0..m1``.
         """
-        return int(self._leaf_ge[k, pod])
+        return self._leaf_ge[k][pod]
 
     def fully_free_leaf_mask(self, pod: int) -> int:
         """Bitmask of completely-free leaf offsets of ``pod`` (bit ``j``
@@ -306,23 +344,29 @@ class ClusterState:
         min_leaf_free: int = 0,
         min_leaves: int = 0,
         min_full_leaves: int = 0,
-    ) -> np.ndarray:
-        """Indices of pods passing the vectorized occupancy prechecks:
+    ) -> List[int]:
+        """Ascending ids of the pods passing the occupancy prechecks:
         at least ``min_free`` free nodes, at least ``min_leaves`` leaves
         with ``min_leaf_free`` free nodes each, and at least
         ``min_full_leaves`` completely-free leaves.
 
         These are exactly the searches' tick-free rejection conditions,
-        evaluated for every pod in one numpy pass; the counters are
-        monotone in the requirement, so a pod excluded here is excluded
-        for every stronger requirement as well.
+        read off the maintained per-pod counters in one walk over the
+        pods (a zero requirement always holds: counts are never
+        negative); the counters are monotone in the requirement, so a
+        pod excluded here is excluded for every stronger requirement as
+        well.  ``min_leaf_free`` must be in ``0..m1``.
         """
-        mask = self.pod_free >= min_free
-        if min_leaves:
-            mask &= self._leaf_ge[min_leaf_free] >= min_leaves
-        if min_full_leaves:
-            mask &= self.full_free_leaves >= min_full_leaves
-        return np.flatnonzero(mask)
+        pod_free = self.pod_free
+        leaf_ge = self._leaf_ge[min_leaf_free]
+        full = self.full_free_leaves
+        return [
+            p
+            for p in range(len(pod_free))
+            if pod_free[p] >= min_free
+            and leaf_ge[p] >= min_leaves
+            and full[p] >= min_full_leaves
+        ]
 
     def claim_record(self, job_id: int) -> ClaimRecord:
         return self._claims[job_id]
@@ -343,7 +387,9 @@ class ClusterState:
         """Exclusively assign nodes and links to ``job_id``.
 
         Raises :class:`AllocationError` (leaving state untouched) if the
-        job id is already resident or any resource is not free.
+        job id is already resident, any node or link id lies outside the
+        cluster, or any resource is not free.  Nodes may come in any
+        order.
         """
         if job_id in self._claims:
             raise AllocationError(f"job {job_id} already holds an allocation")
@@ -354,46 +400,38 @@ class ClusterState:
         # Validate before mutating so failures cannot corrupt state.
         if len(set(nodes)) != len(nodes):
             raise AllocationError("duplicate nodes in claim")
+        m1 = self.tree.m1
         num_nodes = self.tree.num_nodes
+        node_owner = self.node_owner
+        deltas: Dict[int, int] = {}
         for n in nodes:
-            # Bounds first: numpy would raise a raw IndexError for
+            # Bounds first: indexing would raise a raw IndexError for
             # n >= num_nodes and silently *wrap* negative ids.
             if not 0 <= n < num_nodes:
                 raise AllocationError(
                     f"node {n} is outside the cluster [0, {num_nodes})"
                 )
-            if self.node_owner[n] != -1:
+            if node_owner[n] != -1:
                 raise AllocationError(f"node {n} is not free")
+            leaf = n // m1
+            deltas[leaf] = deltas.get(leaf, 0) - 1
         if len(set(leaf_links)) != len(leaf_links):
             raise AllocationError("duplicate leaf links in claim")
+        if len(set(spine_links)) != len(spine_links):
+            raise AllocationError("duplicate spine links in claim")
+        _check_link_ids(self.tree, leaf_links, spine_links)
         for leaf, i in leaf_links:
             if not self.leaf_up_mask[leaf] & (1 << i):
                 raise AllocationError(f"leaf link ({leaf}, {i}) is not free")
-        if len(set(spine_links)) != len(spine_links):
-            raise AllocationError("duplicate spine links in claim")
         for pod, i, j in spine_links:
             if not self.spine_free_mask[pod][i] & (1 << j):
                 raise AllocationError(f"spine link ({pod}, {i}, {j}) is not free")
 
-        m1, m2 = self.tree.m1, self.tree.m2
-        touched_pods = set()
         for n in nodes:
-            self.node_owner[n] = job_id
-            leaf = n // m1
-            pod = leaf // m2
-            touched_pods.add(pod)
-            f = int(self.free_per_leaf[leaf])
-            if f == m1:
-                self.full_free_leaves[pod] -= 1
-            self.free_per_leaf[leaf] = f - 1
-            self.pod_free[pod] -= 1
-            # Incremental index: the leaf drops from bucket f to f-1 and
-            # no longer counts toward "leaves with >= f free".
-            bit = 1 << (leaf - pod * m2)
-            buckets = self._leaf_buckets[pod]
-            buckets[f] &= ~bit
-            buckets[f - 1] |= bit
-            self._leaf_ge[f, pod] -= 1
+            node_owner[n] = job_id
+        touched_pods: Set[int] = set()
+        self._shift_leaves(deltas, touched_pods)
+        m2 = self.tree.m2
         for leaf, i in leaf_links:
             self.leaf_up_mask[leaf] &= ~(1 << i)
             pod = leaf // m2
@@ -415,50 +453,18 @@ class ClusterState:
             rec = self._claims.pop(job_id)
         except KeyError:
             raise AllocationError(f"job {job_id} holds no allocation") from None
-        m1, m2 = self.tree.m1, self.tree.m2
-        touched_pods = set()
-        for n in rec.nodes:
-            self.node_owner[n] = -1
-            leaf = n // m1
-            pod = leaf // m2
-            touched_pods.add(pod)
-            f = int(self.free_per_leaf[leaf])
-            self.free_per_leaf[leaf] = f + 1
-            self.pod_free[pod] += 1
-            if f + 1 == m1:
-                self.full_free_leaves[pod] += 1
-            # Incremental index: the leaf climbs from bucket f to f+1.
-            bit = 1 << (leaf - pod * m2)
-            buckets = self._leaf_buckets[pod]
-            buckets[f] &= ~bit
-            buckets[f + 1] |= bit
-            self._leaf_ge[f + 1, pod] += 1
-        for leaf, i in rec.leaf_links:
-            self.leaf_up_mask[leaf] |= 1 << i
-            pod = leaf // m2
-            touched_pods.add(pod)
-            self._leaf_busy_up[leaf] -= 1
-            if self._leaf_busy_up[leaf] == 0:
-                self._busy_leaf_mask[pod] &= ~(1 << (leaf - pod * m2))
-        for pod, i, j in rec.spine_links:
-            self.spine_free_mask[pod][i] |= 1 << j
-            touched_pods.add(pod)
-        for pod in touched_pods:
-            self.pod_epoch[pod] += 1
-        self.free_nodes_total += len(rec.nodes)
+        self._free_records((rec,))
         return rec
 
     def release_many(self, job_ids: Sequence[int]) -> List[ClaimRecord]:
         """Release several jobs' resources in one occupancy-index update.
 
         Equivalent to calling :meth:`release` once per id (any order —
-        releases commute), but the derived indexes are updated once per
-        *touched leaf* instead of once per node: each leaf's free count
-        jumps from ``f`` to ``f + delta`` directly, moving one bucket
-        bit and incrementing the ``_leaf_ge`` rows ``f+1 .. f+delta`` —
-        exactly the composition of the per-node steps.  Validates every
-        id before mutating anything, so a bad id leaves state untouched.
-        Returns the claim records in argument order.
+        releases commute): the nodes of every record are counted per
+        leaf first, so a leaf freed by several of the jobs still moves
+        through the indexes once.  Validates every id before mutating
+        anything, so a bad id leaves state untouched.  Returns the claim
+        records in argument order.
         """
         ids = list(job_ids)
         if len(set(ids)) != len(ids):
@@ -469,32 +475,24 @@ class ClusterState:
                     f"job {job_id} holds no allocation"
                 )
         recs = [self._claims.pop(job_id) for job_id in ids]
+        self._free_records(recs)
+        return recs
+
+    def _free_records(self, recs: Sequence[ClaimRecord]) -> None:
+        """Return the nodes and links of claim records already taken off
+        ``_claims`` to the free pool, with one index update per touched
+        leaf and one epoch bump per touched pod across all of them."""
         m1, m2 = self.tree.m1, self.tree.m2
-        touched_pods = set()
-        all_nodes = [n for rec in recs for n in rec.nodes]
-        if all_nodes:
-            nodes_arr = np.array(all_nodes, np.int64)
-            self.node_owner[nodes_arr] = -1
-            counts = np.bincount(
-                nodes_arr // m1, minlength=self.tree.num_leaves
-            )
-            for leaf in np.flatnonzero(counts).tolist():
-                delta = int(counts[leaf])
-                pod = leaf // m2
-                touched_pods.add(pod)
-                f = int(self.free_per_leaf[leaf])
-                nf = f + delta
-                self.free_per_leaf[leaf] = nf
-                self.pod_free[pod] += delta
-                if nf == m1:
-                    self.full_free_leaves[pod] += 1
-                bit = 1 << (leaf - pod * m2)
-                buckets = self._leaf_buckets[pod]
-                buckets[f] &= ~bit
-                buckets[nf] |= bit
-                self._leaf_ge[f + 1 : nf + 1, pod] += 1
-            self.free_nodes_total += len(all_nodes)
+        node_owner = self.node_owner
+        deltas: Dict[int, int] = {}
+        touched_pods: Set[int] = set()
+        freed = 0
         for rec in recs:
+            for n in rec.nodes:
+                node_owner[n] = -1
+                leaf = n // m1
+                deltas[leaf] = deltas.get(leaf, 0) + 1
+            freed += len(rec.nodes)
             for leaf, i in rec.leaf_links:
                 self.leaf_up_mask[leaf] |= 1 << i
                 pod = leaf // m2
@@ -505,9 +503,50 @@ class ClusterState:
             for pod, i, j in rec.spine_links:
                 self.spine_free_mask[pod][i] |= 1 << j
                 touched_pods.add(pod)
+        self._shift_leaves(deltas, touched_pods)
         for pod in touched_pods:
             self.pod_epoch[pod] += 1
-        return recs
+        self.free_nodes_total += freed
+
+    def _shift_leaves(self, deltas: Dict[int, int], touched_pods: Set[int]) -> None:
+        """Move every leaf of ``deltas`` from ``f`` to ``f + delta`` free
+        nodes in one step, and add its pod to ``touched_pods``.
+
+        The one per-leaf index update behind :meth:`claim` (negative
+        deltas) and :meth:`release` / :meth:`release_many` (positive):
+        the leaf's bit moves from bucket ``f`` to bucket ``f + delta``,
+        the ``|delta|`` ``_leaf_ge`` rows strictly above the lower count
+        and up to the higher one change by one, and ``pod_free`` and
+        ``full_free_leaves`` follow — exactly the composition of
+        ``|delta|`` single-node steps, so the order in which a
+        mutation's nodes arrive does not matter.
+        """
+        m1, m2 = self.tree.m1, self.tree.m2
+        free_per_leaf = self.free_per_leaf
+        pod_free = self.pod_free
+        full_free = self.full_free_leaves
+        leaf_ge = self._leaf_ge
+        for leaf, delta in deltas.items():
+            pod = leaf // m2
+            touched_pods.add(pod)
+            f = int(free_per_leaf[leaf])
+            nf = f + delta
+            free_per_leaf[leaf] = nf
+            pod_free[pod] += delta
+            if f == m1:
+                full_free[pod] -= 1
+            elif nf == m1:
+                full_free[pod] += 1
+            bit = 1 << (leaf - pod * m2)
+            buckets = self._leaf_buckets[pod]
+            buckets[f] &= ~bit
+            buckets[nf] |= bit
+            if delta > 0:
+                for k in range(f + 1, nf + 1):
+                    leaf_ge[k][pod] += 1
+            else:
+                for k in range(nf + 1, f + 1):
+                    leaf_ge[k][pod] -= 1
 
     # ------------------------------------------------------------------
     # Consistency audit (used by tests and failure injection)
@@ -519,11 +558,11 @@ class ClusterState:
         is the isolation invariant made executable.
         """
         tree = self.tree
-        if int((self.node_owner == -1).sum()) != self.free_nodes_total:
+        if self.node_owner.count(-1) != self.free_nodes_total:
             raise AllocationError("free_nodes_total out of sync")
         for leaf in range(tree.num_leaves):
             base = leaf * tree.m1
-            free = int((self.node_owner[base : base + tree.m1] == -1).sum())
+            free = self.node_owner[base : base + tree.m1].count(-1)
             if free != self.free_per_leaf[leaf]:
                 raise AllocationError(f"free_per_leaf[{leaf}] out of sync")
         for pod in range(tree.num_pods):
@@ -537,8 +576,8 @@ class ClusterState:
                 raise AllocationError(f"pod_free[{pod}] out of sync")
             counts = self.free_per_leaf[lo : lo + tree.m2]
             for k in range(tree.m1 + 1):
-                if int((counts >= k).sum()) != self._leaf_ge[k, pod]:
-                    raise AllocationError(f"_leaf_ge[{k}, {pod}] out of sync")
+                if int((counts >= k).sum()) != self._leaf_ge[k][pod]:
+                    raise AllocationError(f"_leaf_ge[{k}][{pod}] out of sync")
             for f in range(tree.m1 + 1):
                 want = mask_of(j for j in range(tree.m2) if counts[j] == f)
                 if want != self._leaf_buckets[pod][f]:
@@ -605,7 +644,7 @@ class LinkCapacityState:
         #: per-pod bandwidth-mutation epoch, bumped on every claim or
         #: release touching any link of the pod — the LC-family analogue
         #: of :attr:`ClusterState.pod_epoch` for memo invalidation
-        self.pod_epoch = np.zeros(t.num_pods, dtype=np.int64)
+        self.pod_epoch: List[int] = [0] * t.num_pods
         self._pow2_leaf = 1 << np.arange(t.l2_per_pod, dtype=np.int64)
         self._pow2_spine = 1 << np.arange(t.spines_per_group, dtype=np.int64)
         self._claims: Dict[int, Tuple[Tuple[LinkId, ...], Tuple[SpineLinkId, ...], float]] = {}
@@ -661,9 +700,15 @@ class LinkCapacityState:
         spine_links: Sequence[SpineLinkId],
         need: float,
     ) -> None:
-        """Add ``need`` GB/s of usage on every given link for ``job_id``."""
+        """Add ``need`` GB/s of usage on every given link for ``job_id``.
+
+        Raises :class:`AllocationError` (leaving state untouched) if the
+        job id already holds bandwidth, any link id lies outside the
+        cluster, or any link lacks the headroom.
+        """
         if job_id in self._claims:
             raise AllocationError(f"job {job_id} already holds bandwidth")
+        _check_link_ids(self.tree, leaf_links, spine_links)
         cap = self.capacity
         for leaf, i in leaf_links:
             if self.leaf_bw[leaf][i] + need > cap + 1e-9:

@@ -209,15 +209,16 @@ def _random_claims(state, tree, rng, max_jobs=12):
 
 
 def _index_snapshot(state):
+    """A copy of every occupancy index (later mutations cannot reach it)."""
     return (
-        state.node_owner.tolist(),
+        list(state.node_owner),
         state.free_per_leaf.tolist(),
-        state.pod_free.tolist(),
-        state.full_free_leaves.tolist(),
-        state._leaf_ge.tolist(),
-        state._leaf_buckets,
-        state.leaf_up_mask,
-        state.spine_free_mask,
+        list(state.pod_free),
+        list(state.full_free_leaves),
+        [list(row) for row in state._leaf_ge],
+        [list(row) for row in state._leaf_buckets],
+        list(state.leaf_up_mask),
+        [list(row) for row in state.spine_free_mask],
         state.free_nodes_total,
         sorted(state._claims),
     )

@@ -8,6 +8,7 @@ from repro.core.conditions import check_allocation
 from repro.core.registry import make_allocator
 from repro.topology.fattree import FatTree, LinkId, SpineLinkId
 from repro.topology.faults import FaultInjector
+from repro.topology.state import AllocationError
 
 
 @pytest.fixture
@@ -168,6 +169,36 @@ class TestInjectorBugfixes:
         assert allocator.links.leaf_mask(0, 0.5) & 1
         assert allocator.state.is_idle()
         allocator.state.audit()
+
+
+class TestOutOfRangeTargets:
+    """A target outside the cluster is rejected before anything is
+    claimed.  Each of these used to be accepted silently, taking the
+    last leaf's or the last pod's cable while the ticket named -1."""
+
+    @pytest.mark.parametrize("scheme", ["jigsaw", "lc+s"])
+    @pytest.mark.parametrize(
+        "kind,target",
+        [("leaf-link", (-1, 0)), ("spine-link", (-1, 0, 0)), ("spine", (-1, 0))],
+        ids=["leaf-link", "spine-link", "spine"],
+    )
+    def test_negative_target_rejected(self, tree, scheme, kind, target):
+        allocator = make_allocator(scheme, tree)
+        injector = FaultInjector(allocator)
+        with pytest.raises(AllocationError, match="outside the cluster"):
+            injector.inject(kind, target)
+        assert injector.active_faults == []
+        state = allocator.state
+        assert state.is_idle()
+        assert state.leaf_up_mask == [(1 << tree.l2_per_pod) - 1] * tree.num_leaves
+        assert state.spine_free_mask == [
+            [(1 << tree.spines_per_group) - 1] * tree.l2_per_pod
+        ] * tree.num_pods
+        assert state.pod_epoch == [0] * tree.num_pods
+        if scheme == "lc+s":
+            assert not allocator.links.leaf_bw.any()
+            assert not allocator.links.spine_bw.any()
+        state.audit()
 
 
 class TestDegradedOperation:

@@ -132,6 +132,93 @@ class TestClaimRelease:
         assert state.claim_record(5).nodes == (0,)
 
 
+def _ownership_snapshot(state):
+    return (
+        list(state.node_owner),
+        list(state.leaf_up_mask),
+        [list(row) for row in state.spine_free_mask],
+        list(state._leaf_busy_up),
+        list(state.pod_epoch),
+        state.free_nodes_total,
+        state.resident_jobs(),
+    )
+
+
+# Radix 8: 32 leaves, 8 pods, 4 L2 switches per pod, 4 spines per group.
+# A negative component used to wrap to the last leaf's, pod's or
+# switch's cable; a past-the-end one raised a raw IndexError or
+# reported a misleading "not free".
+BAD_LEAF_LINKS = {
+    "leaf=-1": LinkId(-1, 0),
+    "leaf=32": LinkId(32, 0),
+    "l2=-1": LinkId(0, -1),
+    "l2=4": LinkId(0, 4),
+}
+BAD_SPINE_LINKS = {
+    "pod=-1": SpineLinkId(-1, 0, 0),
+    "pod=8": SpineLinkId(8, 0, 0),
+    "l2=-1": SpineLinkId(0, -1, 0),
+    "l2=4": SpineLinkId(0, 4, 0),
+    "spine=-1": SpineLinkId(0, 0, -1),
+    "spine=4": SpineLinkId(0, 0, 4),
+}
+
+
+class TestLinkIdBounds:
+    @pytest.mark.parametrize(
+        "link", BAD_LEAF_LINKS.values(), ids=BAD_LEAF_LINKS.keys()
+    )
+    def test_leaf_link_out_of_range(self, state, link):
+        state.claim(1, nodes=[5], leaf_links=[LinkId(1, 0)])
+        before = _ownership_snapshot(state)
+        with pytest.raises(AllocationError, match="outside the cluster"):
+            state.claim(2, nodes=[0], leaf_links=[LinkId(0, 1), link])
+        assert _ownership_snapshot(state) == before
+        state.audit()
+
+    @pytest.mark.parametrize(
+        "link", BAD_SPINE_LINKS.values(), ids=BAD_SPINE_LINKS.keys()
+    )
+    def test_spine_link_out_of_range(self, state, link):
+        state.claim(1, nodes=[5], spine_links=[SpineLinkId(7, 3, 3)])
+        before = _ownership_snapshot(state)
+        with pytest.raises(AllocationError, match="outside the cluster"):
+            state.claim(
+                2, nodes=[0], leaf_links=[LinkId(0, 1)],
+                spine_links=[SpineLinkId(0, 0, 0), link],
+            )
+        assert _ownership_snapshot(state) == before
+        state.audit()
+
+    def test_last_cables_still_claimable(self, state, tree):
+        state.claim(
+            1,
+            nodes=[tree.num_nodes - 1],
+            leaf_links=[LinkId(tree.num_leaves - 1, tree.l2_per_pod - 1)],
+            spine_links=[SpineLinkId(
+                tree.num_pods - 1, tree.l2_per_pod - 1,
+                tree.spines_per_group - 1,
+            )],
+        )
+        state.audit()
+
+    @pytest.mark.parametrize(
+        "leaf_links,spine_links",
+        [([LinkId(-1, 0)], []), ([], [SpineLinkId(-1, 0, 0)]),
+         ([LinkId(-1, 0)], [SpineLinkId(-1, 0, 0)]),
+         ([LinkId(0, 4)], []), ([], [SpineLinkId(0, 0, 4)])],
+        ids=["leaf", "spine", "both", "l2-past-end", "spine-past-end"],
+    )
+    def test_capacity_claim_out_of_range(self, tree, leaf_links, spine_links):
+        links = LinkCapacityState(tree)
+        with pytest.raises(AllocationError, match="outside the cluster"):
+            links.claim(1, leaf_links, spine_links, 1.0)
+        assert not links.leaf_bw.any() and not links.spine_bw.any()
+        assert links.pod_epoch == [0] * tree.num_pods
+        with pytest.raises(AllocationError):
+            links.release(1)  # nothing was recorded either
+
+
 class TestAudit:
     def test_audit_detects_corruption(self, state):
         state.claim(1, nodes=[0])
