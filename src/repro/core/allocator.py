@@ -26,8 +26,6 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.core.shapes import ThreeLevelShape, TwoLevelShape
 from repro.topology.fattree import LinkId, SpineLinkId, XGFT
 from repro.topology.state import ClusterState
@@ -114,7 +112,7 @@ class AllocatorStats:
     xpass_memo_replayed_steps: int = 0
     #: budgeted backtracking steps actually executed across all searches
     backtrack_steps: int = 0
-    #: queued candidates the vectorized pass rejected without running
+    #: queued candidates the scheduling pass rejected without running
     #: :meth:`Allocator._search` (cache, size cut, or occupancy screen)
     queue_prefiltered: int = 0
     #: subset of ``queue_prefiltered`` rejected by the monotone size cut
@@ -362,17 +360,8 @@ class Allocator(ABC):
         """
         return size
 
-    def effective_sizes(self, sizes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`effective_size` over a size column.
-
-        Must agree elementwise with the scalar method — the vector pass
-        builds its ``(effective_size, bw_need)`` key column from this.
-        Only LaaS overrides it.
-        """
-        return sizes
-
     # ------------------------------------------------------------------
-    # Vectorized-pass dispatch API (see sched/simulator.py)
+    # Scheduling-pass prefilter API (see sched/simulator.py)
     # ------------------------------------------------------------------
     def cut_class(self, eff: int) -> Hashable:
         """Partition key within which feasibility is monotone in ``eff``.
@@ -404,21 +393,21 @@ class Allocator(ABC):
         if cur is None or eff < cur:
             self._failed_floor[fkey] = eff
 
-    def batch_screen(
-        self, effs: np.ndarray, bw_needs=None
-    ) -> Optional[np.ndarray]:
-        """Vectorized *necessary-condition* infeasibility screen.
+    def batch_screen(self, effs: List[int]) -> Optional[List[bool]]:
+        """*Necessary-condition* infeasibility screen for a window.
 
-        Given a column of effective sizes (and the matching bandwidth
-        needs), return a boolean mask marking candidates that provably
-        cannot be placed against the current occupancy indexes — every
-        ``True`` must imply the scalar :meth:`_search` would fail *and*
-        that the failure is durable (claims only shrink availability, so
-        a verdict computed mid-pass stays valid for the rest of the
-        pass).  ``None`` means the scheme has no screen and every
-        candidate goes to the dispatcher's cache/cut checks only.
-        Schemes whose feasibility is not a function of the occupancy
-        indexes alone (LC+S's bandwidth masks) must return ``None``.
+        Given a list of effective sizes, return one bool per entry,
+        ``True`` for candidates that provably cannot be placed against
+        the current occupancy indexes — every ``True`` must imply
+        :meth:`_search` would fail *and* that the failure is durable
+        (claims only shrink availability, so a verdict computed
+        mid-pass stays valid for the rest of the pass).  Each scheme
+        reads its occupancy summaries once per call and compares every
+        candidate against them.  ``None`` means the scheme has no screen
+        and every candidate goes to the dispatcher's cache/cut checks
+        only.  Schemes whose feasibility is not a function of the
+        occupancy indexes alone (LC+S's bandwidth masks) must return
+        ``None``.
         """
         return None
 
@@ -429,10 +418,10 @@ class Allocator(ABC):
         bw_need: Optional[float] = None,
         reason: str = "cache",
     ) -> None:
-        """Account for a vector-pass rejection exactly like a failed
-        :meth:`allocate` call.
+        """Account for a scheduling-pass rejection exactly like a
+        failed :meth:`allocate` call.
 
-        The vectorized pass may only skip an allocate() whose failure is
+        The scheduling pass may only skip an allocate() whose failure is
         already proven (cached key, monotone size cut, occupancy
         screen).  Decision invariance requires the *counters* to stay
         identical too — ``alloc_attempts`` is fingerprinted — so every

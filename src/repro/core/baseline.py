@@ -31,9 +31,10 @@ class BaselineAllocator(Allocator):
     def _trace_attrs(self, size):
         return {"free_nodes": self.state.free_nodes_total}
 
-    def batch_screen(self, effs, bw_needs=None):
+    def batch_screen(self, effs):
         """Exact: Baseline places a job iff enough nodes are free."""
-        return effs > self.state.free_nodes_total
+        free = self.state.free_nodes_total
+        return [eff > free for eff in effs]
 
     def _search(
         self, job_id: int, size: int, bw_need: Optional[float]

@@ -58,7 +58,7 @@ class FragmentationSnapshot:
     candidate_hits: int = 0
     memo_hits: int = 0
     backtrack_steps: int = 0
-    #: vector-pass prefilter counters at snapshot time
+    #: scheduling-pass prefilter counters at snapshot time
     queue_prefiltered: int = 0
     size_cut_skips: int = 0
 

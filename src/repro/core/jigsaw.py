@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.allocator import Allocation, Allocator
 from repro.core.shapes import (
     Order,
@@ -223,7 +221,7 @@ class JigsawAllocator(Allocator):
             "budget_exhausted": self._budget_exhausted,
         }
 
-    def batch_screen(self, effs, bw_needs=None):
+    def batch_screen(self, effs):
         """Necessary-condition screen from the occupancy indexes.
 
         A two-level placement needs one pod with ``>= eff`` free nodes;
@@ -235,22 +233,31 @@ class JigsawAllocator(Allocator):
         (durably: claims only shrink these summaries), independent of
         the step budget.  Conservative in the other direction — a
         passing candidate may still fail on link availability — so
-        survivors always run the real search.
+        survivors always run the real search.  The count of leaves with
+        ``>= r`` free nodes is summed over the pods once per remainder
+        ``r`` that some candidate reaches.
         """
         state = self.state
         m1 = self.tree.m1
-        two_ok = effs <= max(state.pod_free)
-        full = effs // m1
-        rem = effs - full * m1
-        three_ok = full <= sum(state.full_free_leaves)
-        has_rem = rem > 0
-        if np.any(has_rem & three_ok):
-            free_sorted = np.sort(state.free_per_leaf)
-            count_ge = free_sorted.size - np.searchsorted(
-                free_sorted, rem, side="left"
-            )
-            three_ok &= ~has_rem | (count_ge >= full + 1)
-        return ~(two_ok | three_ok)
+        pods = range(self.tree.m3)
+        pod_max = max(state.pod_free)
+        full_total = sum(state.full_free_leaves)
+        leaves_ge: Dict[int, int] = {}
+        out = []
+        for eff in effs:
+            if eff <= pod_max:
+                out.append(False)
+                continue
+            full, rem = divmod(eff, m1)
+            if full > full_total or rem == 0:
+                out.append(full > full_total)
+                continue
+            if rem not in leaves_ge:
+                leaves_ge[rem] = sum(
+                    state.leaves_with_at_least(pod, rem) for pod in pods
+                )
+            out.append(leaves_ge[rem] < full + 1)
+        return out
 
     def _search_two_level(self, alloc_size: int):
         """Find a single-subtree placement, returning ``(shape, solution)``.

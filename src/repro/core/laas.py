@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from repro.core.jigsaw import JigsawAllocator
 from repro.core.shapes import ThreeLevelShape, three_level_shapes
 
@@ -59,28 +57,24 @@ class LaaSAllocator(JigsawAllocator):
         attrs["rounded_size"] = self._rounded(size)
         return attrs
 
-    def effective_sizes(self, sizes):
-        """Vectorized :meth:`effective_size` (whole-leaf rounding)."""
-        m1 = self.tree.m1
-        rounded = ((sizes + m1 - 1) // m1) * m1
-        return np.where(sizes > self.tree.nodes_per_pod, rounded, sizes)
-
-    def batch_screen(self, effs, bw_needs=None):
+    def batch_screen(self, effs):
         """LaaS screen: the three-level reduction uses *whole leaves*.
 
         ``_rounded`` is idempotent on effective sizes (an already-rounded
-        size rounds to itself), so the rounded column here equals the
-        scalar search's ``_rounded(size)``.  A three-level spill needs
-        ``rounded/m1`` fully-free leaves; a two-level placement needs a
-        pod with ``>= eff`` free nodes.  Both are necessary conditions,
+        size rounds to itself), so the leaf count here equals the
+        search's ``_rounded(size) / m1``.  A three-level spill needs
+        that many fully-free leaves; a two-level placement needs a pod
+        with ``>= eff`` free nodes.  Both are necessary conditions,
         budget-independent and durable under claims.
         """
         state = self.state
         m1 = self.tree.m1
-        two_ok = effs <= max(state.pod_free)
-        rounded = ((effs + m1 - 1) // m1) * m1
-        three_ok = rounded // m1 <= sum(state.full_free_leaves)
-        return ~(two_ok | three_ok)
+        pod_max = max(state.pod_free)
+        full_total = sum(state.full_free_leaves)
+        return [
+            eff > pod_max and (eff + m1 - 1) // m1 > full_total
+            for eff in effs
+        ]
 
     # The two-level search is inherited from Jigsaw unchanged.
 

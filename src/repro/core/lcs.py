@@ -188,7 +188,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
         attrs["step_budget"] = self.step_budget
         return attrs
 
-    def batch_screen(self, effs, bw_needs=None):
+    def batch_screen(self, effs):
         """No occupancy screen for the LC family.
 
         LC(+S) searches *unrestricted* three-level shapes (partial

@@ -93,7 +93,7 @@ class TopologyAwareAllocator(Allocator):
         """
         return self.classify(eff)
 
-    def batch_screen(self, effs, bw_needs=None):
+    def batch_screen(self, effs):
         """Exact containment-rule feasibility, one comparison per tier.
 
         * T1 is feasible iff some usable leaf has ``>= size`` free
@@ -102,9 +102,11 @@ class TopologyAwareAllocator(Allocator):
         * T3 iff the usable leaves of T3-eligible pods total ``>= size``.
 
         These mirror :meth:`_search_t1`/``_t2``/``_t3`` exactly — the
-        scalar search succeeds iff the screen passes — so a ``True``
-        here is a proof of (durable) infeasibility, and TA's failed
-        searches vanish entirely under the vector pass.
+        search succeeds iff the screen passes — so a ``True`` here is a
+        proof of (durable) infeasibility, and TA's failed searches
+        vanish entirely from the scheduling pass.  The three limits are
+        whole-array sums over ``free_per_leaf``; each candidate is then
+        one comparison.
         """
         tree = self.tree
         free = self.state.free_per_leaf
@@ -114,11 +116,13 @@ class TopologyAwareAllocator(Allocator):
         totals = usable.reshape(tree.num_pods, tree.m2).sum(axis=1)
         t2_max = int(totals.max()) if totals.size else 0
         t3_total = int(np.where(self._t3_owner == -1, totals, 0).sum())
-        limit = np.where(
-            effs <= tree.m1, t1_max,
-            np.where(effs <= tree.nodes_per_pod, t2_max, t3_total),
-        )
-        return effs > limit
+        m1, npod = tree.m1, tree.nodes_per_pod
+        return [
+            eff > (
+                t1_max if eff <= m1 else t2_max if eff <= npod else t3_total
+            )
+            for eff in effs
+        ]
 
     # ------------------------------------------------------------------
     # Search

@@ -15,16 +15,16 @@ and a fragmentation-blocked head (enough nodes free, no legal shape) is
 given the next completion time as its shadow.  The original LaaS code
 base, in which the paper implemented all schemes, uses the same
 node-count EASY logic.
+
+These two functions are the simulator's EASY rules: the scheduling pass
+computes the head's reservation with :func:`compute_reservation` and
+asks :func:`may_backfill` about every window candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
-
-from repro.sched.job import Job
+from typing import Iterable, Tuple
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def compute_reservation(
     now: float,
     need: int,
     free_now: int,
-    running: List[Tuple[float, int]],
+    running: Iterable[Tuple[float, int]],
 ) -> Reservation:
     """Shadow time and spare nodes for a head job needing ``need`` nodes.
 
@@ -65,43 +65,7 @@ def compute_reservation(
     return Reservation(float("inf"), 0)
 
 
-def reservation_from_arrays(
-    now: float,
-    need: int,
-    free_now: int,
-    ends: np.ndarray,
-    sizes: np.ndarray,
-) -> Reservation:
-    """:func:`compute_reservation` over ``(end, size)`` column arrays.
-
-    Replaces the sort-and-accumulate Python loop with one ``lexsort``
-    (end, then size — the same lexicographic order ``sorted`` gives the
-    tuples) and an integer ``cumsum``/``searchsorted``.  All arithmetic
-    is integer except the returned shadow (an unmodified element of
-    ``ends``), so the result is bit-identical to the scalar function —
-    the vector pass's decision-invariance depends on that.
-    """
-    n = int(ends.size)
-    if free_now >= need:
-        if not n:
-            return Reservation(now, free_now - need)
-        order = np.lexsort((sizes, ends))
-        first = int(order[0])
-        return Reservation(
-            float(ends[first]), free_now + int(sizes[first]) - need
-        )
-    if not n:
-        return Reservation(float("inf"), 0)
-    order = np.lexsort((sizes, ends))
-    cum = free_now + np.cumsum(sizes[order])
-    idx = int(np.searchsorted(cum, need, side="left"))
-    if idx >= n:
-        return Reservation(float("inf"), 0)
-    return Reservation(float(ends[order[idx]]), int(cum[idx]) - need)
-
-
 def may_backfill(
-    job: Job,
     now: float,
     walltime: float,
     free_now: int,

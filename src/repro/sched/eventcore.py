@@ -5,18 +5,13 @@ The discrete-event loop used to live on one ``heapq`` of
 comparisons for every push and pop.  This module rebuilds that substrate
 on structured numpy arrays:
 
-* :class:`JobTable` — the trace as column arrays (arrival / size /
-  bw_need / runtime / state), the "job table" the batch-step policy
-  reasons over.  The per-job ``Job`` objects stay authoritative for
-  scheduling decisions; the table gives the event loop vectorized
-  queries (stable arrival order, unique-size validation) without
-  touching them.  The per-run columns (``est_end`` / ``eff_size`` /
-  ``work_frac``) carry the running set's planning state, so
-  reservation and backfill arithmetic reads column slices instead of
-  rebuilding arrays from a Python dict per call.
-* :class:`RunningSet` — the maintained index of running job-table
-  rows: a dense row array with O(1) swap-remove, whose live prefix is
-  the running set as a numpy slice.
+* :class:`JobTable` — the trace as column arrays (id / size / arrival
+  / state), the "job table" the batch-step policy reasons over.  The
+  per-job ``Job`` objects stay authoritative for scheduling decisions;
+  the table gives the event loop vectorized queries (stable arrival
+  order, unique-size validation) without touching them.  The per-run
+  ``work_frac`` column carries each job's remaining-work fraction, and
+  the provenance columns its skip accounting.
 * :class:`ArrayEventQueue` — a *pre-known* event stream (arrivals,
   fault injections, fault repairs) as a sorted time array plus a
   cursor: ``peek`` is an array read, draining a round is one
@@ -66,11 +61,10 @@ class JobTable:
 
     PENDING, QUEUED, RUNNING, DONE, UNSCHEDULED = range(5)
 
-    __slots__ = ("jobs", "ids", "sizes", "arrivals", "runtimes",
-                 "speedups", "bw_needs", "state", "row_of",
-                 "est_end", "eff_size", "work_frac",
-                 "first_eligible", "attempt_count", "skip_cache",
-                 "skip_cut", "skip_screen", "skip_search", "skip_budget")
+    __slots__ = ("jobs", "ids", "sizes", "arrivals", "state", "row_of",
+                 "work_frac", "first_eligible", "attempt_count",
+                 "skip_cache", "skip_cut", "skip_screen", "skip_search",
+                 "skip_budget")
 
     def __init__(self, jobs: Sequence):
         self.jobs = list(jobs)
@@ -86,32 +80,9 @@ class JobTable:
         self.arrivals = np.fromiter(
             (j.arrival for j in self.jobs), np.float64, n
         )
-        self.runtimes = np.fromiter(
-            (j.runtime for j in self.jobs), np.float64, n
-        )
-        # captured at table-build time, after apply_scenario has
-        # (re)assigned the scenario's speed-ups to the Job objects
-        self.speedups = np.fromiter(
-            (j.speedup for j in self.jobs), np.float64, n
-        )
-        # bw_need is Optional[float]; NaN encodes "no bandwidth tag"
-        self.bw_needs = np.fromiter(
-            (
-                math.nan if j.bw_need is None else j.bw_need
-                for j in self.jobs
-            ),
-            np.float64,
-            n,
-        )
         self.state = np.full(n, self.PENDING, np.int8)
-        # Per-run planning columns of the running set.  ``est_end`` and
-        # ``eff_size`` are written by try_start and read (through a
-        # :class:`RunningSet` row slice) by the reservation/backfill
-        # arithmetic; ``work_frac`` is the remaining-work fraction of a
-        # checkpoint-restarted job (1.0 = full work; see
-        # :mod:`repro.sched.resilience`).
-        self.est_end = np.zeros(n, np.float64)
-        self.eff_size = np.zeros(n, np.int64)
+        # Remaining-work fraction of a checkpoint-restarted job (1.0 =
+        # full work; see :mod:`repro.sched.resilience`).
         self.work_frac = np.ones(n, np.float64)
         # Provenance columns (``Simulator(provenance=True)``): the first
         # time the scheduler *considered* the job, how many allocation
@@ -167,55 +138,6 @@ class JobTable:
         """The arrival stream: stable-sorted by time, so equal-time
         arrivals keep trace order — the old heap's seq tie-break."""
         return ArrayEventQueue(self.arrivals, np.arange(len(self.jobs)))
-
-
-class RunningSet:
-    """Maintained index of the running job-table rows.
-
-    A dense ``rows`` array plus a row-to-position map: ``add`` appends,
-    ``discard`` swap-removes — both O(1) — and :meth:`rows` exposes the
-    live prefix as a numpy view, so the reservation/backfill code reads
-    ``table.est_end[running.rows()]`` instead of rebuilding arrays from
-    a Python dict per call.  Iteration order is add order disturbed by
-    swap-removes; every consumer sorts (or accumulates commutatively),
-    so the order never reaches a scheduling decision.
-    """
-
-    __slots__ = ("_rows", "_pos", "_count")
-
-    def __init__(self, capacity: int):
-        self._rows = np.empty(capacity, np.int64)
-        self._pos = np.full(capacity, -1, np.int64)
-        self._count = 0
-
-    def add(self, row: int) -> None:
-        if self._pos[row] >= 0:
-            raise ValueError(f"row {row} is already running")
-        self._rows[self._count] = row
-        self._pos[row] = self._count
-        self._count += 1
-
-    def discard(self, row: int) -> None:
-        p = int(self._pos[row])
-        if p < 0:
-            raise KeyError(f"row {row} is not running")
-        last = self._count - 1
-        if p != last:
-            moved = self._rows[last]
-            self._rows[p] = moved
-            self._pos[moved] = p
-        self._pos[row] = -1
-        self._count = last
-
-    def rows(self) -> np.ndarray:
-        """The running rows as a live numpy view (do not mutate)."""
-        return self._rows[: self._count]
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __contains__(self, row: int) -> bool:
-        return bool(self._pos[row] >= 0)
 
 
 class ArrayEventQueue:

@@ -162,7 +162,7 @@ class SimResult:
     xpass_memo_replayed_steps: int = 0
     #: backtracking steps actually executed by the allocator searches
     backtrack_steps: int = 0
-    #: queued candidates skipped by the vector pass's prefilter (cache /
+    #: queued candidates skipped by the scheduling pass's prefilter (cache /
     #: size cut / batch screen) instead of running a lost search
     queue_prefiltered: int = 0
     #: prefilter skips proven by the monotone size cut specifically

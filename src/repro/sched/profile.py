@@ -8,14 +8,13 @@ running jobs (which *release* nodes), and reservations for queued jobs
 first time a job of a given size could run for its whole (estimated)
 duration — the core query of conservative backfilling, where every
 queued job holds a reservation and nothing may delay an earlier one.
+The simulator's conservative pass asks it once per window candidate.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from typing import Dict, List
-
-import numpy as np
 
 #: effectively "forever" for reservation intervals
 FOREVER = float("inf")
@@ -72,64 +71,27 @@ class FreeProfile:
     def earliest_fit(self, nodes: int, duration: float) -> float:
         """Earliest ``t >= now`` with ``free >= nodes`` throughout
         ``[t, t + duration)``.  Returns ``inf`` if no such time exists
-        within the profile's horizon (free never recovers)."""
-        candidates = [self.now] + self._times
-        for idx, t0 in enumerate(candidates):
-            if t0 < self.now:
-                continue
-            if self.free_at(t0) < nodes:
-                continue
-            # check the whole interval [t0, t0 + duration)
-            end = t0 + duration
-            ok = True
-            for bt in self._times:
-                if bt <= t0:
-                    continue
-                if bt >= end:
-                    break
-                if self.free_at(bt) < nodes:
-                    ok = False
-                    break
-            if ok:
-                return t0
-        return FOREVER
+        within the profile's horizon (free never recovers).
 
-    def earliest_fit_vec(self, nodes: int, duration: float) -> float:
-        """Vectorized :meth:`earliest_fit` — identical results.
-
-        One cumulative-sum pass over the breakpoint columns replaces the
-        quadratic candidate × ``free_at`` scan: levels are the integer
-        cumsum of the deltas, ``bad`` marks levels below ``nodes``, a
-        reversed running minimum gives each candidate its next bad
-        breakpoint, and a candidate fits iff its own level is good and
-        the next bad breakpoint lies at or past ``t0 + duration`` (the
-        same float addition and ``>=`` the scalar loop performs, so the
-        verdicts are bit-identical).  Used by the conservative pass;
-        the loop above is the reference it matches.
+        One sweep over the breakpoints: only the start of a run of
+        levels ``>= nodes`` can be the answer (a later start in the same
+        run ends later and meets the same next shortfall), so the sweep
+        returns that start at the first level ``< nodes`` at or after
+        ``start + duration``, or when the run lasts forever.
         """
-        times = self._times
-        n = len(times)
-        if not n:
-            return self.now if self.base >= nodes else FOREVER
-        t = np.fromiter(times, np.float64, n)
-        deltas = np.fromiter((self._deltas[bt] for bt in times),
-                             np.int64, n)
-        levels = self.base + np.cumsum(deltas)
-        bad = levels < nodes
-        next_bad = np.minimum.accumulate(
-            np.where(bad, np.arange(n), n)[::-1]
-        )[::-1]
-        nb_ext = np.append(next_bad, n)
-        t_ext = np.append(t, FOREVER)
-        if self.base >= nodes and t_ext[int(nb_ext[0])] >= (
-            self.now + duration
-        ):
-            return self.now
-        feasible = ~bad & (t_ext[nb_ext[1:]] >= t + duration)
-        hits = np.flatnonzero(feasible)
-        if hits.size:
-            return float(t[int(hits[0])])
-        return FOREVER
+        start = self.now if self.base >= nodes else None
+        level = self.base
+        deltas = self._deltas
+        for t in self._times:
+            level += deltas[t]
+            if level >= nodes:
+                if start is None:
+                    start = t
+            elif start is not None:
+                if t >= start + duration:
+                    return start
+                start = None
+        return FOREVER if start is None else start
 
     def min_free(self, start: float, end: float) -> int:
         """Minimum free-node count over ``[start, end)``."""

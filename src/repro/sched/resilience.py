@@ -47,6 +47,7 @@ serially or in any pool.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -207,8 +208,13 @@ class ResilienceManager:
                 f"unknown victim policy {victim_policy!r}; "
                 f"expected one of {VICTIM_POLICIES}"
             )
-        if checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be non-negative")
+        if not (
+            math.isfinite(checkpoint_interval) and checkpoint_interval >= 0
+        ):
+            raise ValueError(
+                f"checkpoint_interval must be finite and >= 0, "
+                f"got {checkpoint_interval!r}"
+            )
         self.timeline = timeline
         self.victim_policy = victim_policy
         self.checkpoint_interval = checkpoint_interval

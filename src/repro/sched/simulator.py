@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import os
 from itertools import count
 from typing import Dict, List, Optional, Tuple
@@ -60,7 +61,11 @@ import numpy as np
 from repro.core.allocator import Allocator
 from repro.obs.sampler import simulator_row
 from repro.obs.tracer import get_tracer, trace_allocator
-from repro.sched.backfill import Reservation, reservation_from_arrays
+from repro.sched.backfill import (
+    Reservation,
+    compute_reservation,
+    may_backfill,
+)
 from repro.sched.eventcore import (
     ARRIVAL,
     COMPLETION,
@@ -70,11 +75,11 @@ from repro.sched.eventcore import (
     CompletionQueue,
     EventStreams,
     JobTable,
-    RunningSet,
     round_boundary,
 )
 from repro.sched.job import Job
 from repro.sched.metrics import InstantHistogram, JobRecord, SimResult
+from repro.sched.profile import FOREVER, FreeProfile
 from repro.sched.resilience import (
     VICTIM_POLICIES,
     FaultTimeline,
@@ -90,13 +95,14 @@ class Simulator:
     allocator:
         A fresh allocator (its cluster must be idle).
     backfill_window:
-        How many queued jobs past the head EASY may consider (the paper
-        uses 50; 0 disables backfilling, i.e. pure FIFO).
+        How many queued jobs past the head EASY may consider, an integer
+        ``>= 0`` (the paper uses 50; 0 disables backfilling, i.e. pure
+        FIFO).
     step_interval:
         ``None`` (default) replays event-driven: one scheduling pass per
-        event batch.  A positive Δt selects batch-step mode: scheduling
-        rounds on the grid ``first_event + k·Δt``, with events
-        accumulating between rounds (see the module docstring).
+        event batch.  A finite positive Δt selects batch-step mode:
+        scheduling rounds on the grid ``first_event + k·Δt``, with
+        events accumulating between rounds (see the module docstring).
     use_columnar_events:
         ``True`` (default) drains events between scheduling passes in
         columnar batches: completions release their allocations through
@@ -175,8 +181,19 @@ class Simulator:
                 f"unknown backfill policy {backfill_policy!r}; "
                 f"expected one of {self.BACKFILL_POLICIES}"
             )
-        if estimate_factor < 1.0:
-            raise ValueError("estimate_factor must be >= 1 (users overestimate)")
+        if (
+            not isinstance(backfill_window, numbers.Integral)
+            or backfill_window < 0
+        ):
+            raise ValueError(
+                f"backfill_window must be an integer >= 0, "
+                f"got {backfill_window!r}"
+            )
+        if not (math.isfinite(estimate_factor) and estimate_factor >= 1.0):
+            raise ValueError(
+                f"estimate_factor must be finite and >= 1 (users "
+                f"overestimate), got {estimate_factor!r}"
+            )
         if queue_order not in self.QUEUE_ORDERS:
             raise ValueError(
                 f"unknown queue order {queue_order!r}; "
@@ -191,10 +208,20 @@ class Simulator:
                 f"unknown victim policy {fault_victim_policy!r}; "
                 f"expected one of {VICTIM_POLICIES}"
             )
-        if checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be non-negative")
-        if step_interval is not None and step_interval <= 0:
-            raise ValueError("step_interval must be positive (or None)")
+        if not (
+            math.isfinite(checkpoint_interval) and checkpoint_interval >= 0
+        ):
+            raise ValueError(
+                f"checkpoint_interval must be finite and >= 0, "
+                f"got {checkpoint_interval!r}"
+            )
+        if step_interval is not None and not (
+            math.isfinite(step_interval) and step_interval > 0
+        ):
+            raise ValueError(
+                f"step_interval must be None or finite and > 0, "
+                f"got {step_interval!r}"
+            )
         self.allocator = allocator
         self.backfill_window = backfill_window
         self.reservation_policy = reservation_policy
@@ -324,11 +351,11 @@ class _RunState:
         #: ids of these entries, so the two counts track together
         self.pheap_stale = 0
         self.pending = 0
-        #: running jobs as an index of job-table rows; the per-run
-        #: planning columns (``est_end``, ``eff_size``) live on the
-        #: table, so reservation/backfill arithmetic reads column
-        #: slices instead of rebuilding arrays from a dict
-        self.run_rows = RunningSet(len(table))
+        #: the running set: job id -> (estimated end, effective size),
+        #: the pairs the head's reservation and the conservative
+        #: profile are built from (both sort or sum them, so the dict's
+        #: order never reaches a decision)
+        self.running: Dict[int, Tuple[float, int]] = {}
         self.cur_busy = 0  # requested nodes currently computing
         #: columnar event drain between passes; per-event telemetry
         #: sinks force the scalar twin (identical decisions either way)
@@ -389,33 +416,7 @@ class _RunState:
         elif sim.queue_order == "largest":
             self.priority_key = lambda job: -job.size
 
-    # -- running-set views ---------------------------------------------
-    @property
-    def running(self) -> Dict[int, Tuple[float, int]]:
-        """Dict view ``id -> (est_end, eff_size)`` of the running set.
-
-        Diagnostics/tests only — built on demand from the job-table
-        columns; hot paths read :attr:`run_rows` and the columns
-        directly.
-        """
-        table = self.table
-        return {
-            int(table.ids[r]): (
-                float(table.est_end[r]), int(table.eff_size[r])
-            )
-            for r in self.run_rows.rows().tolist()
-        }
-
-    def running_pairs(self) -> List[Tuple[float, int]]:
-        """``(est_end, eff_size)`` of every running job (reservation
-        profiles sort these, so the index's swap-remove order is
-        immaterial)."""
-        table = self.table
-        rows = self.run_rows.rows()
-        return list(
-            zip(table.est_end[rows].tolist(), table.eff_size[rows].tolist())
-        )
-
+    # -- diagnostics views ---------------------------------------------
     @property
     def work_frac(self) -> Dict[int, float]:
         """Dict view of the remaining-work column (diagnostics/tests):
@@ -431,7 +432,7 @@ class _RunState:
     def sample_row(self, boundary: float) -> dict:
         resilience = self.resilience
         return simulator_row(
-            boundary, self.allocator, self.pending, len(self.run_rows),
+            boundary, self.allocator, self.pending, len(self.running),
             self.cur_busy,
             resilience.degraded_nodes if resilience is not None else 0,
             step_lag=max(0.0, boundary - self.last_sched_t),
@@ -580,14 +581,13 @@ class _RunState:
             self.live_comp[job.id] = slot
         # Planning sees the *estimated* completion time — the same
         # estimate ``walltime_est`` hands the backfill rules, so the
-        # shadow computed from the running columns and the window
-        # checks agree.
-        row = job.row
-        table = self.table
-        table.est_end[row] = now + self.walltime_est(job)
-        table.eff_size[row] = self.eff(job)
-        self.run_rows.add(row)
-        table.state[row] = JobTable.RUNNING
+        # shadow computed from the running set and the window checks
+        # agree.
+        running = self.running
+        if job.id in running:
+            raise ValueError(f"job {job.id} is already running")
+        running[job.id] = (now + self.walltime_est(job), self.eff(job))
+        self.table.state[job.row] = JobTable.RUNNING
         self.cur_busy += job.size
         return True
 
@@ -698,7 +698,7 @@ class _RunState:
             self.allocator.release(job.id)
         if self.sim.runtime_model is not None:
             self.sim.runtime_model.on_release(job.id)
-        self.run_rows.discard(job.row)
+        self.running.pop(job.id)
         self.live_comp.pop(job.id, None)
         self.cur_busy -= job.size
         resilience.stats.wasted_node_seconds += (elapsed - saved) * job.size
@@ -812,12 +812,12 @@ class _RunState:
 
     # -- scheduling passes ---------------------------------------------
     #
-    # Both passes are column-oriented: queue scans are batched over the
-    # job table's size/bandwidth columns and the window bookkeeping
-    # (walltime estimates, shadow arithmetic, reservation profiles) runs
-    # on the job-table columns.  Their speed comes from never *running*
-    # a search whose failure is already proven: the feasibility cache,
-    # the monotone size cut and the allocator's batch screen are all
+    # Both passes walk their window once, in queue order, with the rules
+    # of :mod:`repro.sched.backfill` (EASY) or
+    # :meth:`~repro.sched.profile.FreeProfile.earliest_fit`
+    # (conservative).  Their speed comes from never *running* a search
+    # whose failure is already proven: the feasibility cache, the
+    # monotone size cut and the allocator's batch screen are all
     # durable-infeasibility proofs, so a candidate they condemn is
     # skipped via ``charge_skip`` — which moves the attempt/failure/
     # cache counters exactly as the failed ``allocate`` would have.
@@ -866,47 +866,15 @@ class _RunState:
             return False
         return self.try_start(job, now, via=via)
 
-    def walltimes_vec(self, rows: np.ndarray) -> np.ndarray:
-        """``walltime_est`` over job-table rows — the same float ops
-        elementwise, so each entry is bit-identical to the per-job
-        estimate."""
-        sim = self.sim
-        table = self.table
-        if sim.runtime_model is None and sim.low_interference:
-            plan = table.runtimes[rows] / (1.0 + table.speedups[rows])
-        else:
-            plan = table.runtimes[rows]
-        est = plan * sim.estimate_factor
-        if self.resilience is not None:
-            est = est * table.work_frac[rows]
-        return est
-
-    def reservation_vec(self, now: float, head_job: Job) -> Reservation:
-        """The head's reservation straight from the running columns
-        (bit-identical to :func:`~repro.sched.backfill.compute_reservation`
-        over the running jobs)."""
-        table = self.table
-        rows = self.run_rows.rows()
-        return reservation_from_arrays(
-            now,
-            self.eff(head_job),
-            self.allocator.free_nodes,
-            table.est_end[rows],
-            table.eff_size[rows],
-        )
-
     def easy_schedule(self, now: float) -> None:
         """EASY pass: FIFO from the head, then backfill the window.
 
         The FIFO phase starts jobs from the head until one blocks, with
-        proven failures short-circuited.  The backfill window is
-        materialized once (safe: the queue cannot change mid-pass), its
-        effective sizes, walltimes and shadow checks are evaluated as
-        columns, the batch screen runs once for the whole window, and
-        the loop then picks the first eligible candidate under the
-        *current* free count until none remains.  Eligibility only
-        shrinks as the pass consumes nodes, so this is exactly an
-        in-order scan of the window.
+        proven failures short-circuited.  The blocked head holds a
+        :func:`~repro.sched.backfill.compute_reservation` over the
+        running set, and the window behind it is tried in queue order
+        under :func:`~repro.sched.backfill.may_backfill`
+        (:meth:`_backfill_window`).
         """
         sim = self.sim
         failed: set = set()
@@ -945,7 +913,13 @@ class _RunState:
             or sim.reservation_policy == "slip"
             or expired
         ):
-            sim._sticky = (head_job.id, self.reservation_vec(now, head_job))
+            sim._sticky = (
+                head_job.id,
+                compute_reservation(
+                    now, self.eff(head_job), self.allocator.free_nodes,
+                    self.running.values(),
+                ),
+            )
         reservation = sim._sticky[1]
         tracer = self.tracer
         bspan = tracer.begin("backfill.window") if tracer.enabled else None
@@ -965,58 +939,34 @@ class _RunState:
         self, now: float, cands: List[Job], reservation: Reservation,
         failed: set,
     ) -> int:
-        """Scan a materialized backfill window with column arithmetic;
-        returns how many candidates started."""
+        """Try a materialized backfill window in queue order; returns
+        how many candidates started.
+
+        A candidate is skipped when its ``(effective size, bw_need)``
+        key already failed this pass, when it needs more nodes than are
+        free, or when :func:`~repro.sched.backfill.may_backfill` says
+        starting it could delay the head's reservation; every other
+        candidate is dispatched.
+        """
         alloc = self.allocator
-        table = self.table
-        n = len(cands)
-        rows = np.fromiter((j.row for j in cands), np.int64, n)
-        effs = alloc.effective_sizes(table.sizes[rows])
-        walls = self.walltimes_vec(rows)
-        # may_backfill, decomposed: given eff <= free (checked live in
-        # the loop), the job may start iff it finishes before the
-        # shadow time or fits in the reservation's spare nodes.
-        ok_static = ((now + walls) <= reservation.shadow_time) | (
-            effs <= reservation.spare_nodes
-        )
-        keys = [
-            (int(e), j.bw_need) for e, j in zip(effs.tolist(), cands)
-        ]
-        # Factor equal keys so one failure kills every equal-key
-        # candidate at once — the per-pass ``failed`` set, vectorized.
-        key_ids: Dict[tuple, int] = {}
-        ids = np.empty(n, np.int64)
-        for i, k in enumerate(keys):
-            ids[i] = key_ids.setdefault(k, len(key_ids))
-        key_dead = np.zeros(len(key_ids), bool)
-        for k, kid in key_ids.items():
-            if k in failed:
-                key_dead[kid] = True
+        effs = [self.eff(job) for job in cands]
         # One batch screen for the whole window: sound because free
         # capacity only shrinks during a pass, so infeasible-now stays
         # infeasible at any later dispatch within the pass.
         screen = alloc.batch_screen(effs)
-        screened = (
-            np.zeros(n, bool) if screen is None else np.asarray(screen, bool)
-        )
-        done = np.zeros(n, bool)
         started = 0
-        while True:
-            elig = (
-                ~done
-                & ~key_dead[ids]
-                & (effs <= alloc.free_nodes)
-                & ok_static
-            )
-            idxs = np.flatnonzero(elig)
-            if not idxs.size:
-                break
-            i = int(idxs[0])
-            done[i] = True
-            cand = cands[i]
-            key = keys[i]
+        for i, cand in enumerate(cands):
+            eff = effs[i]
+            key = (eff, cand.bw_need)
+            free = alloc.free_nodes
+            if key in failed or eff > free:
+                continue
+            if not may_backfill(
+                now, self.walltime_est(cand), free, eff, reservation
+            ):
+                continue
             if self.dispatch_start(
-                cand, now, "backfill", key, bool(screened[i])
+                cand, now, "backfill", key, screen is not None and screen[i]
             ):
                 self.note_started_out_of_order(cand.id)
                 self.pending -= 1
@@ -1024,22 +974,19 @@ class _RunState:
                 self.sample()
             else:
                 failed.add(key)
-                key_dead[key_ids[key]] = True
         return started
 
     def conservative_schedule(self, now: float) -> None:
         """Every job in the window gets a reservation; a job starts
         only if its reservation is 'now' (so no earlier job is ever
-        delayed by a later one).  The per-candidate earliest fit runs
-        as one cumsum sweep and proven-lost searches are charged
-        skips."""
-        from repro.sched.profile import FOREVER, FreeProfile
-
+        delayed by a later one).  Each candidate's reservation is the
+        profile's :meth:`~repro.sched.profile.FreeProfile.earliest_fit`,
+        and proven-lost searches are charged skips."""
         alloc = self.allocator
         self.prune_fifo_front()
         failed: set = set()
         profile = FreeProfile(now, alloc.free_nodes)
-        for est_end, eff_size in self.running_pairs():
+        for est_end, eff_size in self.running.values():
             profile.release_at(est_end, eff_size)
         # Materialize the scan window (the queue slice cannot change
         # mid-pass; jobs started by this pass are exactly the ones an
@@ -1057,21 +1004,17 @@ class _RunState:
             cands.append(job)
         if not cands:
             return
-        n = len(cands)
-        table = self.table
-        rows = np.fromiter((j.row for j in cands), np.int64, n)
-        effs = alloc.effective_sizes(table.sizes[rows])
-        walls = self.walltimes_vec(rows)
+        effs = [self.eff(job) for job in cands]
         screen = alloc.batch_screen(effs)
         for i, job in enumerate(cands):
-            size = int(effs[i])
-            wall = float(walls[i])
-            start = profile.earliest_fit_vec(size, wall)
+            size = effs[i]
+            wall = self.walltime_est(job)
+            start = profile.earliest_fit(size, wall)
             key = (size, job.bw_need)
             if start <= now:
                 if key not in failed and self.dispatch_start(
                     job, now, "reserved", key,
-                    bool(screen[i]) if screen is not None else False,
+                    screen is not None and screen[i],
                 ):
                     self.note_started_out_of_order(job.id)
                     self.pending -= 1
@@ -1136,7 +1079,7 @@ class _RunState:
                 self.allocator.release(job.id)
                 if sim.runtime_model is not None:
                     sim.runtime_model.on_release(job.id)
-                self.run_rows.discard(job.row)
+                self.running.pop(job.id)
                 self.cur_busy -= job.size
                 table.state[job.row] = JobTable.DONE
                 self.last_completion = t
@@ -1225,7 +1168,7 @@ class _RunState:
         streams = self.streams
         table = self.table
         resilience = self.resilience
-        run_rows = self.run_rows
+        running = self.running
         state_col = table.state
         done = JobTable.DONE
         # Constant across the run: no arrivals, kills or fault events
@@ -1275,7 +1218,7 @@ class _RunState:
             for job in live:
                 if rm is not None:
                     rm.on_release(job.id)
-                run_rows.discard(job.row)
+                running.pop(job.id)
                 state_col[job.row] = done
         if util:
             self.instant.add_many(np.array(util, np.float64))
@@ -1383,7 +1326,7 @@ class _RunState:
                     arrivals=arrivals, completions=completions,
                     queue_before=queue_before, queue_after=self.pending,
                     started=queue_before - self.pending,
-                    running=len(self.run_rows),
+                    running=len(self.running),
                     free_nodes=self.allocator.free_nodes,
                 )
                 tracer.end(span)
@@ -1395,7 +1338,7 @@ class _RunState:
                 )
                 tracer.end(rspan)
             round_idx += 1
-            if self.pending and not len(self.run_rows) and streams.empty():
+            if self.pending and not self.running and streams.empty():
                 # Nothing can ever start these jobs (should not happen
                 # for valid traces; recorded for failure-injection tests).
                 while (job := self.peek_head()) is not None:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sched.backfill import Reservation, compute_reservation, may_backfill
-from repro.sched.job import Job
 
 
 class TestComputeReservation:
@@ -39,24 +38,21 @@ class TestComputeReservation:
 
 
 class TestMayBackfill:
-    def job(self, size=4):
-        return Job(id=1, size=size, runtime=10.0)
-
     def test_fits_before_shadow(self):
         res = Reservation(shadow_time=100.0, spare_nodes=0)
-        assert may_backfill(self.job(), now=0.0, walltime=99.0, free_now=50,
+        assert may_backfill(now=0.0, walltime=99.0, free_now=50,
                             effective_size=40, reservation=res)
-        assert not may_backfill(self.job(), now=5.0, walltime=99.0, free_now=50,
+        assert not may_backfill(now=5.0, walltime=99.0, free_now=50,
                                 effective_size=40, reservation=res)
 
     def test_fits_in_spare(self):
         res = Reservation(shadow_time=10.0, spare_nodes=8)
-        assert may_backfill(self.job(), now=0.0, walltime=1000.0, free_now=50,
+        assert may_backfill(now=0.0, walltime=1000.0, free_now=50,
                             effective_size=8, reservation=res)
-        assert not may_backfill(self.job(), now=0.0, walltime=1000.0, free_now=50,
+        assert not may_backfill(now=0.0, walltime=1000.0, free_now=50,
                                 effective_size=9, reservation=res)
 
     def test_spare_limited_by_current_free(self):
         res = Reservation(shadow_time=10.0, spare_nodes=100)
-        assert not may_backfill(self.job(), now=0.0, walltime=1000.0, free_now=5,
+        assert not may_backfill(now=0.0, walltime=1000.0, free_now=5,
                                 effective_size=8, reservation=res)

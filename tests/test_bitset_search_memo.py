@@ -7,8 +7,10 @@ The PR's invariants, as regression and property tests:
   all nodes free AND all uplinks free);
 * a durable-failure floor recorded while hardware was failed must not
   outlive the repair — the job must schedule after the repair;
-* ``batch_screen`` is sound at its edges against the scalar search,
-  and screen survivors claim/release cleanly under link faults;
+* ``batch_screen`` agrees with the search over every size — exactly
+  for baseline and ta, soundly for jigsaw and laas, whose verdicts
+  also match a recount of the screen's definition — and screen
+  survivors claim/release cleanly under link faults;
 * the cross-pass negative memo changes no placement and no budget
   trajectory: memo-on and memo-off runs produce identical job records,
   with ``backtrack_steps + xpass_memo_replayed_steps`` equal to the
@@ -21,7 +23,6 @@ The PR's invariants, as regression and property tests:
 import random
 import types
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -98,14 +99,39 @@ class TestUsableLeafFault:
 
 
 # ----------------------------------------------------------------------
-# Satellite 2: batch_screen soundness at the edges, with claim round-trip
+# batch_screen against the search and against a recount of its definition
 # ----------------------------------------------------------------------
+def _screen_recount(scheme, tree, free, eff):
+    """The jigsaw/laas screen verdict for ``eff``, recounted from the
+    per-leaf free counts: per-pod sums, fully-free leaves and (jigsaw)
+    leaves with at least the remainder free."""
+    m1, m2 = tree.m1, tree.m2
+    pod_max = max(
+        sum(free[p * m2:(p + 1) * m2]) for p in range(tree.num_pods)
+    )
+    full_leaves = sum(1 for f in free if f == m1)
+    if eff <= pod_max:
+        return False
+    if scheme == "laas":
+        return -(-eff // m1) > full_leaves
+    full, rem = divmod(eff, m1)
+    if full > full_leaves:
+        return True
+    if rem == 0:
+        return False
+    return sum(1 for f in free if f >= rem) < full + 1
+
+
 @common
-@given(
-    scheme=st.sampled_from(["jigsaw", "laas", "ta"]),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_batch_screen_sound_against_scalar_search(scheme, seed):
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_batch_screen_sound_against_scalar_search(seed):
+    for scheme in ("baseline", "ta", "jigsaw", "laas"):
+        _check_screen_over_every_size(scheme, seed)
+
+
+def _check_screen_over_every_size(scheme, seed):
+    """Drive one scheme into a seeded, fault-injected state, then hold
+    its screen to the search over every size the cluster could host."""
     rng = random.Random(seed)
     tree = TREE8
     alloc = make_allocator(scheme, tree)
@@ -136,23 +162,29 @@ def test_batch_screen_sound_against_scalar_search(scheme, seed):
                     ))
             except Exception:
                 continue
-    # Edge sweep: the rem==0 / rem>0 crossover, sub-leaf sizes, pod
-    # capacity and beyond.
-    m1, npod = tree.m1, tree.nodes_per_pod
-    sweep = sorted({
-        1, 2, m1 - 1, m1, m1 + 1, 2 * m1, 2 * m1 + 1,
-        npod - 1, npod, npod + 1, 2 * npod, tree.num_nodes,
-    })
-    effs = np.array([alloc.effective_size(s) for s in sweep], np.int64)
+    # Every size the cluster could host, as the list the scheduling
+    # pass hands over.
+    sizes = range(1, tree.num_nodes + 1)
+    effs = [alloc.effective_size(s) for s in sizes]
     screen = alloc.batch_screen(effs)
-    assert screen is not None
-    for i, size in enumerate(sweep):
+    assert isinstance(screen, list) and len(screen) == len(effs)
+    if scheme in ("jigsaw", "laas"):
+        # The recount catches a screen that rejects less than its
+        # definition allows, which soundness alone cannot see.
+        free = alloc.state.free_per_leaf.tolist()
+        assert screen == [
+            _screen_recount(scheme, tree, free, eff) for eff in effs
+        ], (scheme, seed)
+    for size, screened in zip(sizes, screen):
         found = alloc._search(-1, size, None)
-        if screen[i]:
-            # Screened-out == provably infeasible: the scalar search
-            # must agree.
+        if scheme in ("baseline", "ta"):
+            # Exact screens: rejected iff the search fails.
+            assert screened == (found is None), (scheme, seed, size)
+        elif screened:
+            # Screened-out == provably infeasible: the search must
+            # agree.
             assert found is None, (scheme, seed, size)
-        elif found is not None:
+        if not screened and found is not None:
             # Screen survivor that the search placed: the claim must
             # round-trip even under the injected link faults.
             probe = alloc.allocate(jid, size)

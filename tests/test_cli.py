@@ -106,6 +106,16 @@ def test_campaign(tmp_path, capsys):
     assert "total simulated wall time" in second
 
 
+def test_simulate_rejects_non_finite_step_interval():
+    # argparse's float accepts "inf"; the run used to lose every job
+    # after the first round instead of failing.
+    with pytest.raises(ValueError, match="step_interval.*inf"):
+        main([
+            "simulate", "--scale", "0.004", "--trace", "Synth-16",
+            "--scheme", "jigsaw", "--step-interval", "inf",
+        ])
+
+
 def test_unknown_trace_rejected():
     with pytest.raises(SystemExit):
         main(["fig6", "--traces", "NotATrace"])

@@ -1,8 +1,27 @@
 """FreeProfile: the planning substrate for conservative backfilling."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sched.profile import FOREVER, FreeProfile
+
+
+def earliest_fit_reference(profile, nodes, duration):
+    """Brute-force ``earliest_fit``: try ``now`` and every breakpoint as
+    a start, and accept the first whose level and every later level
+    inside ``[start, start + duration)`` hold ``nodes``."""
+    for t0 in [profile.now] + profile._times:
+        if profile.free_at(t0) < nodes:
+            continue
+        end = t0 + duration
+        if all(
+            profile.free_at(bt) >= nodes
+            for bt in profile._times
+            if t0 < bt < end
+        ):
+            return t0
+    return FOREVER
 
 
 class TestBasics:
@@ -82,3 +101,53 @@ class TestComposition:
         p.reserve(10.0, 20.0, 8)
         assert p.free_at(10.0) == 0
         assert p.earliest_fit(8, 1.0) == 20.0
+
+
+# Integer-valued times make ``start + duration`` land exactly on
+# breakpoints; a small time range makes releases and reservations share
+# breakpoints (including ones whose deltas cancel to zero) and fall
+# before ``now`` (folded into the base).
+_times = st.integers(min_value=0, max_value=30).map(float)
+_nodes = st.integers(min_value=0, max_value=12)
+_op = st.one_of(
+    st.tuples(st.just("release"), _times, _nodes),
+    st.tuples(
+        st.just("reserve"), _times,
+        st.one_of(st.integers(1, 20).map(float), st.just(FOREVER)),
+        _nodes,
+    ),
+    # a release and a reservation of the same size at the same instant:
+    # the breakpoint's deltas sum to zero
+    st.tuples(
+        st.just("cancel"), _times, st.integers(1, 20).map(float), _nodes
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    now=st.integers(min_value=0, max_value=10).map(float),
+    base=st.integers(min_value=0, max_value=16),
+    ops=st.lists(_op, max_size=12),
+    nodes=st.integers(min_value=0, max_value=40),
+    duration=st.one_of(
+        st.integers(min_value=0, max_value=25).map(float),
+        st.floats(min_value=0.0, max_value=25.0),
+        st.just(FOREVER),
+    ),
+)
+def test_earliest_fit_matches_brute_force(now, base, ops, nodes, duration):
+    p = FreeProfile(now, base)
+    for op in ops:
+        if op[0] == "release":
+            p.release_at(op[1], op[2])
+        elif op[0] == "reserve":
+            _, start, length, n = op
+            p.reserve(start, start + length, n)
+        else:
+            _, t, length, n = op
+            p.release_at(t, n)
+            p.reserve(t, t + length, n)
+    assert p.earliest_fit(nodes, duration) == earliest_fit_reference(
+        p, nodes, duration
+    )

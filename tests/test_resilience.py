@@ -135,6 +135,21 @@ class TestVictimPolicy:
             fresh("baseline", tree, fault_timeline=self.timeline(),
                   fault_victim_policy="exile")
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_checkpoint_interval_must_be_finite(self, tree, interval):
+        # A non-finite interval used to behave like 0 (continuous
+        # checkpointing) instead of failing.
+        match = f"checkpoint_interval.*{interval}"
+        with pytest.raises(ValueError, match=match):
+            fresh("baseline", tree, fault_timeline=self.timeline(),
+                  fault_victim_policy="requeue-remaining",
+                  checkpoint_interval=interval)
+        with pytest.raises(ValueError, match=match):
+            ResilienceManager(
+                make_allocator("baseline", tree), self.timeline(),
+                "requeue-remaining", interval,
+            )
+
 
 class AuditingSimulator(Simulator):
     """Simulator that audits state and validates every allocation."""

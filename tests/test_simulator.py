@@ -207,6 +207,38 @@ class TestValidationAndEdgeCases:
         with pytest.raises(ValueError, match="reservation policy"):
             Simulator(BaselineAllocator(tree), reservation_policy="wish")
 
+    # Each knob below used to accept values that lose jobs, crash late
+    # in ``run`` or silently change meaning; construction now names the
+    # knob and the value.
+    @pytest.mark.parametrize("policy", ["easy", "conservative"])
+    @pytest.mark.parametrize("window", [-1, 2.5])
+    def test_backfill_window_must_be_nonnegative_integer(
+        self, tree, policy, window
+    ):
+        with pytest.raises(ValueError, match=f"backfill_window.*{window}"):
+            Simulator(
+                JigsawAllocator(tree), backfill_window=window,
+                backfill_policy=policy,
+            )
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_estimate_factor_must_be_finite(self, tree, factor):
+        with pytest.raises(ValueError, match=f"estimate_factor.*{factor}"):
+            Simulator(JigsawAllocator(tree), estimate_factor=factor)
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")])
+    def test_step_interval_must_be_finite(self, tree, step):
+        with pytest.raises(ValueError, match=f"step_interval.*{step}"):
+            Simulator(JigsawAllocator(tree), step_interval=step)
+
+    def test_boundary_knob_values_accepted(self, tree):
+        jobs = [Job(id=i, size=8, runtime=10.0) for i in range(30)]
+        result = Simulator(
+            JigsawAllocator(tree), backfill_window=0, estimate_factor=1.0,
+            step_interval=1e-3, checkpoint_interval=0.0,
+        ).run(jobs)
+        assert len(result.jobs) == 30
+
     def test_empty_trace(self, tree):
         result = sim(tree).run([])
         assert result.jobs == []
