@@ -49,7 +49,8 @@ for _ in range({repeats}):
     jobs = 0
     for scheme in ("jigsaw", "lc+s"):
         result = run_scheme(setup, scheme, **kwargs)
-        sched += result.sched_seconds
+        # the product, not result.stats, also runs on --seed-src trees
+        sched += result.mean_sched_time_per_job * len(result.jobs)
         jobs += len(result.jobs)
     wall = time.perf_counter() - t0
     cur = {{"wall_s": wall, "sched_us_per_job": 1e6 * sched / jobs}}

@@ -153,11 +153,11 @@ def fingerprint(
                 "makespan": result.makespan,
                 "steady_state_utilization": result.steady_state_utilization,
                 "overall_utilization": result.overall_utilization,
-                "alloc_attempts": result.alloc_attempts,
+                "alloc_attempts": result.stats.attempts,
                 "unscheduled": list(result.unscheduled),
                 # Diagnostic counters (not decision keys; see above).
-                "queue_prefiltered": result.queue_prefiltered,
-                "size_cut_skips": result.size_cut_skips,
+                "queue_prefiltered": result.stats.queue_prefiltered,
+                "size_cut_skips": result.stats.size_cut_skips,
             }
     return out
 

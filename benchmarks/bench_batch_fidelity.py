@@ -58,7 +58,7 @@ def batch_fidelity(scale=None, seed=0, workers=None):
             "wait ds": report["wait_delta_s"],
             "mksp d%": report["makespan_delta_pct"],
             "rounds": f"{event.scheduling_rounds}->{batch.scheduling_rounds}",
-            "attempts": f"{event.alloc_attempts}->{batch.alloc_attempts}",
+            "attempts": f"{event.stats.attempts}->{batch.stats.attempts}",
             "ms/job": f"{ev_ms:.3f}->{ba_ms:.3f}",
             "speedup": ev_ms / ba_ms if ba_ms else float("inf"),
             "_report": report,

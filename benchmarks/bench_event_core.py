@@ -89,7 +89,7 @@ def event_core(scale=None, seed=0, workers=None):
             "util%": col.steady_state_utilization,
             "ms/job": f"{sc_ms:.3f}->{co_ms:.3f}",
             "speedup": sc_ms / co_ms if co_ms else float("inf"),
-            "attempts": col.alloc_attempts,
+            "attempts": col.stats.attempts,
             "resub": col.resubmissions,
             "_col": col,
             "_sca": sca,
@@ -232,7 +232,7 @@ def bench_payload(scale: float = GATE_SCALE, seed: int = 0) -> dict:
             "value": sca_out.wall_seconds * 1e3 / jobs, "unit": "ms"},
     }
     counters = {
-        "alloc_attempts": col.alloc_attempts,
+        "alloc_attempts": col.stats.attempts,
         "scheduling_rounds": col.scheduling_rounds,
         "jobs": jobs,
         "unscheduled": len(col.unscheduled),
@@ -256,7 +256,7 @@ def bench_event_core(benchmark, save_result, save_bench, scale):
         assert [(j.job_id, j.start, j.end) for j in col.jobs] == [
             (j.job_id, j.start, j.end) for j in sca.jobs
         ], scheme
-        assert col.alloc_attempts == sca.alloc_attempts, scheme
+        assert col.stats.attempts == sca.stats.attempts, scheme
         assert col.unscheduled == sca.unscheduled, scheme
         assert col.busy_area == sca.busy_area, scheme
         assert col.instant.counts == sca.instant.counts, scheme

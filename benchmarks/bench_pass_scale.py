@@ -62,9 +62,9 @@ def pass_scale(scale=None, seed=0, workers=None):
             "util%": result.steady_state_utilization,
             "ms/job": min(o.wall_seconds for o in outs) * 1e3 / jobs,
             "sched ms/job": result.mean_sched_time_per_job * 1e3,
-            "prefiltered": result.queue_prefiltered,
-            "cut skips": result.size_cut_skips,
-            "attempts": result.alloc_attempts,
+            "prefiltered": result.stats.queue_prefiltered,
+            "cut skips": result.stats.size_cut_skips,
+            "attempts": result.stats.attempts,
             "rounds": result.scheduling_rounds,
         }
     return rows
@@ -107,9 +107,9 @@ def search_cost(scale=None, seed=0):
         jobs = len(result.jobs) or 1
         rows[scheme] = {
             "ms/job": best * 1e3 / jobs,
-            "memo hits": result.xpass_memo_hits,
-            "epoch flushes": result.xpass_memo_epoch_flushes,
-            "replayed steps": result.xpass_memo_replayed_steps,
+            "memo hits": result.stats.xpass_memo_hits,
+            "epoch flushes": result.stats.xpass_memo_epoch_flushes,
+            "replayed steps": result.stats.xpass_memo_replayed_steps,
             "_result": result,
         }
     return rows
@@ -169,14 +169,14 @@ def bench_payload(scale: float = GATE_SCALE, seed: int = 0) -> dict:
             "value": out.wall_seconds * 1e3 / jobs, "unit": "ms"},
     }
     counters = {
-        "alloc_attempts": result.alloc_attempts,
-        "queue_prefiltered": result.queue_prefiltered,
-        "size_cut_skips": result.size_cut_skips,
+        "alloc_attempts": result.stats.attempts,
+        "queue_prefiltered": result.stats.queue_prefiltered,
+        "size_cut_skips": result.stats.size_cut_skips,
         "jobs": jobs,
         "unscheduled": len(result.unscheduled),
     }
     for scheme, row in search_cost(scale=scale, seed=seed).items():
-        searched = row["_result"]
+        searched = row["_result"].stats
         tag = scheme.replace("+", "")
         quantities[f"search_indexed_ms_per_job.{tag}"] = {
             "value": row["ms/job"], "unit": "ms"}

@@ -40,8 +40,8 @@ def bench_payload(scale: float = GATE_SCALE, seed: int = 0) -> dict:
         quantities[f"wall_s.{scheme}"] = {
             "value": outcome.wall_seconds, "unit": "s",
         }
-        counters[f"alloc_attempts.{scheme}"] = r.alloc_attempts
-        counters[f"backtrack_steps.{scheme}"] = r.backtrack_steps
+        counters[f"alloc_attempts.{scheme}"] = r.stats.attempts
+        counters[f"backtrack_steps.{scheme}"] = r.stats.backtrack_steps
         counters[f"jobs.{scheme}"] = len(r.jobs)
         counters[f"unscheduled.{scheme}"] = len(r.unscheduled)
     return make_bench_result(

@@ -15,7 +15,15 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.experiments import fig6, fig7, fig8, table1, table2, table3
+from repro.experiments import (
+    campaign,
+    fig6,
+    fig7,
+    fig8,
+    table1,
+    table2,
+    table3,
+)
 from repro.experiments.runner import (
     ALL_TRACE_NAMES,
     default_scale,
@@ -214,7 +222,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                    default=["baseline", "jigsaw", "laas", "ta"],
                    choices=["baseline", "jigsaw", "laas", "ta", "lc+s", "lc"])
     p.add_argument("--scenarios", nargs="+", default=["none"])
-    p.add_argument("--metric", default="steady_state_utilization")
+    p.add_argument("--metric", default="steady_state_utilization",
+                   choices=campaign.METRICS)
 
     args = parser.parse_args(argv)
     scale = _scale(args)
@@ -296,15 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"degraded integral "
                   f"{result.degraded_node_seconds:.0f} node-s")
         print("instantaneous histogram:", result.instant.as_row())
-        lookups = result.cache_hits + result.cache_misses
-        print(f"feasibility cache: {result.cache_hits}/{lookups} lookups "
-              f"served from cache ({100 * result.cache_hit_rate:.1f}%)")
-        print(f"search effort: {result.pods_pruned} pods pruned, "
-              f"{result.candidate_hits} candidate-list hits, "
-              f"{result.memo_hits} memo hits, "
-              f"{result.backtrack_steps} backtracking steps")
-        print(f"pass prefilter: {result.queue_prefiltered} candidates "
-              f"skipped ({result.size_cut_skips} by the size cut)")
+        print(result.stats.summary())
         from repro.experiments.report import render_sparkline
         from repro.sched.metrics import utilization_timeline
 
@@ -402,10 +403,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_check(results))
         return 0 if all(r.passed for r in results) else 1
     elif args.command == "campaign":
-        from repro.experiments.campaign import Campaign
-
-        campaign = Campaign(args.out, scale=scale)
-        campaign.run(
+        sweep = campaign.Campaign(args.out, scale=scale)
+        sweep.run(
             traces=args.traces,
             schemes=args.schemes,
             scenarios=args.scenarios,
@@ -414,10 +413,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             workers=workers,
         )
         for scenario in args.scenarios:
-            print(campaign.table(metric=args.metric, scenario=scenario,
-                                 seed=args.seed))
+            print(sweep.table(metric=args.metric, scenario=scenario,
+                              seed=args.seed))
         print(f"(total simulated wall time: "
-              f"{campaign.total_wall_seconds:.0f}s; results in {args.out})")
+              f"{sweep.total_wall_seconds:.0f}s; results in {args.out})")
     return 0
 
 
@@ -438,8 +437,8 @@ def _prof_command(args, scale) -> int:
                         tracer=tracer, profiled=True)
     snap = result.prof
     print(f"{args.scheme} on {args.trace}: "
-          f"{result.alloc_attempts} allocation attempts, "
-          f"{result.sched_seconds * 1e3:.1f} ms in the allocator\n")
+          f"{result.stats.attempts} allocation attempts, "
+          f"{result.stats.alloc_seconds * 1e3:.1f} ms in the allocator\n")
     print(render_attribution(snap))
     search_wall = sum(
         e.get("dur", 0.0) for e in tracer.events

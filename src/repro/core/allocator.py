@@ -27,6 +27,7 @@ from typing import (
 )
 
 from repro.core.shapes import ThreeLevelShape, TwoLevelShape
+from repro.obs.metrics import metric
 from repro.topology.fattree import LinkId, SpineLinkId, XGFT
 from repro.topology.state import ClusterState
 
@@ -73,51 +74,77 @@ class Allocation:
 
 @dataclass
 class AllocatorStats:
-    """Counters every allocator maintains; feeds Table 3 and diagnostics."""
+    """Counters every allocator maintains; feeds Table 3 and diagnostics.
 
-    attempts: int = 0
-    successes: int = 0
-    failures: int = 0
-    releases: int = 0
-    #: cumulative wall-clock seconds inside allocate()/release()
-    alloc_seconds: float = 0.0
-    #: successes broken down by allocation level
-    two_level: int = 0
-    three_level: int = 0
-    #: feasibility-cache consultations that skipped a search
-    cache_hits: int = 0
-    #: feasibility-cache consultations that had to run the search
-    cache_misses: int = 0
-    #: times the cache was flushed because free capacity grew
-    cache_invalidations: int = 0
-    #: pods rejected by the vectorized occupancy prefilter before any
-    #: per-pod search work was spent on them
-    pods_pruned: int = 0
-    #: per-pod candidate lists served from the maintained bucket order
-    #: instead of a fresh sorted() call
-    candidate_hits: int = 0
-    #: per-search negative-memo consultations that skipped a repeated
-    #: per-pod sub-search (LC family)
-    memo_hits: int = 0
-    #: cross-pass negative-memo hits: per-pod sub-searches skipped
-    #: because an earlier allocate() proved them infeasible and the
-    #: pod's mutation epoch has not moved since
-    xpass_memo_hits: int = 0
-    #: cross-pass memo entries dropped at lookup because the pod's
-    #: mutation epoch had moved on (claim/release/repair touched it)
-    xpass_memo_epoch_flushes: int = 0
-    #: backtracking steps replayed from the cross-pass memo instead of
-    #: executed; ``backtrack_steps + xpass_memo_replayed_steps`` is
-    #: invariant under the memo (the memo-invariance tests rely on it)
-    xpass_memo_replayed_steps: int = 0
-    #: budgeted backtracking steps actually executed across all searches
-    backtrack_steps: int = 0
-    #: queued candidates the scheduling pass rejected without running
-    #: :meth:`Allocator._search` (cache, size cut, or occupancy screen)
-    queue_prefiltered: int = 0
-    #: subset of ``queue_prefiltered`` rejected by the monotone size cut
-    #: (a smaller effective size already failed durably this round)
-    size_cut_skips: int = 0
+    Each field declares its metric name and help text once (see
+    :func:`repro.obs.metrics.metric`); :mod:`repro.obs.bridge` exports
+    every declared field, and results and diagnostics carry a copy of
+    the whole object rather than of single fields.
+    """
+
+    attempts: int = metric(
+        "repro_alloc_attempts_total",
+        "allocation attempts (successes + failures)")
+    successes: int = metric(
+        "repro_alloc_successes_total",
+        "allocation attempts that placed the job")
+    failures: int = metric(
+        "repro_alloc_failures_total",
+        "allocation attempts that found no placement")
+    releases: int = metric(
+        "repro_alloc_releases_total",
+        "completed jobs whose resources were released")
+    alloc_seconds: float = metric(
+        "repro_alloc_seconds_total",
+        "wall-clock seconds inside allocate()/release()", default=0.0)
+    two_level: int = metric(
+        "repro_alloc_two_level_total",
+        "successful two-level (single-pod) placements")
+    three_level: int = metric(
+        "repro_alloc_three_level_total",
+        "successful three-level (cross-pod) placements")
+    cache_hits: int = metric(
+        "repro_feasibility_cache_hits_total",
+        "feasibility-cache lookups answered without a search")
+    cache_misses: int = metric(
+        "repro_feasibility_cache_misses_total",
+        "feasibility-cache lookups that ran the search")
+    cache_invalidations: int = metric(
+        "repro_feasibility_cache_invalidations_total",
+        "feasibility-cache flushes because free capacity grew")
+    pods_pruned: int = metric(
+        "repro_search_pods_pruned_total",
+        "pods rejected by the occupancy prefilter")
+    candidate_hits: int = metric(
+        "repro_search_candidate_hits_total",
+        "candidate lists served from the maintained order")
+    memo_hits: int = metric(
+        "repro_search_memo_hits_total",
+        "per-search memo hits that skipped a pod sub-search")
+    #: a hit means an earlier allocate() proved the sub-search
+    #: infeasible and the pod's mutation epoch has not moved since
+    xpass_memo_hits: int = metric(
+        "repro_search_xpass_memo_hits_total",
+        "cross-pass negative-memo hits that skipped a pod sub-search")
+    xpass_memo_epoch_flushes: int = metric(
+        "repro_search_xpass_memo_epoch_flushes_total",
+        "cross-pass memo entries dropped because the pod epoch moved")
+    #: ``backtrack_steps + xpass_memo_replayed_steps`` is invariant
+    #: under the memo (the memo-invariance tests rely on it)
+    xpass_memo_replayed_steps: int = metric(
+        "repro_search_xpass_memo_replayed_steps_total",
+        "backtracking steps replayed from cross-pass memo hits")
+    backtrack_steps: int = metric(
+        "repro_search_backtrack_steps_total",
+        "backtracking steps executed by searches")
+    queue_prefiltered: int = metric(
+        "repro_queue_prefiltered_total",
+        "queued candidates the scheduling pass rejected without a search "
+        "(feasibility cache, size cut or batch screen)")
+    #: a smaller effective size already failed durably this round
+    size_cut_skips: int = metric(
+        "repro_size_cut_skips_total",
+        "prefilter skips proven by the monotone size cut")
 
     def record(self, success: bool, seconds: float) -> None:
         self.attempts += 1
@@ -133,15 +160,30 @@ class AllocatorStats:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
+    def summary(self) -> str:
+        """The cache, search-effort and pass-prefilter counters, one
+        line each."""
+        lookups = self.cache_hits + self.cache_misses
+        return "\n".join((
+            f"feasibility cache: {self.cache_hits}/{lookups} lookups "
+            f"served from cache ({100 * self.cache_hit_rate:.1f}%, "
+            f"{self.cache_invalidations} invalidations)",
+            f"search effort: {self.pods_pruned} pods pruned, "
+            f"{self.candidate_hits} candidate-list hits, "
+            f"{self.memo_hits} memo hits, "
+            f"{self.backtrack_steps} backtracking steps",
+            f"pass prefilter: {self.queue_prefiltered} candidates "
+            f"skipped ({self.size_cut_skips} by the size cut)",
+        ))
+
     def as_registry(self, registry=None, labels=None):
         """These counters as a :class:`repro.obs.metrics.MetricRegistry`.
 
-        The registry's instruments are *bound*: they read this object's
+        The registry's series are *bound*: they read this object's
         fields live, so ``snapshot()`` / ``export_prometheus_text()``
-        always agree with the attributes (see
-        :func:`repro.obs.bridge.registry_for_stats` for the name
-        catalog).  The fields themselves stay plain ints — the
-        allocation hot path never pays for the registry view.
+        always agree with the attributes.  The fields themselves stay
+        plain numbers — the allocation hot path never pays for the
+        registry view.
         """
         from repro.obs.bridge import registry_for_stats
 

@@ -23,10 +23,10 @@ counters, never in any scheduling decision.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.allocator import Allocator
+from repro.core.allocator import Allocator, AllocatorStats
 
 
 @dataclass(frozen=True)
@@ -44,23 +44,13 @@ class FragmentationSnapshot:
     shard_nodes: int
     #: free nodes per pod, descending
     pod_free: Tuple[int, ...]
+    #: the allocator's counters at snapshot time (copied before the
+    #: probe sweep, so they reflect the allocator's history)
+    stats: AllocatorStats
     #: probe size -> placeable right now?
     placeable: Dict[int, bool] = field(default_factory=dict)
     #: largest probe size that is placeable (0 if none)
     largest_placeable: int = 0
-    #: allocator feasibility-cache counters at snapshot time (taken
-    #: before the probe sweep, so they reflect the allocator's history)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
-    #: allocator search-effort counters at snapshot time
-    pods_pruned: int = 0
-    candidate_hits: int = 0
-    memo_hits: int = 0
-    backtrack_steps: int = 0
-    #: scheduling-pass prefilter counters at snapshot time
-    queue_prefiltered: int = 0
-    size_cut_skips: int = 0
 
     @property
     def free_fraction(self) -> float:
@@ -71,13 +61,6 @@ class FragmentationSnapshot:
         """Share of the machine lost to padding (the paper measures 3-7 %
         for LaaS)."""
         return self.padding_nodes / self.total_nodes if self.total_nodes else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Share of feasibility lookups the allocator answered from its
-        infeasibility cache (0 when it was never consulted)."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
     @property
     def unusable_free_nodes(self) -> int:
@@ -97,16 +80,7 @@ class FragmentationSnapshot:
             f"partial-leaf shards: {self.shard_nodes} free nodes",
             f"largest placeable job: {self.largest_placeable} nodes "
             f"({self.unusable_free_nodes} free nodes beyond reach)",
-            f"feasibility cache: {self.cache_hits} hits / "
-            f"{self.cache_misses} misses "
-            f"({100 * self.cache_hit_rate:.1f}% hit rate, "
-            f"{self.cache_invalidations} invalidations)",
-            f"search effort: {self.pods_pruned} pods pruned, "
-            f"{self.candidate_hits} candidate-list hits, "
-            f"{self.memo_hits} memo hits, "
-            f"{self.backtrack_steps} backtracking steps",
-            f"pass prefilter: {self.queue_prefiltered} candidates skipped "
-            f"({self.size_cut_skips} by the size cut)",
+            self.stats.summary(),
         ]
         return "\n".join(lines)
 
@@ -140,17 +114,8 @@ def fragmentation_snapshot(
         probe_sizes = default_probe_sizes(tree.num_nodes)
 
     padding = sum(a.padding for a in allocator.allocations.values())
-    stats = allocator.stats
-    hits, misses, invalidations = (
-        stats.cache_hits, stats.cache_misses, stats.cache_invalidations,
-    )
-    # Like the cache counters: snapshot before the probe sweep below
-    # adds its own search effort.
-    pruned, cand, memo, steps = (
-        stats.pods_pruned, stats.candidate_hits,
-        stats.memo_hits, stats.backtrack_steps,
-    )
-    prefiltered, cut_skips = stats.queue_prefiltered, stats.size_cut_skips
+    # Copied before the probe sweep below adds its own search effort.
+    stats = replace(allocator.stats)
     free = state.free_nodes_total
     fully_free = sum(state.full_free_leaves)
     shard = free - fully_free * tree.m1
@@ -176,15 +141,7 @@ def fragmentation_snapshot(
         pod_free=pod_free,
         placeable=placeable,
         largest_placeable=largest,
-        cache_hits=hits,
-        cache_misses=misses,
-        cache_invalidations=invalidations,
-        pods_pruned=pruned,
-        candidate_hits=cand,
-        memo_hits=memo,
-        backtrack_steps=steps,
-        queue_prefiltered=prefiltered,
-        size_cut_skips=cut_skips,
+        stats=stats,
     )
 
 

@@ -79,6 +79,14 @@ class RunRecord:
         )
 
 
+def _check_metric(metric: str) -> None:
+    if metric not in METRICS:
+        raise ValueError(
+            f"unknown campaign metric {metric!r}; known metrics: "
+            f"{', '.join(METRICS)}"
+        )
+
+
 def _extract_metrics(result: SimResult) -> Dict[str, float]:
     return {name: float(getattr(result, name)) for name in METRICS}
 
@@ -234,7 +242,9 @@ class Campaign:
         self, trace: str, scheme: str, metric: str,
         scenario: str = "none", seed: int = 0,
     ) -> float:
-        """One recorded metric value (KeyError if that run never ran)."""
+        """One recorded metric value (KeyError if that run never ran,
+        ValueError for a metric not in :data:`METRICS`)."""
+        _check_metric(metric)
         key = RunKey(trace, scheme, scenario, seed)
         return self.records[key].metrics[metric]
 
@@ -244,7 +254,9 @@ class Campaign:
         scenario: str = "none",
         seed: int = 0,
     ) -> str:
-        """Render trace x scheme values of one metric."""
+        """Render trace x scheme values of one metric (ValueError for a
+        metric not in :data:`METRICS`)."""
+        _check_metric(metric)
         rows: Dict[str, Dict[str, float]] = {}
         for record in self.records.values():
             k = record.key

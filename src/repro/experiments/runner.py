@@ -273,7 +273,5 @@ def run_scheme(
     if metrics is not None:
         from repro.obs.bridge import simulation_registry
 
-        simulation_registry(
-            result, allocator.stats, event_log, registry=metrics
-        )
+        simulation_registry(result, event_log, registry=metrics)
     return result

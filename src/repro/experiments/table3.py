@@ -54,14 +54,15 @@ def table3_full(
         for scheme in schemes:
             result = next(results)
             rows[scheme][name] = result.mean_sched_time_per_job
-            lookups = result.cache_hits + result.cache_misses
+            stats = result.stats
+            lookups = stats.cache_hits + stats.cache_misses
             cache_rows[scheme][name] = (
-                f"{100 * result.cache_hit_rate:.1f}% "
-                f"({result.cache_hits}/{lookups})"
+                f"{100 * stats.cache_hit_rate:.1f}% "
+                f"({stats.cache_hits}/{lookups})"
             )
             search_rows[scheme][name] = (
-                f"{result.pods_pruned}/{result.candidate_hits}"
-                f"/{result.memo_hits}/{result.backtrack_steps}"
+                f"{stats.pods_pruned}/{stats.candidate_hits}"
+                f"/{stats.memo_hits}/{stats.backtrack_steps}"
             )
     return rows, cache_rows, search_rows
 

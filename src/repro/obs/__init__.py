@@ -12,15 +12,15 @@ telemetry-free run (``benchmarks/_fingerprint.py --obs`` enforces it):
   costs one attribute check per simulator-level site; the allocator's
   ``alloc.search`` spans come from :func:`~repro.obs.tracer.trace_allocator`,
   which wraps the allocator from outside for one traced run.
-* :mod:`repro.obs.metrics` — a **metric registry**
-  (:class:`~repro.obs.metrics.Counter` / ``Gauge`` / ``Histogram`` with
-  labels) that unifies the counters scattered across
-  :class:`~repro.core.allocator.AllocatorStats`,
-  :class:`~repro.sched.metrics.SimResult` and
-  :class:`~repro.sched.log.ScheduleLog` behind one ``snapshot()`` /
-  ``export_prometheus_text()`` API (the legacy attributes stay: bound
-  instruments read the same storage, so registry and attributes can
-  never disagree).
+* :mod:`repro.obs.metrics` — a **metric registry** of bound reads
+  over the counter catalog: each counter field of
+  :class:`~repro.core.allocator.AllocatorStats` and
+  :class:`~repro.sched.metrics.SimResult` declares its metric name and
+  help once (:func:`~repro.obs.metrics.metric`), and
+  :mod:`repro.obs.bridge` binds every declared field, plus the
+  :class:`~repro.sched.log.ScheduleLog` mix, behind one
+  ``snapshot()`` / ``export_prometheus_text()`` API.  The registry
+  reads the fields' own storage, so the two can never disagree.
 * :mod:`repro.obs.sampler` — a **time-series sampler** hooked into
   :meth:`repro.sched.simulator.Simulator.run` that emits per-interval
   utilization / queue-depth / fragmentation rows to JSONL, merged
@@ -53,7 +53,7 @@ from repro.obs.bridge import (
     registry_for_stats,
     simulation_registry,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
+from repro.obs.metrics import MetricRegistry
 from repro.obs.prof import (
     StageProfiler,
     merge_snapshots,
@@ -71,10 +71,7 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "Counter",
     "GATE_SCALE",
-    "Gauge",
-    "Histogram",
     "MetricRegistry",
     "Span",
     "StageProfiler",

@@ -1,50 +1,59 @@
-"""Metric registry: Counter / Gauge / Histogram with labels.
+"""Metric registry: bound reads of the counter catalog, with labels.
 
-One registry unifies every counter the repo grew organically —
-feasibility-cache hits, search-effort counters, queue high-water marks,
-the schedule log's start-mechanism mix — behind two calls:
-``snapshot()`` (a flat dict for programs) and
+The repo's counters live where they are counted: plain fields of
+:class:`~repro.core.allocator.AllocatorStats` and
+:class:`~repro.sched.metrics.SimResult`, each declaring its metric
+name, kind and help text once with :func:`metric`, plus the events of
+a :class:`~repro.sched.log.ScheduleLog`.  A :class:`MetricRegistry`
+holds **bound** series only: each reads a live value through a
+zero-argument callable at snapshot time (:meth:`MetricRegistry.bind`,
+or :meth:`MetricRegistry.bind_fields` for every declared field of a
+dataclass).  So the registry never re-counts anything and costs the
+simulation hot path nothing, and it cannot disagree with the fields it
+reads (``tests/test_obs_parity.py`` holds the two views to it).
+
+Two read APIs: ``snapshot()`` (a flat dict for programs) and
 ``export_prometheus_text()`` (the Prometheus text exposition format for
-scrapers and humans).
-
-Two kinds of instruments coexist:
-
-* **owned** instruments store their own value (``inc()`` / ``set()`` /
-  ``observe()``) — use these for new code;
-* **bound** instruments read a live value through a zero-argument
-  callable at snapshot time (:meth:`MetricRegistry.bind`).  This is how
-  the legacy ``AllocatorStats`` / ``SimResult`` / ``ScheduleLog``
-  attributes become registry citizens *without* taxing the simulation
-  hot path: the registry reads the very storage the legacy attributes
-  expose, so the two views cannot disagree (the parity property test in
-  ``tests/test_obs_parity.py`` holds them to it).
-
-Metric names follow Prometheus conventions (``repro_*_total`` for
-counters); the full catalog lives in ``docs/observability.md``.
+scrapers and humans).  Metric names follow Prometheus conventions
+(``repro_*_total`` for counters); the full catalog lives in
+``docs/observability.md``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: default histogram buckets (seconds-flavored, like prometheus client)
-DEFAULT_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
+#: the dataclass-field metadata key :func:`metric` declares under
+_METRIC_KEY = "metric"
+
+_KINDS = ("counter", "gauge")
 
 LabelValues = Tuple[str, ...]
 
 
-def _check_name(name: str) -> str:
-    if not _NAME_RE.match(name):
-        raise ValueError(f"invalid metric name {name!r}")
-    return name
+def metric(name: str, help: str, kind: str = "counter", default=0):
+    """A :func:`dataclasses.field` that declares the metric exporting it
+    (``default=dataclasses.MISSING`` declares a required field)."""
+    return dataclasses.field(
+        default=default, metadata={_METRIC_KEY: (name, kind, help)}
+    )
+
+
+def declared_metrics(obj) -> Dict[str, Tuple[str, str, str]]:
+    """``{field: (metric name, kind, help)}`` for every field of the
+    dataclass (or dataclass instance) ``obj`` declared with
+    :func:`metric`, in field order."""
+    return {
+        f.name: f.metadata[_METRIC_KEY]
+        for f in dataclasses.fields(obj)
+        if _METRIC_KEY in f.metadata
+    }
 
 
 def _escape(value: str) -> str:
@@ -78,198 +87,30 @@ def _format_value(v: float) -> str:
     return repr(float(v))
 
 
-class _Instrument:
-    """Base: a named family of series, one per label-value tuple."""
+class _Family:
+    """A named family of bound series, one per label-value tuple."""
 
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str, labelnames: Sequence[str] = ()):
-        _check_name(name)
+    def __init__(
+        self, name: str, help: str, kind: str, labelnames: Sequence[str]
+    ):
+        if not _NAME_RE.match(name):
+            raise ValueError(f"invalid metric name {name!r}")
         for label in labelnames:
             if not _LABEL_RE.match(label):
                 raise ValueError(f"invalid label name {label!r}")
         self.name = name
         self.help = help
+        self.kind = kind
         self.labelnames = tuple(labelnames)
-        self._series: Dict[LabelValues, Any] = {}
+        self._series: Dict[LabelValues, Callable[[], float]] = {}
 
-    def _key(self, labels: Mapping[str, str]) -> LabelValues:
+    def bind(self, fn: Callable[[], float], labels: Mapping[str, str]) -> None:
         if set(labels) != set(self.labelnames):
             raise ValueError(
                 f"{self.name} expects labels {self.labelnames}, "
                 f"got {tuple(labels)}"
             )
-        return tuple(str(labels[n]) for n in self.labelnames)
-
-    def labels(self, **labels: str):
-        """The child series for these label values (created on demand)."""
-        key = self._key(labels)
-        child = self._series.get(key)
-        if child is None:
-            child = self._new_child()
-            self._series[key] = child
-        return child
-
-    def _default_child(self):
-        """The single unlabeled child (for instruments without labels)."""
-        if self.labelnames:
-            raise ValueError(
-                f"{self.name} is labeled {self.labelnames}; use .labels()"
-            )
-        return self.labels()
-
-    def _new_child(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    # -- collection -----------------------------------------------------
-    def collect(self) -> List[Tuple[str, LabelValues, float]]:
-        """(suffix, label values, value) samples for every series."""
-        out: List[Tuple[str, LabelValues, float]] = []
-        for key in sorted(self._series):
-            out.extend(self._collect_child(key, self._series[key]))
-        return out
-
-    def _collect_child(self, key, child):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class _CounterChild:
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters can only increase")
-        self.value += amount
-
-
-class Counter(_Instrument):
-    """Monotonically increasing count (``*_total``)."""
-
-    kind = "counter"
-
-    def _new_child(self):
-        return _CounterChild()
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    @property
-    def value(self) -> float:
-        return self._default_child().value
-
-    def _collect_child(self, key, child):
-        return [("", key, child.value)]
-
-
-class _GaugeChild:
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-
-class Gauge(_Instrument):
-    """A value that can go up and down (or a point-in-time snapshot)."""
-
-    kind = "gauge"
-
-    def _new_child(self):
-        return _GaugeChild()
-
-    def set(self, value: float) -> None:
-        self._default_child().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
-
-    @property
-    def value(self) -> float:
-        return self._default_child().value
-
-    def _collect_child(self, key, child):
-        return [("", key, child.value)]
-
-
-class _HistogramChild:
-    __slots__ = ("buckets", "counts", "sum", "count")
-
-    def __init__(self, buckets: Sequence[float]):
-        self.buckets = buckets
-        self.counts = [0] * len(buckets)
-        self.sum = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
-        # store per-bucket counts; collect() cumulates for ``le`` output
-        for i, edge in enumerate(self.buckets):
-            if value <= edge:
-                self.counts[i] += 1
-                break
-
-
-class Histogram(_Instrument):
-    """Cumulative-bucket histogram (Prometheus semantics: each
-    ``le`` bucket counts observations ``<=`` its edge, plus ``+Inf``)."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ):
-        super().__init__(name, help, labelnames)
-        edges = sorted(float(b) for b in buckets)
-        if not edges:
-            raise ValueError("histogram needs at least one bucket")
-        self.buckets = tuple(edges)
-
-    def _new_child(self):
-        return _HistogramChild(self.buckets)
-
-    def observe(self, value: float) -> None:
-        self._default_child().observe(value)
-
-    def _collect_child(self, key, child):
-        out = []
-        cumulative = 0
-        for edge, n in zip(self.buckets, child.counts):
-            cumulative += n
-            out.append(("_bucket", key + (_format_value(edge),), cumulative))
-        out.append(("_bucket", key + ("+Inf",), child.count))
-        out.append(("_sum", key, child.sum))
-        out.append(("_count", key, child.count))
-        return out
-
-
-class _Bound(_Instrument):
-    """An instrument whose series read live values through callables."""
-
-    def __init__(self, name, help, labelnames, kind):
-        super().__init__(name, help, labelnames)
-        self.kind = kind
-
-    def bind(self, fn: Callable[[], float], labels: Mapping[str, str]) -> None:
-        key = self._key(labels)
+        key = tuple(str(labels[n]) for n in self.labelnames)
         if key in self._series:
             raise ValueError(
                 f"{self.name}{format_labels(self.labelnames, key)} "
@@ -277,52 +118,26 @@ class _Bound(_Instrument):
             )
         self._series[key] = fn
 
-    def _collect_child(self, key, fn):
-        return [("", key, float(fn()))]
+    def collect(self) -> List[Tuple[str, float]]:
+        """``(rendered labels, value)`` for every series, label-sorted."""
+        return [
+            (format_labels(self.labelnames, key), float(self._series[key]()))
+            for key in sorted(self._series)
+        ]
 
 
 class MetricRegistry:
-    """Instrument factory plus the two read APIs.
+    """Families of bound series plus the two read APIs.
 
     >>> reg = MetricRegistry()
-    >>> hits = reg.counter("cache_hits_total", "cache hits")
-    >>> hits.inc(3)
+    >>> box = {"hits": 3}
+    >>> reg.bind("cache_hits_total", "cache hits", lambda: box["hits"])
     >>> reg.snapshot()["cache_hits_total"]
     3.0
     """
 
     def __init__(self):
-        self._instruments: Dict[str, _Instrument] = {}
-
-    def _register(self, instrument: _Instrument) -> _Instrument:
-        existing = self._instruments.get(instrument.name)
-        if existing is not None:
-            raise ValueError(
-                f"metric {instrument.name!r} is already registered "
-                f"as a {existing.kind}"
-            )
-        self._instruments[instrument.name] = instrument
-        return instrument
-
-    # -- factories ------------------------------------------------------
-    def counter(
-        self, name: str, help: str, labelnames: Sequence[str] = ()
-    ) -> Counter:
-        return self._register(Counter(name, help, labelnames))
-
-    def gauge(
-        self, name: str, help: str, labelnames: Sequence[str] = ()
-    ) -> Gauge:
-        return self._register(Gauge(name, help, labelnames))
-
-    def histogram(
-        self,
-        name: str,
-        help: str,
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._register(Histogram(name, help, labelnames, buckets))
+        self._families: Dict[str, _Family] = {}
 
     def bind(
         self,
@@ -332,63 +147,62 @@ class MetricRegistry:
         kind: str = "counter",
         labels: Optional[Mapping[str, str]] = None,
     ) -> None:
-        """Register (or extend) a **bound** series: ``fn`` is called at
+        """Register (or extend) a bound series: ``fn`` is called at
         snapshot/export time, so the registry always reports the live
         value of whatever storage ``fn`` reads.  Repeated calls with the
         same name but different label values add series to the family
-        (label *names* must match)."""
-        if kind not in ("counter", "gauge"):
-            raise ValueError(f"bound instruments are counter/gauge, not {kind}")
-        labels = dict(labels or {})
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = self._register(_Bound(name, help, tuple(labels), kind))
-        elif not isinstance(instrument, _Bound) or instrument.kind != kind:
+        (label *names* and the kind must match)."""
+        if kind not in _KINDS:
             raise ValueError(
-                f"metric {name!r} is already registered as an owned "
-                f"{instrument.kind}"
+                f"metric kind must be one of {_KINDS}, not {kind!r}"
             )
-        instrument.bind(fn, labels)
+        labels = dict(labels or {})
+        family = self._families.get(name)
+        if family is None:
+            family = _Family(name, help, kind, tuple(labels))
+            self._families[name] = family
+        elif family.kind != kind:
+            raise ValueError(
+                f"metric {name!r} is already registered as a {family.kind}"
+            )
+        family.bind(fn, labels)
 
-    def get(self, name: str) -> Optional[_Instrument]:
-        return self._instruments.get(name)
+    def bind_fields(
+        self, obj, labels: Optional[Mapping[str, str]] = None
+    ) -> None:
+        """Bind every field of dataclass instance ``obj`` that declares
+        a metric (see :func:`metric`), reading it live off ``obj``."""
+        for field, (name, kind, help) in declared_metrics(obj).items():
+            self.bind(name, help, _getter(obj, field), kind=kind,
+                      labels=labels)
+
+    def get(self, name: str) -> Optional[_Family]:
+        return self._families.get(name)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._instruments
+        return name in self._families
 
     # -- reading --------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
-        """Flat ``{"name{labels}": value}`` dict of every series.
-
-        Unlabeled series appear under their bare name; histogram series
-        under their ``_bucket``/``_sum``/``_count`` suffixes.
-        """
-        out: Dict[str, float] = {}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            labelnames = instrument.labelnames
-            for suffix, key, value in instrument.collect():
-                if suffix == "_bucket":
-                    labels = format_labels(labelnames + ("le",), key)
-                else:
-                    labels = format_labels(labelnames, key)
-                out[f"{name}{suffix}{labels}"] = float(value)
-        return out
+        """Flat ``{"name{labels}": value}`` dict of every series
+        (unlabeled series appear under their bare name)."""
+        return {
+            f"{name}{labels}": value
+            for name in sorted(self._families)
+            for labels, value in self._families[name].collect()
+        }
 
     def export_prometheus_text(self) -> str:
         """The Prometheus text exposition format (version 0.0.4)."""
         lines: List[str] = []
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            lines.append(f"# HELP {name} {instrument.help}")
-            lines.append(f"# TYPE {name} {instrument.kind}")
-            labelnames = instrument.labelnames
-            for suffix, key, value in instrument.collect():
-                if suffix == "_bucket":
-                    labels = format_labels(labelnames + ("le",), key)
-                else:
-                    labels = format_labels(labelnames, key)
-                lines.append(
-                    f"{name}{suffix}{labels} {_format_value(value)}"
-                )
+        for name in sorted(self._families):
+            family = self._families[name]
+            lines.append(f"# HELP {name} {family.help}")
+            lines.append(f"# TYPE {name} {family.kind}")
+            for labels, value in family.collect():
+                lines.append(f"{name}{labels} {_format_value(value)}")
         return "\n".join(lines) + "\n"
+
+
+def _getter(obj, field):
+    return lambda o=obj, f=field: getattr(o, f)

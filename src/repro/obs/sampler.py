@@ -50,8 +50,11 @@ class TimeSeriesSampler:
     """
 
     def __init__(self, interval: float):
-        if interval <= 0:
-            raise ValueError("sample interval must be positive")
+        if not 0 < interval < math.inf:
+            raise ValueError(
+                "sample interval must be finite and positive, "
+                f"got {interval!r}"
+            )
         self.interval = float(interval)
         self.rows: List[Dict[str, Any]] = []
         self._next_boundary: Optional[float] = None

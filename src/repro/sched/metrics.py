@@ -24,10 +24,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.core.allocator import AllocatorStats
+from repro.obs.metrics import metric
 
 #: Table 2's instantaneous-utilization ranges, as (label, lo, hi) with
 #: samples classified by lo <= u < hi (the top bin includes 100).
@@ -122,70 +125,66 @@ class JobRecord:
 
 @dataclass
 class SimResult:
-    """Everything one simulation run produced."""
+    """Everything one simulation run produced.
+
+    Run-level counters declare their metric names once, on their fields
+    (:func:`repro.obs.metrics.metric`); the allocator's counters ride
+    along as one :class:`AllocatorStats` copy in ``stats``.
+    """
 
     scheme: str
     trace_name: str
     system_nodes: int
     jobs: List[JobRecord]
-    makespan: float
-    #: node-seconds of requested work done while the queue was non-empty
-    busy_area: float
-    #: node-seconds available while the queue was non-empty
-    demand_area: float
-    #: node-seconds of requested work over the whole simulation
-    total_busy_area: float
+    makespan: float = metric(
+        "repro_sim_makespan_seconds",
+        "first arrival to last completion, simulated seconds",
+        kind="gauge", default=MISSING)
+    busy_area: float = metric(
+        "repro_sim_busy_node_seconds",
+        "requested node-seconds done while the queue was non-empty",
+        default=MISSING)
+    demand_area: float = metric(
+        "repro_sim_demand_node_seconds",
+        "node-seconds available while the queue was non-empty",
+        default=MISSING)
+    total_busy_area: float = metric(
+        "repro_sim_total_busy_node_seconds",
+        "requested node-seconds over the whole run", default=MISSING)
     instant: InstantHistogram
-    #: wall-clock seconds spent inside allocate()/release()
-    sched_seconds: float
-    #: number of allocation attempts (successes + failures)
-    alloc_attempts: int
+    #: the allocator's counters, copied when the run ended
+    stats: AllocatorStats
     #: ids of jobs that could never be started (should be empty)
     unscheduled: List[int] = field(default_factory=list)
-    #: allocator feasibility-cache lookups answered without a search
-    cache_hits: int = 0
-    #: allocator feasibility-cache lookups that ran the search
-    cache_misses: int = 0
-    #: pods rejected by the vectorized occupancy prefilter
-    pods_pruned: int = 0
-    #: per-pod candidate lists read off the maintained bucket order
-    candidate_hits: int = 0
-    #: per-search memo hits that skipped a repeated per-pod sub-search
-    memo_hits: int = 0
-    #: cross-pass negative-memo hits that skipped a whole pod sub-search
-    xpass_memo_hits: int = 0
-    #: cross-pass memo entries dropped because the pod's epoch moved on
-    xpass_memo_epoch_flushes: int = 0
-    #: backtracking steps replayed (not executed) from cross-pass memo
-    #: hits; ``backtrack_steps + xpass_memo_replayed_steps`` equals the
-    #: memo-off step count exactly
-    xpass_memo_replayed_steps: int = 0
-    #: backtracking steps actually executed by the allocator searches
-    backtrack_steps: int = 0
-    #: queued candidates skipped by the scheduling pass's prefilter (cache /
-    #: size cut / batch screen) instead of running a lost search
-    queue_prefiltered: int = 0
-    #: prefilter skips proven by the monotone size cut specifically
-    size_cut_skips: int = 0
     #: per-interval time-series rows, when the run was sampled
     #: (see :mod:`repro.obs.sampler`); empty otherwise.  Plain dicts so
     #: the result stays picklable across the grid engine's process pool.
     samples: List[Dict[str, Any]] = field(default_factory=list)
-    #: fault-timeline events applied during the run (zero without a
-    #: timeline — see :mod:`repro.sched.resilience`)
-    faults_injected: int = 0
-    faults_repaired: int = 0
-    #: jobs killed by a fault and resubmitted to the queue
-    resubmissions: int = 0
-    #: node-seconds of execution destroyed by fault kills (work saved by
-    #: the checkpoint model excluded); already included in the busy areas
-    wasted_node_seconds: float = 0.0
-    #: integral of out-of-service (fault-claimed) nodes over time
-    degraded_node_seconds: float = 0.0
-    #: scheduling passes run; under batch-step mode this is the round
-    #: count (far below the event count on bursty traces), under
-    #: event-driven replay one per event batch
-    scheduling_rounds: int = 0
+    #: fault-timeline counters (zero without a timeline — see
+    #: :mod:`repro.sched.resilience`); wasted node-seconds exclude work
+    #: saved by the checkpoint model and are already in the busy areas
+    faults_injected: int = metric(
+        "repro_fault_injections_total",
+        "fault-timeline fail events applied")
+    faults_repaired: int = metric(
+        "repro_fault_repairs_total",
+        "fault-timeline repair events applied")
+    resubmissions: int = metric(
+        "repro_sim_resubmissions_total",
+        "jobs killed by a fault and resubmitted")
+    wasted_node_seconds: float = metric(
+        "repro_sim_wasted_node_seconds_total",
+        "node-seconds of execution destroyed by fault kills", default=0.0)
+    degraded_node_seconds: float = metric(
+        "repro_sim_degraded_node_seconds_total",
+        "integral of out-of-service nodes over simulated time",
+        default=0.0)
+    #: under batch-step mode this is the round count (far below the
+    #: event count on bursty traces), under event-driven replay one per
+    #: event batch
+    scheduling_rounds: int = metric(
+        "repro_sched_rounds_total",
+        "scheduling passes run (batch-step rounds)")
     #: the batch-step Δt the run used (None = event-driven)
     step_interval: Optional[float] = None
     #: per-job scheduling-provenance rows (plain dicts, picklable);
@@ -195,6 +194,28 @@ class SimResult:
     #: stage-profiler snapshot (see :mod:`repro.obs.prof`); attached by
     #: the runner when profiling was requested, None otherwise
     prof: Optional[Dict[str, Any]] = None
+
+    # ``COUNT_FIELDS`` in ``bench/replay.py`` reads these five counters
+    # by name off the result; every other reader uses ``stats``.
+    @property
+    def alloc_attempts(self) -> int:
+        return self.stats.attempts
+
+    @property
+    def cache_hits(self) -> int:
+        return self.stats.cache_hits
+
+    @property
+    def backtrack_steps(self) -> int:
+        return self.stats.backtrack_steps
+
+    @property
+    def queue_prefiltered(self) -> int:
+        return self.stats.queue_prefiltered
+
+    @property
+    def xpass_memo_hits(self) -> int:
+        return self.stats.xpass_memo_hits
 
     # ------------------------------------------------------------------
     @property
@@ -251,13 +272,7 @@ class SimResult:
     @property
     def mean_sched_time_per_job(self) -> float:
         """Table 3's metric: allocator wall-clock seconds per job."""
-        return self.sched_seconds / len(self.jobs) if self.jobs else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Share of allocator feasibility lookups served from cache."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
+        return self.stats.alloc_seconds / len(self.jobs) if self.jobs else 0.0
 
     @property
     def goodput_fraction(self) -> float:
@@ -313,12 +328,12 @@ class SimResult:
         }
 
     def as_registry(self, registry=None, labels: Optional[Dict[str, str]] = None):
-        """This result's counters as a live metric-registry view.
+        """This result's counters, ``stats`` included, as a live
+        metric-registry view.
 
-        The registry's instruments read these fields on demand (the
+        The registry's series read these fields on demand (the
         collector pattern — see :mod:`repro.obs.bridge`), so the two
-        representations cannot disagree.  Imported lazily to keep the
-        metrics module dependency-free for pickling.
+        representations cannot disagree.
         """
         from repro.obs.bridge import registry_for_result
 
@@ -422,8 +437,8 @@ def fidelity_report(event: SimResult, batch: SimResult) -> Dict[str, float]:
             if event.scheduling_rounds else float("nan")
         ),
         "attempts_ratio": (
-            batch.alloc_attempts / event.alloc_attempts
-            if event.alloc_attempts else float("nan")
+            batch.stats.attempts / event.stats.attempts
+            if event.stats.attempts else float("nan")
         ),
     }
 

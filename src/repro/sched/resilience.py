@@ -82,10 +82,16 @@ class FaultSpec:
                 f"unknown fault kind {self.kind!r}; "
                 f"expected one of {FAULT_KINDS}"
             )
-        if self.start < 0:
-            raise ValueError("fault start must be non-negative")
-        if self.end is not None and self.end <= self.start:
-            raise ValueError("fault end must be after its start")
+        if not 0 <= self.start < math.inf:
+            raise ValueError(
+                "fault start must be finite and non-negative, "
+                f"got start={self.start!r}"
+            )
+        if self.end is not None and not self.end > self.start:
+            raise ValueError(
+                f"fault end must be after its start, got end={self.end!r} "
+                f"for start={self.start!r}"
+            )
         target = self.target
         if isinstance(target, int):
             target = (target,)
@@ -147,12 +153,12 @@ class FaultTimeline:
         """
         if num_nodes < 1:
             raise ValueError("num_nodes must be positive")
-        if mttf <= 0:
-            raise ValueError("mttf must be positive")
+        if not mttf > 0:
+            raise ValueError(f"mttf must be positive, got mttf={mttf!r}")
         if mttr is None:
             mttr = mttf * DEFAULT_MTTR_FRACTION
-        if mttr <= 0:
-            raise ValueError("mttr must be positive")
+        if not mttr > 0:
+            raise ValueError(f"mttr must be positive, got mttr={mttr!r}")
         rng = rng_for(stream, seed)
         faults: List[FaultSpec] = []
         for node in range(num_nodes):

@@ -49,6 +49,7 @@ release, so pure-arrival event batches never repeat a lost search.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 import numbers
@@ -1374,24 +1375,8 @@ class _RunState:
             demand_area=self.demand_area,
             total_busy_area=self.total_busy_area,
             instant=self.instant,
-            sched_seconds=self.allocator.stats.alloc_seconds,
-            alloc_attempts=self.allocator.stats.attempts,
+            stats=dataclasses.replace(self.allocator.stats),
             unscheduled=self.unscheduled,
-            cache_hits=self.allocator.stats.cache_hits,
-            cache_misses=self.allocator.stats.cache_misses,
-            pods_pruned=self.allocator.stats.pods_pruned,
-            candidate_hits=self.allocator.stats.candidate_hits,
-            memo_hits=self.allocator.stats.memo_hits,
-            xpass_memo_hits=self.allocator.stats.xpass_memo_hits,
-            xpass_memo_epoch_flushes=(
-                self.allocator.stats.xpass_memo_epoch_flushes
-            ),
-            xpass_memo_replayed_steps=(
-                self.allocator.stats.xpass_memo_replayed_steps
-            ),
-            backtrack_steps=self.allocator.stats.backtrack_steps,
-            queue_prefiltered=self.allocator.stats.queue_prefiltered,
-            size_cut_skips=self.allocator.stats.size_cut_skips,
             samples=(
                 list(self.sampler.rows) if self.sampler is not None else []
             ),

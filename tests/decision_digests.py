@@ -126,7 +126,7 @@ def pass_digest(sim, result) -> dict:
             [(j.job_id, j.start, j.end) for j in result.jobs]
         ),
         "makespan": result.makespan,
-        "alloc_attempts": result.alloc_attempts,
+        "alloc_attempts": result.stats.attempts,
         "unscheduled": list(result.unscheduled),
         "peak_pheap_stale": sim.peak_pheap_stale,
         "peak_started_out_of_order": sim.peak_started_out_of_order,
@@ -223,7 +223,7 @@ def provenance_digest(result) -> dict:
     ]
     return {
         "ledger_sha256": _sha(ledger),
-        "alloc_attempts": result.alloc_attempts,
+        "alloc_attempts": result.stats.attempts,
     }
 
 

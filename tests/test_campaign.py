@@ -70,6 +70,16 @@ class TestCampaign:
         assert "jigsaw" in text
         assert "(no campaign runs" in c.table(scenario="v2")
 
+    def test_unknown_metric_named_with_the_known_ones(self):
+        c = Campaign(scale=TINY)
+        c.run(["Synth-16"], ["jigsaw"])
+        for read in (
+            lambda: c.table(metric="utilisation"),
+            lambda: c.value("Synth-16", "jigsaw", "utilisation"),
+        ):
+            with pytest.raises(ValueError, match="'utilisation'.*mean_wait"):
+                read()
+
     def test_wall_seconds_accumulate(self):
         c = Campaign(scale=TINY)
         c.run(["Synth-16"], ["jigsaw"])

@@ -106,6 +106,34 @@ def test_campaign(tmp_path, capsys):
     assert "total simulated wall time" in second
 
 
+def test_campaign_rejects_unknown_metric_before_running(tmp_path):
+    # It used to run and save the whole sweep, then die with KeyError.
+    out = tmp_path / "c.json"
+    with pytest.raises(SystemExit):
+        main(["campaign", "--scale", "0.004", "--out", str(out),
+              "--traces", "Synth-16", "--schemes", "jigsaw",
+              "--metric", "utilisation"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("interval", ["nan", "inf"])
+def test_simulate_rejects_non_finite_sample_interval(tmp_path, interval):
+    # NaN died late in the sampler's reset; inf wrote a single row.
+    samples = tmp_path / "s.jsonl"
+    with pytest.raises(ValueError, match=f"sample interval.*{interval}"):
+        main(["simulate", "--scale", "0.004", "--trace", "Synth-16",
+              "--scheme", "jigsaw", "--samples-out", str(samples),
+              "--sample-interval", interval])
+    assert not samples.exists()
+
+
+def test_simulate_rejects_nan_mttf():
+    # A NaN MTTF used to run with no faults and print no fault line.
+    with pytest.raises(ValueError, match="mttf=nan"):
+        main(["simulate", "--scale", "0.004", "--trace", "Synth-16",
+              "--scheme", "jigsaw", "--mttf", "nan"])
+
+
 def test_simulate_rejects_non_finite_step_interval():
     # argparse's float accepts "inf"; the run used to lose every job
     # after the first round instead of failing.

@@ -71,7 +71,7 @@ def _assert_twin(scheme, **sim_kwargs):
     assert col.demand_area == sca.demand_area
     assert col.total_busy_area == sca.total_busy_area
     assert col.instant.counts == sca.instant.counts
-    assert col.alloc_attempts == sca.alloc_attempts
+    assert col.stats.attempts == sca.stats.attempts
     assert col.unscheduled == sca.unscheduled
     assert col.resubmissions == sca.resubmissions
     assert col.wasted_node_seconds == sca.wasted_node_seconds
@@ -181,7 +181,7 @@ def test_twin_property_random_traces(seed, scheme, order):
     ]
     assert col.busy_area == sca.busy_area
     assert col.demand_area == sca.demand_area
-    assert col.alloc_attempts == sca.alloc_attempts
+    assert col.stats.attempts == sca.stats.attempts
 
 
 # -- release_many vs sequential release ---------------------------------

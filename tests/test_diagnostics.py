@@ -1,5 +1,7 @@
 """Fragmentation diagnostics."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.diagnostics import (
@@ -94,6 +96,15 @@ class TestSnapshot:
         text = snap.summary()
         assert "fully-free leaves" in text
         assert "largest placeable" in text
+
+    def test_stats_copied_before_probe_sweep(self, tree):
+        allocator = make_allocator("jigsaw", tree)
+        allocator.allocate(1, 20)
+        before = dataclasses.replace(allocator.stats)
+        snap = fragmentation_snapshot(allocator)
+        assert snap.stats == before
+        assert snap.stats is not allocator.stats
+        assert snap.stats.summary() in snap.summary()
 
     def test_compare(self, tree):
         allocs = [make_allocator(n, tree) for n in ("jigsaw", "baseline")]

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.allocator import AllocatorStats
 from repro.sched.metrics import (
     INSTANT_BINS,
     InstantHistogram,
@@ -69,8 +70,7 @@ def make_result(records, makespan=100.0, busy=900.0, demand=1000.0):
         demand_area=demand,
         total_busy_area=busy,
         instant=InstantHistogram(),
-        sched_seconds=0.5,
-        alloc_attempts=len(records),
+        stats=AllocatorStats(attempts=len(records), alloc_seconds=0.5),
     )
 
 

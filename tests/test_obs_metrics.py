@@ -1,10 +1,12 @@
-"""Metric registry: instrument semantics and export formats."""
+"""Metric registry: bound-series semantics and export formats."""
 
-import math
+import dataclasses
+import pathlib
+import sys
 
 import pytest
 
-from repro.obs.metrics import MetricRegistry
+from repro.obs.metrics import MetricRegistry, declared_metrics, metric
 
 
 @pytest.fixture
@@ -12,83 +14,58 @@ def reg():
     return MetricRegistry()
 
 
+def _schema_checker():
+    sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "benchmarks"))
+    try:
+        import _check_obs_schema as checker
+    finally:
+        sys.path.pop(0)
+    return checker
+
+
 class TestCounter:
-    def test_inc_and_value(self, reg):
-        c = reg.counter("hits_total", "hits")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-
-    def test_counters_never_decrease(self, reg):
-        c = reg.counter("hits_total", "hits")
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
     def test_labeled_series_are_independent(self, reg):
-        c = reg.counter("starts_total", "starts", labelnames=("via",))
-        c.labels(via="fifo").inc(2)
-        c.labels(via="backfill").inc(5)
+        reg.bind("starts_total", "starts", lambda: 2, labels={"via": "fifo"})
+        reg.bind("starts_total", "starts", lambda: 5,
+                 labels={"via": "backfill"})
         snap = reg.snapshot()
         assert snap['starts_total{via="fifo"}'] == 2
         assert snap['starts_total{via="backfill"}'] == 5
 
     def test_unlabeled_access_on_labeled_family_rejected(self, reg):
-        c = reg.counter("starts_total", "starts", labelnames=("via",))
+        reg.bind("starts_total", "starts", lambda: 1, labels={"via": "fifo"})
         with pytest.raises(ValueError):
-            c.inc()
+            reg.bind("starts_total", "starts", lambda: 1)
 
     def test_wrong_label_names_rejected(self, reg):
-        c = reg.counter("starts_total", "starts", labelnames=("via",))
+        reg.bind("starts_total", "starts", lambda: 1, labels={"via": "fifo"})
         with pytest.raises(ValueError):
-            c.labels(kind="fifo")
-
-
-class TestGauge:
-    def test_set_inc_dec(self, reg):
-        g = reg.gauge("depth", "queue depth")
-        g.set(10)
-        g.inc(3)
-        g.dec()
-        assert g.value == 12
-
-
-class TestHistogram:
-    def test_buckets_are_cumulative(self, reg):
-        h = reg.histogram("lat", "latency", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 5.0):
-            h.observe(v)
-        snap = reg.snapshot()
-        assert snap['lat_bucket{le="0.1"}'] == 1
-        assert snap['lat_bucket{le="1"}'] == 2
-        assert snap['lat_bucket{le="10"}'] == 3
-        assert snap['lat_bucket{le="+Inf"}'] == 3
-        assert snap["lat_count"] == 3
-        assert snap["lat_sum"] == pytest.approx(5.55)
-
-    def test_overflow_lands_only_in_inf(self, reg):
-        h = reg.histogram("lat", "latency", buckets=(1.0,))
-        h.observe(99.0)
-        snap = reg.snapshot()
-        assert snap['lat_bucket{le="1"}'] == 0
-        assert snap['lat_bucket{le="+Inf"}'] == 1
+            reg.bind("starts_total", "starts", lambda: 1,
+                     labels={"kind": "fifo"})
 
 
 class TestRegistry:
     def test_duplicate_name_rejected(self, reg):
-        reg.counter("x_total", "x")
+        # One name, one kind: a family cannot be both counter and gauge.
+        reg.bind("x_total", "x", lambda: 1, labels={"a": "1"})
+        with pytest.raises(ValueError, match="registered as a counter"):
+            reg.bind("x_total", "x again", lambda: 2, kind="gauge",
+                     labels={"a": "2"})
+
+    def test_unknown_kind_rejected(self, reg):
         with pytest.raises(ValueError):
-            reg.gauge("x_total", "x again")
+            reg.bind("lat", "latency", lambda: 1, kind="histogram")
 
     def test_invalid_names_rejected(self, reg):
         with pytest.raises(ValueError):
-            reg.counter("0bad", "starts with a digit")
+            reg.bind("0bad", "starts with a digit", lambda: 1)
         with pytest.raises(ValueError):
-            reg.counter("ok_total", "bad label", labelnames=("0via",))
+            reg.bind("ok_total", "bad label", lambda: 1, labels={"0via": "x"})
 
     def test_contains_and_get(self, reg):
-        c = reg.counter("x_total", "x")
-        assert "x_total" in reg and reg.get("x_total") is c
-        assert "y_total" not in reg
+        reg.bind("x_total", "x", lambda: 1)
+        assert "x_total" in reg and reg.get("x_total").kind == "counter"
+        assert "y_total" not in reg and reg.get("y_total") is None
 
     def test_bound_series_reads_live_storage(self, reg):
         box = {"n": 1}
@@ -109,18 +86,41 @@ class TestRegistry:
         with pytest.raises(ValueError):
             reg.bind("k_total", "k", lambda: 2, labels={"kind": "a"})
 
-    def test_bound_cannot_shadow_owned(self, reg):
-        reg.counter("x_total", "x")
-        with pytest.raises(ValueError):
-            reg.bind("x_total", "x", lambda: 1)
+
+class TestFieldCatalog:
+    @dataclasses.dataclass
+    class Carrier:
+        depth: float = metric("carrier_depth", "depth", kind="gauge",
+                              default=dataclasses.MISSING)
+        hits: int = metric("carrier_hits_total", "hits")
+        note: str = ""
+
+    def test_declared_metrics_lists_declared_fields_only(self):
+        assert declared_metrics(self.Carrier) == {
+            "depth": ("carrier_depth", "gauge", "depth"),
+            "hits": ("carrier_hits_total", "counter", "hits"),
+        }
+
+    def test_missing_default_declares_a_required_field(self):
+        with pytest.raises(TypeError):
+            self.Carrier()
+
+    def test_bind_fields_reads_live_fields(self, reg):
+        carrier = self.Carrier(depth=1.5)
+        reg.bind_fields(carrier, {"run": "a"})
+        carrier.hits = 4
+        text = reg.export_prometheus_text().splitlines()
+        assert "# TYPE carrier_depth gauge" in text
+        assert 'carrier_depth{run="a"} 1.5' in text
+        assert 'carrier_hits_total{run="a"} 4' in text
+        assert "note" not in reg.export_prometheus_text()
 
 
 class TestPrometheusText:
     def test_format(self, reg):
-        c = reg.counter("repro_starts_total", "job starts", ("via",))
-        c.labels(via="fifo").inc(3)
-        g = reg.gauge("repro_depth", "queue depth")
-        g.set(1.5)
+        reg.bind("repro_starts_total", "job starts", lambda: 3,
+                 labels={"via": "fifo"})
+        reg.bind("repro_depth", "queue depth", lambda: 1.5, kind="gauge")
         text = reg.export_prometheus_text()
         lines = text.splitlines()
         assert "# HELP repro_depth queue depth" in lines
@@ -131,46 +131,35 @@ class TestPrometheusText:
         assert text.endswith("\n")
 
     def test_integers_render_without_decimal_point(self, reg):
-        reg.counter("n_total", "n").inc(42)
+        reg.bind("n_total", "n", lambda: 42.0)
         assert "n_total 42" in reg.export_prometheus_text().splitlines()
 
     def test_label_values_escaped(self, reg):
-        c = reg.counter("x_total", "x", ("name",))
-        c.labels(name='we"ird\\v').inc()
+        reg.bind("x_total", "x", lambda: 1, labels={"name": 'we"ird\\v'})
         assert 'x_total{name="we\\"ird\\\\v"} 1' in (
             reg.export_prometheus_text()
         )
 
     def test_passes_schema_checker(self, reg, tmp_path):
-        import pathlib
-        import sys
-
-        sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "benchmarks"))
-        try:
-            import _check_obs_schema as checker
-        finally:
-            sys.path.pop(0)
-        h = reg.histogram("repro_lat", "latency", buckets=(0.1, 1.0))
-        h.observe(0.05)
-        reg.counter("repro_hits_total", "hits").inc(2)
+        reg.bind("repro_lat", "latency", lambda: 0.05, kind="gauge",
+                 labels={"quantile": "0.5"})
+        reg.bind("repro_hits_total", "hits", lambda: 2)
         path = tmp_path / "m.prom"
         path.write_text(reg.export_prometheus_text())
-        assert checker.check_metrics(str(path)) == []
+        assert _schema_checker().check_metrics(str(path)) == []
 
 
 class TestPrometheusEdgeCases:
-    """Exposition-format corners: escaping, degenerate registries,
-    non-finite values, and bucket monotonicity under odd inputs."""
+    """Exposition-format corners: escaping, degenerate registries and
+    non-finite values."""
 
     def test_newline_in_label_value_escaped(self, reg):
-        c = reg.counter("x_total", "x", ("name",))
-        c.labels(name="two\nlines").inc()
+        reg.bind("x_total", "x", lambda: 1, labels={"name": "two\nlines"})
         text = reg.export_prometheus_text()
         assert 'x_total{name="two\\nlines"} 1' in text.splitlines()
 
     def test_backslash_quote_newline_combined(self, reg):
-        c = reg.counter("x_total", "x", ("name",))
-        c.labels(name='a\\b"c\nd').inc()
+        reg.bind("x_total", "x", lambda: 1, labels={"name": 'a\\b"c\nd'})
         # Escape order matters: backslash first, so the escapes
         # themselves are not re-escaped.
         assert 'x_total{name="a\\\\b\\"c\\nd"} 1' in (
@@ -183,42 +172,18 @@ class TestPrometheusEdgeCases:
         assert reg.snapshot() == {}
 
     def test_nan_and_inf_gauges_render_spec_spellings(self, reg):
-        reg.gauge("g_nan", "nan").set(float("nan"))
-        reg.gauge("g_pinf", "+inf").set(float("inf"))
-        reg.gauge("g_ninf", "-inf").set(float("-inf"))
+        reg.bind("g_nan", "nan", lambda: float("nan"), kind="gauge")
+        reg.bind("g_pinf", "+inf", lambda: float("inf"), kind="gauge")
+        reg.bind("g_ninf", "-inf", lambda: float("-inf"), kind="gauge")
         lines = reg.export_prometheus_text().splitlines()
         assert "g_nan NaN" in lines
         assert "g_pinf +Inf" in lines
         assert "g_ninf -Inf" in lines
 
-    def test_histogram_buckets_monotone_with_boundary_hits(self, reg):
-        # Observations exactly on bucket edges land in their own le
-        # bucket (le is inclusive) and the cumulative counts never dip.
-        h = reg.histogram("lat", "latency", buckets=(0.1, 1.0, 10.0))
-        for v in (0.1, 1.0, 10.0, 10.0001):
-            h.observe(v)
-        snap = reg.snapshot()
-        series = [snap['lat_bucket{le="0.1"}'], snap['lat_bucket{le="1"}'],
-                  snap['lat_bucket{le="10"}'], snap['lat_bucket{le="+Inf"}']]
-        assert series == sorted(series)
-        assert series[-1] == snap["lat_count"] == 4
-
     def test_edge_cases_pass_schema_checker(self, reg, tmp_path):
-        import pathlib
-        import sys
-
-        sys.path.insert(
-            0, str(pathlib.Path(__file__).parent.parent / "benchmarks")
-        )
-        try:
-            import _check_obs_schema as checker
-        finally:
-            sys.path.pop(0)
-        c = reg.counter("repro_weird_total", "weird labels", ("name",))
-        c.labels(name='a\\b"c\nd').inc()
-        reg.gauge("repro_g", "non-finite").set(float("inf"))
-        h = reg.histogram("repro_lat", "latency", buckets=(0.5,))
-        h.observe(0.5)
+        reg.bind("repro_weird_total", "weird labels", lambda: 1,
+                 labels={"name": 'a\\b"c\nd'})
+        reg.bind("repro_g", "non-finite", lambda: float("inf"), kind="gauge")
         path = tmp_path / "edge.prom"
         path.write_text(reg.export_prometheus_text())
-        assert checker.check_metrics(str(path)) == []
+        assert _schema_checker().check_metrics(str(path)) == []

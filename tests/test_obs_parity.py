@@ -1,29 +1,33 @@
-"""Registry/legacy parity and telemetry invariance.
+"""Registry/field parity and telemetry invariance.
 
-The bound-instrument bridge promises the metric registry and the legacy
-counter attributes are two views of the same storage; the property test
-here holds them to it field for field, over randomized synthetic traces
-and all five schemes.  Telemetry as a whole promises to be strictly
-passive; the invariance tests hold the tracer/sampler/log stack to that.
+The bridge promises the metric registry and the counter catalog — the
+fields of ``AllocatorStats`` and ``SimResult`` that declare a metric —
+are two views of the same storage; the property test here walks the
+catalog and holds them to it field for field, over randomized synthetic
+traces and all five schemes.  Telemetry as a whole promises to be
+strictly passive; the invariance tests hold the tracer/sampler/log
+stack to that.
 """
+
+import dataclasses
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.allocator import AllocatorStats
+from repro.core.diagnostics import FragmentationSnapshot
 from repro.core.registry import make_allocator
-from repro.obs.bridge import (
-    RESULT_METRICS,
-    STATS_METRICS,
-    STATS_ONLY_FIELDS,
-    registry_for_stats,
-    simulation_registry,
-)
-from repro.obs.metrics import MetricRegistry, format_labels
+from repro.obs.bridge import registry_for_stats, simulation_registry
+from repro.obs.metrics import declared_metrics, format_labels
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.tracer import Tracer, trace_allocator
 from repro.sched.job import Job
 from repro.sched.log import ScheduleLog
+from repro.sched.metrics import SimResult
+from repro.sched.resilience import FaultSpec, FaultTimeline
 from repro.sched.simulator import Simulator
 from repro.topology.fattree import FatTree
 
@@ -63,29 +67,23 @@ class TestParityProperty:
         allocator = make_allocator(scheme, tree)
         log = ScheduleLog()
         result = Simulator(allocator, event_log=log).run(jobs, "prop")
-        stats = allocator.stats
-        registry = simulation_registry(result, stats, log)
-        snap = registry.snapshot()
         labels = {"scheme": result.scheme, "trace": "prop"}
 
-        # SimResult fields, field for field.
-        for field, (name, _, _) in RESULT_METRICS.items():
-            assert _series(snap, name, labels) == pytest.approx(
-                getattr(result, field)
-            ), field
-        # AllocatorStats fields not mirrored on the result.
-        for field in STATS_ONLY_FIELDS:
-            name = STATS_METRICS[field][0]
-            assert _series(snap, name, labels) == pytest.approx(
-                getattr(stats, field)
-            ), field
-        # Mirrored stats fields agree with the allocator too (the result
-        # copied them at run end; nothing ran since).
-        for field in ("cache_hits", "cache_misses", "pods_pruned",
-                      "candidate_hits", "memo_hits", "backtrack_steps",
-                      "queue_prefiltered", "size_cut_skips"):
-            assert getattr(result, field) == getattr(stats, field), field
-        # Derived series.
+        # The result carries a copy of the allocator's counters at run
+        # end (nothing ran since), not the live object.
+        assert result.stats == allocator.stats
+        assert result.stats is not allocator.stats
+        # Every AllocatorStats field equals its series in the result's
+        # registry, and so does every SimResult field in the catalog.
+        snap = result.as_registry().snapshot()
+        for carrier in (result.stats, result):
+            for field, (name, _, _) in declared_metrics(carrier).items():
+                assert _series(snap, name, labels) == pytest.approx(
+                    getattr(carrier, field)
+                ), field
+
+        # Derived series and the ScheduleLog mix.
+        snap = simulation_registry(result, log).snapshot()
         assert _series(
             snap, "repro_sim_jobs_completed_total", labels
         ) == len(result.jobs)
@@ -97,7 +95,6 @@ class TestParityProperty:
                 snap, "repro_sim_instant_samples_total",
                 {**labels, "bin": bin_label},
             ) == count
-        # ScheduleLog mix.
         mechanisms = log.start_mechanisms()
         for via in ("fifo", "backfill", "reserved"):
             assert _series(
@@ -107,11 +104,25 @@ class TestParityProperty:
             snap, "repro_sched_events_total", {**labels, "kind": "arrive"}
         ) == len(jobs)
 
+    def test_catalog_covers_every_counter_once(self):
+        stats_fields = {f.name for f in dataclasses.fields(AllocatorStats)}
+        assert set(declared_metrics(AllocatorStats)) == stats_fields
+        names = [
+            name
+            for carrier in (AllocatorStats, SimResult)
+            for name, _, _ in declared_metrics(carrier).values()
+        ]
+        assert len(names) == len(set(names))
+        # Neither carrier of a stats copy copies a single stats field.
+        for carrier in (SimResult, FragmentationSnapshot):
+            fields = {f.name for f in dataclasses.fields(carrier)}
+            assert not fields & stats_fields, carrier
+
     def test_view_is_live_not_a_copy(self):
         tree = FatTree.from_radix(8)
         allocator = make_allocator("jigsaw", tree)
         registry = registry_for_stats(allocator.stats)
-        name = STATS_METRICS["attempts"][0]
+        name = declared_metrics(AllocatorStats)["attempts"][0]
         before = registry.snapshot()[name]
         allocator.allocate(1, 5)
         assert registry.snapshot()[name] == before + 1
@@ -123,9 +134,41 @@ class TestParityProperty:
         result = Simulator(allocator, event_log=log).run(
             [Job(id=0, size=4, runtime=5.0)], "t"
         )
-        assert STATS_METRICS["attempts"][0] in allocator.stats.as_registry()
-        assert RESULT_METRICS["makespan"][0] in result.as_registry()
+        attempts = declared_metrics(AllocatorStats)["attempts"][0]
+        makespan = declared_metrics(SimResult)["makespan"][0]
+        assert attempts in allocator.stats.as_registry()
+        assert attempts in result.as_registry()
+        assert makespan in result.as_registry()
         assert "repro_sched_starts_total" in log.as_registry()
+
+
+class TestDocCatalog:
+    def test_doc_table_matches_exported_families(self):
+        """``docs/observability.md``'s metric table lists exactly the
+        families a faulted, logged run exports, with their kinds."""
+        doc = (
+            pathlib.Path(__file__).parent.parent / "docs" / "observability.md"
+        ).read_text(encoding="utf-8")
+        documented = re.findall(
+            r"^\| `(repro_\w+)(?:\{[^`]*\})?` \| (\w+) \|", doc, re.M
+        )
+        assert len(documented) == len(set(documented))
+
+        tree = FatTree.from_radix(4)
+        timeline = FaultTimeline((FaultSpec(5.0, "node", (0,), 60.0),))
+        log = ScheduleLog()
+        jobs = [
+            Job(id=i, size=(i % 5) + 1, runtime=40.0, arrival=3.0 * i)
+            for i in range(12)
+        ]
+        result = Simulator(
+            make_allocator("jigsaw", tree), event_log=log,
+            fault_timeline=timeline,
+        ).run(jobs, "doc")
+        assert result.faults_injected == result.faults_repaired == 1
+        text = simulation_registry(result, log).export_prometheus_text()
+        exported = re.findall(r"^# TYPE (\S+) (\S+)$", text, re.M)
+        assert set(documented) == set(exported)
 
 
 class TestTelemetryInvariance:
@@ -154,9 +197,9 @@ class TestTelemetryInvariance:
             (j.job_id, j.start, j.end) for j in plain.jobs
         ] == [(j.job_id, j.start, j.end) for j in traced.jobs]
         assert plain.makespan == traced.makespan
-        assert plain.cache_hits == traced.cache_hits
-        assert plain.cache_misses == traced.cache_misses
-        assert plain.backtrack_steps == traced.backtrack_steps
+        assert plain.stats.cache_hits == traced.stats.cache_hits
+        assert plain.stats.cache_misses == traced.stats.cache_misses
+        assert plain.stats.backtrack_steps == traced.stats.backtrack_steps
         # and the traced run actually observed things
         names = {e["name"] for e in tracer.events}
         assert {"sched.pass", "alloc.search", "sched.start",

@@ -150,7 +150,7 @@ class TestAllocatorIntegration:
             if s["stack"] == "search"
         )
         assert 0.0 < search_total
-        assert search_total <= result.sched_seconds * 1.05
+        assert search_total <= result.stats.alloc_seconds * 1.05
         text = render_attribution(result.prof)
         assert "search" in text and "jigsaw" in text
 

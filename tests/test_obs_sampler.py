@@ -42,6 +42,11 @@ class TestBoundaryMath:
         with pytest.raises(ValueError):
             TimeSeriesSampler(0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_interval_must_be_finite(self, interval):
+        with pytest.raises(ValueError, match=repr(interval)):
+            TimeSeriesSampler(interval)
+
 
 class TestSimulatorRow:
     def test_counts_padding_and_shards(self):

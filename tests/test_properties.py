@@ -258,6 +258,7 @@ def test_histogram_conserves_samples(values):
 )
 def test_utilization_timeline_conserves_node_seconds(jobs, buckets):
     """The bucketed series integrates back to the exact node-seconds."""
+    from repro.core.allocator import AllocatorStats
     from repro.sched.metrics import (
         InstantHistogram,
         JobRecord,
@@ -274,7 +275,7 @@ def test_utilization_timeline_conserves_node_seconds(jobs, buckets):
         scheme="s", trace_name="t", system_nodes=100, jobs=records,
         makespan=makespan, busy_area=0.0, demand_area=1.0,
         total_busy_area=0.0, instant=InstantHistogram(),
-        sched_seconds=0.0, alloc_attempts=0,
+        stats=AllocatorStats(),
     )
     series = utilization_timeline(result, buckets=buckets)
     width = makespan / buckets

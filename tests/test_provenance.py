@@ -63,7 +63,7 @@ def _assert_reconstructs(result, context):
 
     # Aggregate ledger: charged attempts on the result are exactly the
     # per-job attempts; successes are exactly the started jobs.
-    assert sum(r["attempts"] for r in rows) == result.alloc_attempts, context
+    assert sum(r["attempts"] for r in rows) == result.stats.attempts, context
     assert len(started) == len(result.jobs), context
     for job_id in result.unscheduled:
         (row,) = [r for r in rows if r["job_id"] == job_id]

@@ -32,6 +32,20 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec(5.0, "node", (0,), end=5.0)
 
+    @pytest.mark.parametrize("start", [float("nan"), float("inf")])
+    def test_non_finite_start_rejected(self, start):
+        with pytest.raises(ValueError, match=f"start={start!r}"):
+            FaultSpec(start, "node", (0,))
+
+    def test_nan_end_rejected(self):
+        with pytest.raises(ValueError, match="end=nan"):
+            FaultSpec(5.0, "node", (0,), end=float("nan"))
+
+    def test_infinite_end_means_never_repaired(self):
+        assert FaultSpec(5.0, "node", (0,), end=float("inf")).duration == (
+            float("inf")
+        )
+
     def test_target_normalized_to_int_tuple(self):
         spec = FaultSpec(0.0, "node", 7)
         assert spec.target == (7,)
@@ -78,6 +92,16 @@ class TestFaultTimeline:
             FaultTimeline.synthetic(4, mttf=0.0, horizon=1.0)
         with pytest.raises(ValueError):
             FaultTimeline.synthetic(4, mttf=1.0, mttr=0.0, horizon=1.0)
+
+    def test_synthetic_rejects_nan_mttf(self):
+        with pytest.raises(ValueError, match="mttf=nan"):
+            FaultTimeline.synthetic(4, mttf=float("nan"), horizon=1.0)
+
+    def test_synthetic_rejects_nan_mttr(self):
+        # It used to inject faults whose repairs never came.
+        with pytest.raises(ValueError, match="mttr=nan"):
+            FaultTimeline.synthetic(4, mttf=1.0, mttr=float("nan"),
+                                    horizon=10.0)
 
 
 class TestVictimPolicy:

@@ -188,8 +188,8 @@ class TestMetricsAccounting:
 
     def test_sched_seconds_accumulate(self, tree):
         result = sim(tree).run([Job(id=i, size=4, runtime=5.0) for i in range(20)])
-        assert result.sched_seconds > 0
-        assert result.alloc_attempts >= 20
+        assert result.stats.alloc_seconds > 0
+        assert result.stats.attempts >= 20
 
 
 class TestValidationAndEdgeCases:

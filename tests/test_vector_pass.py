@@ -67,9 +67,9 @@ def test_prefilter_actually_fires():
     counter moves, and the attempts it replaces stay equal to the
     recorded digest (checked by ``_assert_golden`` elsewhere)."""
     _, result = run_pass("ta")
-    assert result.queue_prefiltered > 0
-    assert result.size_cut_skips > 0
-    assert result.queue_prefiltered >= result.size_cut_skips
+    assert result.stats.queue_prefiltered > 0
+    assert result.stats.size_cut_skips > 0
+    assert result.stats.queue_prefiltered >= result.stats.size_cut_skips
 
 
 @settings(max_examples=15, deadline=None)
