@@ -26,16 +26,39 @@ from repro.experiments import (
 )
 from repro.experiments.runner import (
     ALL_TRACE_NAMES,
+    check_scale,
     default_scale,
     paper_setup,
     run_scheme,
 )
 
 
+def _scale_arg(text: str) -> float:
+    """``--scale``: a float in ``(0, 1]``, the check ``paper_setup``
+    and ``REPRO_SCALE`` share."""
+    try:
+        return check_scale(float(text))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _occupancy_arg(text: str) -> float:
+    """``frag --occupancy``: a finite fill fraction in ``[0, 1]``."""
+    try:
+        occupancy = float(text)
+    except ValueError:
+        occupancy = float("nan")
+    if not 0 <= occupancy <= 1:
+        raise argparse.ArgumentTypeError(
+            f"occupancy must be in [0, 1], got {text}"
+        )
+    return occupancy
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_scale_arg,
         default=None,
         help="fraction of the paper's job counts (default: bench-sized "
         "counts; overrides REPRO_SCALE)",
@@ -192,7 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--scheme", default="jigsaw",
                    choices=["baseline", "jigsaw", "laas", "ta", "lc+s", "lc"])
     p.add_argument("--radix", type=int, default=16)
-    p.add_argument("--occupancy", type=float, default=0.85,
+    p.add_argument("--occupancy", type=_occupancy_arg, default=0.85,
                    help="target fill fraction before the snapshot")
 
     p = sub.add_parser(

@@ -88,9 +88,14 @@ def default_scale() -> Optional[float]:
     raw = os.environ.get("REPRO_SCALE")
     if raw is None:
         return None
-    scale = float(raw)
+    return check_scale(float(raw), "REPRO_SCALE")
+
+
+def check_scale(scale: float, source: str = "scale") -> float:
+    """``scale`` itself if it lies in ``(0, 1]`` (NaN does not); else a
+    ``ValueError`` naming ``source`` and the value."""
     if not 0 < scale <= 1:
-        raise ValueError(f"REPRO_SCALE must be in (0, 1], got {scale}")
+        raise ValueError(f"{source} must be in (0, 1], got {scale}")
     return scale
 
 
@@ -127,6 +132,8 @@ def paper_setup(
     """
     if name not in PAPER_JOB_COUNTS:
         raise ValueError(f"unknown trace {name!r}; expected one of {ALL_TRACE_NAMES}")
+    if scale is not None:
+        check_scale(scale)
     n = _num_jobs(name, scale)
     radix = topology if topology is not None else TRACE_CLUSTER_RADIX[name]
     if name.startswith("Synth-"):

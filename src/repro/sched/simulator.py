@@ -49,12 +49,11 @@ release, so pure-arrival event batches never repeat a lost search.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
-import heapq
 import math
 import numbers
 import os
-from itertools import count
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -145,11 +144,6 @@ class Simulator:
     #: ``smallest``/``largest`` (by node count).  Ties fall back to
     #: arrival order.
     QUEUE_ORDERS = ("fifo", "sjf", "smallest", "largest")
-
-    #: minimum number of stale priority-heap entries before an eager
-    #: compaction is considered (tests lower this to force compaction;
-    #: the schedule must not change either way)
-    PHEAP_COMPACT_MIN = 16
 
     def __init__(
         self,
@@ -270,21 +264,23 @@ class Simulator:
         self.low_interference = allocator.low_interference
         #: the head job's current reservation: (job id, Reservation)
         self._sticky: Optional[Tuple[int, Reservation]] = None
-        #: high-water marks of the live bookkeeping structures, exposed
-        #: so tests can assert the queue stays bounded on long traces
+        #: high-water mark of the waiting queue (jobs waiting to start)
         self.peak_queue_len = 0
-        self.peak_started_out_of_order = 0
-        self.peak_pheap_stale = 0
 
     # ------------------------------------------------------------------
     def run(self, trace, trace_name: Optional[str] = None) -> SimResult:
         """Simulate ``trace`` (a ``Trace`` or a sequence of jobs)."""
         jobs: List[Job] = list(getattr(trace, "jobs", trace))
         name = trace_name or getattr(trace, "name", "trace")
+        seen: set = set()
+        for job in jobs:
+            if job.id in seen:
+                raise ValueError(
+                    f"trace {name!r} has duplicate job id {job.id}"
+                )
+            seen.add(job.id)
         self._sticky = None
         self.peak_queue_len = 0
-        self.peak_started_out_of_order = 0
-        self.peak_pheap_stale = 0
         tree = self.allocator.tree
         for job in jobs:
             job.reset()
@@ -311,7 +307,7 @@ class _RunState:
     """Mutable scheduling state of one ``Simulator.run``.
 
     The policy layer over :mod:`repro.sched.eventcore`: it owns the
-    waiting queue(s), the running set, the area accumulators and the
+    waiting queue, the running set, the area accumulators and the
     resilience bookkeeping, and exposes the event handlers
     (:meth:`try_start`, :meth:`kill_job`, …) as methods so tests can
     observe or wrap individual transitions.
@@ -340,18 +336,11 @@ class _RunState:
             ),
         )
 
+        #: the waiting jobs, in queue order: arrival order under FIFO,
+        #: else ascending ``priority_key`` with ties in enqueue order.  A
+        #: job leaves it in the pass that starts it, so the head is
+        #: ``queue[0]`` and a backfill window is a slice.
         self.queue: List[Job] = []
-        self.head = 0
-        #: priority heap used instead of the FIFO list for non-FIFO orders
-        self.pheap: List[Tuple[float, int, Job]] = []
-        #: tie-break counter for priority-heap entries (push order)
-        self._pseq = count()
-        self.started_out_of_order: set = set()
-        #: stale pheap entries (jobs that already started out of order);
-        #: in priority mode ``started_out_of_order`` holds exactly the
-        #: ids of these entries, so the two counts track together
-        self.pheap_stale = 0
-        self.pending = 0
         #: the running set: job id -> (estimated end, effective size),
         #: the pairs the head's reservation and the conservative
         #: profile are built from (both sort or sum them, so the dict's
@@ -433,7 +422,7 @@ class _RunState:
     def sample_row(self, boundary: float) -> dict:
         resilience = self.resilience
         return simulator_row(
-            boundary, self.allocator, self.pending, len(self.running),
+            boundary, self.allocator, len(self.queue), len(self.running),
             self.cur_busy,
             resilience.degraded_nodes if resilience is not None else 0,
             step_lag=max(0.0, boundary - self.last_sched_t),
@@ -444,7 +433,7 @@ class _RunState:
         dt = t - self.last_t
         if dt > 0:
             self.total_busy_area += self.cur_busy * dt
-            if self.pending > 0:
+            if self.queue:
                 self.busy_area += self.cur_busy * dt
                 # The under-demand capacity excludes fault-claimed
                 # nodes: work that cannot be placed anywhere is not
@@ -463,7 +452,7 @@ class _RunState:
         return self.n_system
 
     def sample(self) -> None:
-        if self.pending > 0:
+        if self.queue:
             cap = self.capacity()
             if cap > 0:
                 self.instant.add(100.0 * self.cur_busy / cap)
@@ -616,75 +605,14 @@ class _RunState:
             log.record(now, kind, job.id, job.size, via)
 
     def enqueue(self, job: Job) -> None:
-        sim = self.sim
+        queue = self.queue
         if self.priority_key is None:
-            self.queue.append(job)
-            sim.peak_queue_len = max(sim.peak_queue_len, len(self.queue))
+            queue.append(job)
         else:
-            heapq.heappush(
-                self.pheap, (self.priority_key(job), next(self._pseq), job)
-            )
-            sim.peak_queue_len = max(sim.peak_queue_len, len(self.pheap))
-        self.pending += 1
-        self.table.state[self.table.row_of[job.id]] = JobTable.QUEUED
-
-    def note_started_out_of_order(self, job_id: int) -> None:
+            bisect.insort(queue, job, key=self.priority_key)
         sim = self.sim
-        self.started_out_of_order.add(job_id)
-        sim.peak_started_out_of_order = max(
-            sim.peak_started_out_of_order, len(self.started_out_of_order)
-        )
-        if self.priority_key is not None:
-            self.pheap_stale += 1
-            sim.peak_pheap_stale = max(sim.peak_pheap_stale, self.pheap_stale)
-            self.compact_pheap()
-
-    def compact_pheap(self) -> None:
-        """Rebuild the priority heap without its stale entries once
-        they dominate it.  Amortized O(1) per event; pure
-        bookkeeping — the set of live entries (and hence every
-        scheduling decision) is unchanged.  Without this, each
-        ``window_candidates`` snapshot pays O(Q log Q) as the stale
-        share grows on long traces."""
-        if (
-            self.pheap_stale < self.sim.PHEAP_COMPACT_MIN
-            or self.pheap_stale * 2 < len(self.pheap)
-        ):
-            return
-        pheap = self.pheap
-        live = [e for e in pheap if e[2].id not in self.started_out_of_order]
-        self.started_out_of_order.difference_update(
-            e[2].id for e in pheap if e[2].id in self.started_out_of_order
-        )
-        pheap[:] = live
-        heapq.heapify(pheap)
-        self.pheap_stale = 0
-
-    def purge_queued(self, job: Job) -> None:
-        """Remove a killed job's stale queue entry, if any.
-
-        A job that started out of order leaves its entry in the
-        queue (lazily skipped once the head passes it).  Re-enqueuing
-        the same Job object behind that stale entry would confuse
-        the lazy bookkeeping — backfill would skip the live entry,
-        and after the stale one is pruned the running job could be
-        offered to the allocator twice — so kills purge eagerly.
-        Kills are rare; O(queue) is fine here.
-        """
-        if job.id not in self.started_out_of_order:
-            return
-        self.started_out_of_order.discard(job.id)
-        if self.priority_key is None:
-            for i in range(self.head, len(self.queue)):
-                if self.queue[i] is job:
-                    del self.queue[i]
-                    return
-        else:
-            pheap = self.pheap
-            live = [e for e in pheap if e[2] is not job]
-            self.pheap_stale -= len(pheap) - len(live)
-            pheap[:] = live
-            heapq.heapify(pheap)
+        sim.peak_queue_len = max(sim.peak_queue_len, len(queue))
+        self.table.state[job.row] = JobTable.QUEUED
 
     def kill_job(self, job: Job, now: float, released: bool = False) -> None:
         """Drain one fault victim through the ordinary release path
@@ -710,7 +638,6 @@ class _RunState:
         job.start = -1.0
         job.end = -1.0
         self.emit(now, "kill", job, elapsed=elapsed, saved=saved)
-        self.purge_queued(job)
         self.enqueue(job)
         if self.event_log is not None:
             self.event_log.record(now, "requeue", job.id, job.size)
@@ -727,89 +654,6 @@ class _RunState:
         self.allocator.release_many([job.id for job in jobs])
         for job in jobs:
             self.kill_job(job, now, released=True)
-
-    # -- queue views ---------------------------------------------------
-    def prune_fifo_front(self) -> None:
-        """Advance ``head`` past jobs that already started out of
-        order (pruning them from the tracking set — once the head
-        passes a job it can never be looked up again) and compact
-        the FIFO list once at least half of it is dead prefix.  Both
-        are amortized O(1) per event; without them ``queue`` and
-        ``started_out_of_order`` grow with every job ever enqueued."""
-        queue = self.queue
-        while (
-            self.head < len(queue)
-            and queue[self.head].id in self.started_out_of_order
-        ):
-            self.started_out_of_order.discard(queue[self.head].id)
-            self.head += 1
-        if self.head >= 64 and self.head * 2 >= len(queue):
-            del queue[:self.head]
-            self.head = 0
-
-    def peek_head(self) -> Optional[Job]:
-        if self.priority_key is None:
-            self.prune_fifo_front()
-            return (
-                self.queue[self.head]
-                if self.head < len(self.queue)
-                else None
-            )
-        pheap = self.pheap
-        while pheap and pheap[0][2].id in self.started_out_of_order:
-            self.started_out_of_order.discard(pheap[0][2].id)
-            heapq.heappop(pheap)
-            self.pheap_stale -= 1
-        return pheap[0][2] if pheap else None
-
-    def advance_head(self) -> None:
-        if self.priority_key is None:
-            self.head += 1
-        else:
-            heapq.heappop(self.pheap)
-
-    def window_candidates(self):
-        """Up to ``backfill_window`` waiting jobs after the head, in
-        queue order."""
-        window = self.sim.backfill_window
-        if self.priority_key is None:
-            yielded = 0
-            idx = self.head
-            while yielded < window:
-                idx += 1
-                if idx >= len(self.queue):
-                    return
-                cand = self.queue[idx]
-                if cand.id in self.started_out_of_order:
-                    continue
-                yielded += 1
-                yield cand
-            return
-        # At most ``pheap_stale`` of the snapshot entries are dead,
-        # so this take still covers the head plus a full window of
-        # live candidates; eager compaction keeps it O(window).
-        take = window + 1 + self.pheap_stale
-        snapshot = heapq.nsmallest(take, self.pheap)
-        # Freeze the dead ids now: a backfill started mid-iteration
-        # may trigger a compaction that removes them from the live
-        # set, and a snapshot entry must not come back to life.
-        # (Jobs started *during* this pass never need the check —
-        # each snapshot entry is yielded at most once.)
-        dead = self.started_out_of_order.intersection(
-            e[2].id for e in snapshot
-        )
-        yielded = 0
-        skipped_head = False
-        for _, _, cand in snapshot:
-            if cand.id in dead:
-                continue
-            if not skipped_head:
-                skipped_head = True  # the head itself is not a candidate
-                continue
-            yielded += 1
-            yield cand
-            if yielded >= window:
-                return
 
     # -- scheduling passes ---------------------------------------------
     #
@@ -878,23 +722,20 @@ class _RunState:
         (:meth:`_backfill_window`).
         """
         sim = self.sim
+        queue = self.queue
         failed: set = set()
-        while self.pending:
-            job = self.peek_head()
-            assert job is not None
+        while queue:
+            job = queue[0]
             key = (self.eff(job), job.bw_need)
-            if self.dispatch_start(job, now, "fifo", key):
-                self.advance_head()
-                self.pending -= 1
-                self.sample()
-            else:
+            if not self.dispatch_start(job, now, "fifo", key):
                 failed.add(key)
                 break
-        if not self.pending or sim.backfill_window <= 0:
+            del queue[0]
+            self.sample()
+        if not queue or sim.backfill_window <= 0:
             sim._sticky = None
             return
-        head_job = self.peek_head()
-        assert head_job is not None
+        head_job = queue[0]
         # The head's reservation is computed when it first blocks and
         # honored according to the reservation policy.  Recomputing
         # every event ("slip") lets the shadow slip forever under
@@ -924,7 +765,7 @@ class _RunState:
         reservation = sim._sticky[1]
         tracer = self.tracer
         bspan = tracer.begin("backfill.window") if tracer.enabled else None
-        cands = list(self.window_candidates())
+        cands = queue[1:sim.backfill_window + 1]
         started = 0
         if cands:
             started = self._backfill_window(now, cands, reservation, failed)
@@ -940,8 +781,8 @@ class _RunState:
         self, now: float, cands: List[Job], reservation: Reservation,
         failed: set,
     ) -> int:
-        """Try a materialized backfill window in queue order; returns
-        how many candidates started.
+        """Try the backfill window ``queue[1:window + 1]`` in queue
+        order; returns how many candidates started.
 
         A candidate is skipped when its ``(effective size, bw_need)``
         key already failed this pass, when it needs more nodes than are
@@ -950,6 +791,7 @@ class _RunState:
         candidate is dispatched.
         """
         alloc = self.allocator
+        queue = self.queue
         effs = [self.eff(job) for job in cands]
         # One batch screen for the whole window: sound because free
         # capacity only shrinks during a pass, so infeasible-now stays
@@ -969,8 +811,9 @@ class _RunState:
             if self.dispatch_start(
                 cand, now, "backfill", key, screen is not None and screen[i]
             ):
-                self.note_started_out_of_order(cand.id)
-                self.pending -= 1
+                # cands[i] sits at queue[1 + i], less one place for
+                # every candidate already started and removed
+                del queue[1 + i - started]
                 started += 1
                 self.sample()
             else:
@@ -984,29 +827,17 @@ class _RunState:
         profile's :meth:`~repro.sched.profile.FreeProfile.earliest_fit`,
         and proven-lost searches are charged skips."""
         alloc = self.allocator
-        self.prune_fifo_front()
+        queue = self.queue
+        cands = queue[:self.sim.backfill_window + 1]
+        if not cands:
+            return
         failed: set = set()
         profile = FreeProfile(now, alloc.free_nodes)
         for est_end, eff_size in self.running.values():
             profile.release_at(est_end, eff_size)
-        # Materialize the scan window (the queue slice cannot change
-        # mid-pass; jobs started by this pass are exactly the ones an
-        # in-order scan would have already visited).
-        window = self.sim.backfill_window
-        cands: List[Job] = []
-        idx = self.head - 1
-        while len(cands) <= window:
-            idx += 1
-            if idx >= len(self.queue):
-                break
-            job = self.queue[idx]
-            if job.id in self.started_out_of_order:
-                continue
-            cands.append(job)
-        if not cands:
-            return
         effs = [self.eff(job) for job in cands]
         screen = alloc.batch_screen(effs)
+        started = 0
         for i, job in enumerate(cands):
             size = effs[i]
             wall = self.walltime_est(job)
@@ -1017,8 +848,8 @@ class _RunState:
                     job, now, "reserved", key,
                     screen is not None and screen[i],
                 ):
-                    self.note_started_out_of_order(job.id)
-                    self.pending -= 1
+                    del queue[i - started]
+                    started += 1
                     profile.reserve(now, now + wall, size)
                     self.sample()
                     continue
@@ -1174,7 +1005,7 @@ class _RunState:
         done = JobTable.DONE
         # Constant across the run: no arrivals, kills or fault events
         # occur inside a same-kind segment.
-        pending = self.pending
+        pending = len(self.queue)
         cap = self.capacity()
         degraded = resilience.degraded_nodes if resilience is not None else 0
         stats = resilience.stats if resilience is not None else None
@@ -1237,7 +1068,7 @@ class _RunState:
         ba = self.busy_area
         da = self.demand_area
         busy = self.cur_busy
-        pending = self.pending
+        pending = len(self.queue)
         for t in times.tolist():
             dt = t - last_t
             if dt > 0:
@@ -1254,18 +1085,14 @@ class _RunState:
         self.busy_area = ba
         self.demand_area = da
         jobs = [table.jobs[r] for r in rows.tolist()]
-        sim = self.sim
+        queue = self.queue
         if self.priority_key is None:
-            self.queue.extend(jobs)
-            sim.peak_queue_len = max(sim.peak_queue_len, len(self.queue))
+            queue.extend(jobs)
         else:
-            pheap = self.pheap
             for job in jobs:
-                heapq.heappush(
-                    pheap, (self.priority_key(job), next(self._pseq), job)
-                )
-            sim.peak_queue_len = max(sim.peak_queue_len, len(pheap))
-        self.pending = pending
+                bisect.insort(queue, job, key=self.priority_key)
+        sim = self.sim
+        sim.peak_queue_len = max(sim.peak_queue_len, len(queue))
         table.state[rows] = JobTable.QUEUED
 
     # -- drive loop ----------------------------------------------------
@@ -1318,15 +1145,15 @@ class _RunState:
                 tracer.sim_time = round_t
             self.advance(round_t)
             span = tracer.begin("sched.pass") if tracer.enabled else None
-            queue_before = self.pending
+            queue_before = len(self.queue)
             self.schedule(round_t)
             self.rounds += 1
             self.last_sched_t = round_t
             if span is not None:
                 span.set(
                     arrivals=arrivals, completions=completions,
-                    queue_before=queue_before, queue_after=self.pending,
-                    started=queue_before - self.pending,
+                    queue_before=queue_before, queue_after=len(self.queue),
+                    started=queue_before - len(self.queue),
                     running=len(self.running),
                     free_nodes=self.allocator.free_nodes,
                 )
@@ -1335,22 +1162,22 @@ class _RunState:
                 rspan.set(
                     round=round_idx, step=step, drained=len(times),
                     arrivals=arrivals, completions=completions,
-                    lag=round_t - first, started=queue_before - self.pending,
+                    lag=round_t - first,
+                    started=queue_before - len(self.queue),
                 )
                 tracer.end(rspan)
             round_idx += 1
-            if self.pending and not self.running and streams.empty():
+            if self.queue and not self.running and streams.empty():
                 # Nothing can ever start these jobs (should not happen
                 # for valid traces; recorded for failure-injection tests).
-                while (job := self.peek_head()) is not None:
+                for job in self.queue:
                     self.unscheduled.append(job.id)
-                    table.state[table.row_of[job.id]] = JobTable.UNSCHEDULED
+                    table.state[job.row] = JobTable.UNSCHEDULED
                     if self.event_log is not None:
                         self.event_log.record(
                             round_t, "unscheduled", job.id, job.size
                         )
-                    self.advance_head()
-                    self.pending -= 1
+                self.queue.clear()
                 break
 
         if sampler is not None:

@@ -14,8 +14,7 @@ Three families:
 * ``pass`` — whole simulations on a radix-8 tree: five schemes × four
   queue orders × {event-driven, Δt=300} under EASY, the conservative
   policy × {event-driven, Δt=300}, and a faulted replay.  Digest: the
-  job records, charged allocator attempts, leftovers and the
-  priority-heap bookkeeping peaks.
+  job records, makespan, charged allocator attempts and leftovers.
 * ``search`` — random allocate/release streams straight against one
   allocator.  Digest: the per-step placement stream (nodes, links and
   shape of every placement, ``None`` for every failure).
@@ -114,13 +113,13 @@ def pass_jobs():
 
 
 def run_pass(scheme, **sim_kwargs):
-    """Replay the pass trace; returns ``(simulator, result)``."""
+    """Replay the pass trace; returns its ``SimResult``."""
     sim = Simulator(make_allocator(scheme, FatTree.from_radix(8)),
                     **sim_kwargs)
-    return sim, sim.run(pass_jobs(), "digest")
+    return sim.run(pass_jobs(), "digest")
 
 
-def pass_digest(sim, result) -> dict:
+def pass_digest(result) -> dict:
     return {
         "records_sha256": _sha(
             [(j.job_id, j.start, j.end) for j in result.jobs]
@@ -128,8 +127,6 @@ def pass_digest(sim, result) -> dict:
         "makespan": result.makespan,
         "alloc_attempts": result.stats.attempts,
         "unscheduled": list(result.unscheduled),
-        "peak_pheap_stale": sim.peak_pheap_stale,
-        "peak_started_out_of_order": sim.peak_started_out_of_order,
     }
 
 
@@ -233,7 +230,7 @@ def provenance_digest(result) -> dict:
 def compute_all() -> dict:
     out = {"pass": {}, "search": {}, "provenance": {}}
     for name, kw in pass_configs().items():
-        out["pass"][name] = pass_digest(*run_pass(**kw))
+        out["pass"][name] = pass_digest(run_pass(**kw))
     for name, kw in search_configs().items():
         out["search"][name] = drive_placements(**kw)[1]
     for scheme in SCHEMES:

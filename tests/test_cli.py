@@ -144,6 +144,29 @@ def test_simulate_rejects_non_finite_step_interval():
         ])
 
 
+@pytest.mark.parametrize("scale", ["-0.01", "0", "nan", "1.5"])
+def test_scale_outside_unit_interval_rejected(capsys, scale):
+    # --scale skipped the (0, 1] check REPRO_SCALE gets: -0.01 and 0
+    # silently ran the minimum-size trace, and nan died converting the
+    # job count.
+    with pytest.raises(SystemExit):
+        main(["simulate", "--trace", "Synth-16", "--scheme", "jigsaw",
+              "--scale", scale])
+    err = capsys.readouterr().err
+    assert "argument --scale" in err
+    assert f"got {float(scale)}" in err
+
+
+@pytest.mark.parametrize("occupancy", ["1.5", "nan", "-0.1", "inf"])
+def test_frag_rejects_occupancy_outside_unit_interval(capsys, occupancy):
+    # 1.5 and nan used to run silently.
+    with pytest.raises(SystemExit):
+        main(["frag", "--radix", "8", "--occupancy", occupancy])
+    err = capsys.readouterr().err
+    assert "argument --occupancy: occupancy must be in [0, 1]" in err
+    assert f"got {occupancy}" in err
+
+
 def test_unknown_trace_rejected():
     with pytest.raises(SystemExit):
         main(["fig6", "--traces", "NotATrace"])

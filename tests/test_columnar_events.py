@@ -77,7 +77,6 @@ def _assert_twin(scheme, **sim_kwargs):
     assert col.wasted_node_seconds == sca.wasted_node_seconds
     assert col.degraded_node_seconds == sca.degraded_node_seconds
     assert csim.peak_queue_len == ssim.peak_queue_len
-    assert csim.peak_started_out_of_order == ssim.peak_started_out_of_order
     return col, sca
 
 

@@ -48,6 +48,12 @@ class TestRunner:
         with pytest.raises(ValueError):
             paper_setup("Frontier")
 
+    @pytest.mark.parametrize("scale", [0.0, -0.01, float("nan"), 2.0])
+    def test_scale_outside_unit_interval_rejected(self, scale):
+        # The (0, 1] check used to cover REPRO_SCALE only.
+        with pytest.raises(ValueError, match=r"scale must be in \(0, 1\]"):
+            paper_setup("Synth-16", scale=scale)
+
     def test_run_scheme_end_to_end(self):
         setup = paper_setup("Synth-16", scale=TINY)
         result = run_scheme(setup, "jigsaw", scenario="10%")

@@ -1,12 +1,14 @@
 """Regression tests for the scheduler hot-path fixes.
 
-Covers: the FIFO queue/started-set memory leak (live bookkeeping must
-stay bounded on long traces), unscheduled jobs being reported as ids
-and logged, LinkCapacityState clamping only the links a release
-touched, and ClusterState.claim rejecting out-of-range node ids with
-AllocationError instead of numpy's IndexError (or silent negative-index
-wrap-around).
+Covers: the waiting queue's bound (started jobs leave it, so it stays
+as small as the trace's backlog on long traces), unscheduled jobs
+being reported as ids and logged, LinkCapacityState clamping only the
+links a release touched, and ClusterState.claim rejecting out-of-range
+node ids with AllocationError instead of numpy's IndexError (or silent
+negative-index wrap-around).
 """
+
+from collections import Counter
 
 import pytest
 
@@ -25,11 +27,14 @@ def tree():
 
 
 class TestBoundedQueueBookkeeping:
+    """The waiting queue holds only jobs that are waiting: a job leaves
+    it in the pass that starts it, whether from the head or by
+    backfill.  Its high-water mark on these traces is therefore the
+    largest backlog the trace ever builds, a few jobs."""
+
     def test_fifo_queue_stays_bounded_on_long_trace(self, tree):
         # 2000 jobs, each starting as the previous one completes: the
-        # live backlog never exceeds a couple of jobs.  Before the
-        # compaction fix the FIFO list kept every job ever enqueued, so
-        # peak_queue_len reached ~n_jobs.
+        # backlog never exceeds a couple of jobs.
         n_jobs = 2000
         jobs = [
             Job(id=i, size=1, runtime=1.0, arrival=float(i))
@@ -39,17 +44,17 @@ class TestBoundedQueueBookkeeping:
         result = sim.run(jobs)
         assert len(result.jobs) == n_jobs
         assert not result.unscheduled
-        assert sim.peak_queue_len < 200, (
-            f"live FIFO queue grew to {sim.peak_queue_len} entries "
-            f"for a trace whose backlog never exceeds a few jobs"
+        assert sim.peak_queue_len <= 2, (
+            f"waiting queue grew to {sim.peak_queue_len} entries "
+            f"for a trace whose backlog never exceeds a couple of jobs"
         )
 
     def test_started_out_of_order_is_pruned(self, tree):
         # Each round: a blocker fills 120 nodes, a same-size job queues
         # behind it as the blocked head, and two small jobs backfill
-        # into the 8 spare nodes.  The backfilled ids enter the
-        # started-out-of-order set and must be pruned as the head
-        # passes them — without pruning the set grows by two per round.
+        # into the 8 spare nodes.  The backfilled jobs must leave the
+        # queue when they start, so it never holds more than one
+        # round's jobs.
         jobs = []
         jid = 0
         rounds = 200
@@ -71,18 +76,17 @@ class TestBoundedQueueBookkeeping:
         # Backfills must actually have happened for this test to mean
         # anything.
         assert log.start_mechanisms()["backfill"] >= rounds
-        assert sim.peak_started_out_of_order < 20, (
-            f"started-out-of-order set grew to "
-            f"{sim.peak_started_out_of_order} ids across {rounds} rounds"
+        assert sim.peak_queue_len <= 4, (
+            f"waiting queue grew to {sim.peak_queue_len} entries "
+            f"across {rounds} rounds of four jobs"
         )
-        assert sim.peak_queue_len < 200
 
     def _backfill_heavy_trace(self):
         # Every round a blocker occupies the machine, a same-size job
         # waits as the blocked head, and two small-but-long jobs sort
         # *behind* the head under "largest" (by size) and "sjf" (by
-        # estimate) yet fit the spare nodes — so they backfill, leaving
-        # two stale priority-heap entries per round.
+        # estimate) yet fit the spare nodes — so they backfill out of
+        # priority order.
         jobs = []
         jid = 0
         for r in range(150):
@@ -99,10 +103,8 @@ class TestBoundedQueueBookkeeping:
         return jobs
 
     def test_priority_heap_stale_entries_stay_bounded(self, tree):
-        # Before the eager compaction, backfilled jobs lingered in the
-        # priority heap until they surfaced at the top, and every
-        # scheduling pass paid heapq.nsmallest(window + 1 + stale) —
-        # O(Q log Q) as the stale share grew.
+        # Jobs backfilled out of priority order must leave the priority
+        # queue when they start, not linger until they reach its front.
         jobs = self._backfill_heavy_trace()
         log = ScheduleLog()
         sim = Simulator(
@@ -112,50 +114,38 @@ class TestBoundedQueueBookkeeping:
         assert len(result.jobs) == len(jobs)
         # Backfills must actually have happened for this test to bite.
         assert log.start_mechanisms()["backfill"] >= 100
-        assert sim.peak_pheap_stale <= 2 * Simulator.PHEAP_COMPACT_MIN, (
-            f"stale priority-heap entries grew to {sim.peak_pheap_stale}"
+        assert sim.peak_queue_len <= 4, (
+            f"priority queue grew to {sim.peak_queue_len} entries"
         )
 
-    def test_priority_heap_compaction_is_decision_invariant(self, tree):
-        # Forcing a compaction after every backfill must not change a
-        # single scheduling decision relative to never compacting (the
-        # pre-fix behavior).
-        jobs = self._backfill_heavy_trace()
-        for order in ("largest", "sjf"):
-            lazy = Simulator(BaselineAllocator(tree), queue_order=order)
-            lazy.PHEAP_COMPACT_MIN = 10**9  # never compact eagerly
-            eager = Simulator(BaselineAllocator(tree), queue_order=order)
-            eager.PHEAP_COMPACT_MIN = 1  # compact at every opportunity
-            result_lazy = lazy.run(jobs)
-            result_eager = eager.run(jobs)
-            assert result_lazy.jobs == result_eager.jobs, order
-            assert result_lazy.makespan == result_eager.makespan, order
-
     def test_compaction_mid_backfill_pass_cannot_revive_entries(self, tree):
-        # Regression: a compaction triggered by a backfill *inside* a
-        # window_candidates pass used to remove old stale ids from the
-        # tracking set while they were still in the pass's snapshot —
-        # the snapshot entry then looked live and its (long-finished)
-        # job was started a second time, silently losing other jobs.
-        # A dense all-at-zero mixed-size queue under a *constrained*
-        # allocator (fragmentation blocks the head while backfills keep
-        # landing) keeps many stale entries interleaved with live ones
-        # inside a single snapshot.
+        # Regression: under the old lazily-deleted priority heap, a
+        # backfill inside a window pass could make an already-started
+        # job look waiting again, and it was started a second time,
+        # silently losing other jobs.  A dense all-at-zero mixed-size
+        # queue under a *constrained* allocator (fragmentation blocks
+        # the head while backfills keep landing) interleaves many
+        # started jobs with waiting ones in every window.
         from repro.core.jigsaw import JigsawAllocator
 
         jobs = [
             Job(id=i, size=(i * 5) % 30 + 1, runtime=5.0 + i % 7)
             for i in range(200)
         ]
+        backfills = 0
         for order in ("sjf", "smallest", "largest"):
-            lazy = Simulator(JigsawAllocator(tree), queue_order=order)
-            lazy.PHEAP_COMPACT_MIN = 10**9
-            eager = Simulator(JigsawAllocator(tree), queue_order=order)
-            eager.PHEAP_COMPACT_MIN = 1
-            result_lazy = lazy.run(jobs)
-            result_eager = eager.run(jobs)
-            assert len(result_eager.jobs) == len(jobs), order
-            assert result_lazy.jobs == result_eager.jobs, order
+            log = ScheduleLog()
+            sim = Simulator(
+                JigsawAllocator(tree), queue_order=order, event_log=log
+            )
+            result = sim.run(jobs)
+            starts = Counter(e.job_id for e in log.events if e.kind == "start")
+            assert starts == Counter(job.id for job in jobs), order
+            assert len(result.jobs) == len(jobs), order
+            backfills += log.start_mechanisms()["backfill"]
+        # Out-of-order starts must actually have happened (sjf and
+        # largest backfill here; smallest starts everything in order).
+        assert backfills > 0
 
 
 class TestUnscheduledJobs:

@@ -197,6 +197,28 @@ class TestValidationAndEdgeCases:
         with pytest.raises(ValueError, match="cluster has"):
             sim(tree).run([Job(id=1, size=129, runtime=1.0)])
 
+    @pytest.mark.parametrize("second_arrival", [0.0, 100.0])
+    def test_duplicate_job_ids_rejected_up_front(self, tree, second_arrival):
+        # Two id-1 jobs used to die mid-run with the allocator's "job 1
+        # is already allocated" when their lifetimes overlapped, and to
+        # replay into two records sharing id 1 when they did not.
+        first = Job(id=1, size=4, runtime=10.0)
+        sim(tree).run([first])
+        start = first.start
+        jobs = [
+            first,
+            Job(id=2, size=4, runtime=10.0),
+            Job(id=1, size=4, runtime=10.0, arrival=second_arrival),
+        ]
+        with pytest.raises(ValueError, match="duplicate job id 1"):
+            sim(tree).run(jobs)
+        assert first.start == start  # rejected before any job was reset
+
+    def test_same_job_twice_rejected(self, tree):
+        job = Job(id=3, size=4, runtime=10.0)
+        with pytest.raises(ValueError, match="duplicate job id 3"):
+            sim(tree).run([job, job])
+
     def test_allocator_must_be_idle(self, tree):
         allocator = BaselineAllocator(tree)
         allocator.allocate(99, 4)

@@ -1,9 +1,9 @@
 """Decision invariance of the scheduling pass.
 
 The pass promises fixed decisions — every placement, every charged
-allocator attempt, the priority-heap bookkeeping — across all five
-schemes, every queue order, both drive modes and faulted replay.  Each
-configuration is held to its golden digest
+allocator attempt, every leftover job — across all five schemes, every
+queue order, both drive modes and faulted replay.  Each configuration
+is held to its golden digest
 (``tests/data/decision_digests.json``), recorded while a second, scalar
 implementation of the pass still existed and reproduced every digest.
 A property test checks the monotone size cut directly (a size the cut
@@ -36,8 +36,8 @@ from tests.decision_digests import (
 
 def _assert_golden(name):
     """Replay one pass configuration and compare it to its digest."""
-    sim, result = run_pass(**pass_configs()[name])
-    assert pass_digest(sim, result) == golden("pass", name)
+    result = run_pass(**pass_configs()[name])
+    assert pass_digest(result) == golden("pass", name)
     return result
 
 
@@ -66,7 +66,7 @@ def test_prefilter_actually_fires():
     """On a contended trace the pass must skip real work: the prefilter
     counter moves, and the attempts it replaces stay equal to the
     recorded digest (checked by ``_assert_golden`` elsewhere)."""
-    _, result = run_pass("ta")
+    result = run_pass("ta")
     assert result.stats.queue_prefiltered > 0
     assert result.stats.size_cut_skips > 0
     assert result.stats.queue_prefiltered >= result.stats.size_cut_skips
