@@ -8,8 +8,6 @@ scheduling time.
 """
 
 from repro.sched.eventcore import (
-    ArrayEventQueue,
-    CompletionQueue,
     EventStreams,
     JobTable,
     round_boundary,
@@ -33,8 +31,6 @@ from repro.sched.simulator import Simulator
 from repro.sched.speedup import SCENARIOS, apply_scenario
 
 __all__ = [
-    "ArrayEventQueue",
-    "CompletionQueue",
     "ContentionRuntimeModel",
     "EventStreams",
     "Job",

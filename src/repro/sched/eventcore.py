@@ -1,43 +1,35 @@
-"""Array-native event core: the simulator's hot-path event machinery.
-
-The discrete-event loop used to live on one ``heapq`` of
-``(time, kind, seq, payload)`` tuples, paying Python-object tuple
-comparisons for every push and pop.  This module rebuilds that substrate
-on structured numpy arrays:
+"""Event core: the simulator's job table and its one event heap.
 
 * :class:`JobTable` — the trace as column arrays (id / size / arrival
   / state), the "job table" the batch-step policy reasons over.  The
   per-job ``Job`` objects stay authoritative for scheduling decisions;
-  the table gives the event loop vectorized queries (stable arrival
-  order, unique-size validation) without touching them.  The per-run
+  the table gives the run vectorized queries (first arrival,
+  unique-size validation) without touching them.  The per-run
   ``work_frac`` column carries each job's remaining-work fraction, and
   the provenance columns its skip accounting.
-* :class:`ArrayEventQueue` — a *pre-known* event stream (arrivals,
-  fault injections, fault repairs) as a sorted time array plus a
-  cursor: ``peek`` is an array read, draining a round is one
-  ``searchsorted`` slice instead of O(k log n) heap pops.
-* :class:`CompletionQueue` — the *dynamic* stream (completions are
-  discovered as jobs start) as growable arrays with an append buffer,
-  consolidated by one ``lexsort`` per drain — the "round bucket" of the
-  batch-step mode.
-* :class:`EventStreams` — the four streams merged per round:
-  :meth:`EventStreams.take_round` returns every pending event up to a
-  time bound in exactly the global ``(time, kind, seq)`` order the old
-  heap produced, so the event-driven policy replays bit-identically on
-  this core (``benchmarks/_fingerprint.py --compare`` holds it to
-  that).
+* :class:`EventStreams` — every pending event of one run on a single
+  ``heapq`` of ``(time, kind, payload)`` tuples.  Arrivals, fault
+  repairs and fault injections are known up front; completions are
+  pushed as jobs start.  :meth:`EventStreams.take_round` pops every
+  event up to a time bound, so a round is exactly the due events in
+  ``(time, kind, payload)`` order (``benchmarks/_fingerprint.py
+  --compare`` holds the replay to that).
 
 Event kinds, in sort order at equal times: repairs free hardware first,
 then completions free jobs, then arrivals join the queue, and only then
 do fault injections land — so a job finishing exactly when its node
-dies completes rather than being killed.  The same constants the old
-heap used; they are the ``kind`` column of a merged round.
+dies completes rather than being killed.  Within a kind the payload
+breaks ties: a job-table row for arrivals (trace order), a timeline
+index for repairs and injections, and a push-order slot for
+completions.  A payload is unique within its kind, so the tuple order
+is total.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -134,212 +126,68 @@ class JobTable:
         rows = np.flatnonzero(np.isin(self.sizes, bad))
         return self.jobs[int(rows[0])]
 
-    def arrival_queue(self) -> "ArrayEventQueue":
-        """The arrival stream: stable-sorted by time, so equal-time
-        arrivals keep trace order — the old heap's seq tie-break."""
-        return ArrayEventQueue(self.arrivals, np.arange(len(self.jobs)))
-
-
-class ArrayEventQueue:
-    """A pre-known event stream: sorted times, payload ids, a cursor.
-
-    ``payloads`` are small ints (job-table rows, timeline indices);
-    their original order doubles as the equal-time tie-break, matching
-    the push order of the heap this replaces.
-    """
-
-    __slots__ = ("times", "payloads", "pos")
-
-    def __init__(self, times, payloads):
-        times = np.asarray(times, np.float64)
-        payloads = np.asarray(payloads, np.int64)
-        order = np.argsort(times, kind="stable")
-        self.times = times[order]
-        self.payloads = payloads[order]
-        self.pos = 0
-
-    def __len__(self) -> int:
-        return len(self.times) - self.pos
-
-    def peek_time(self) -> float:
-        """Time of the next pending event (``inf`` when drained)."""
-        if self.pos >= len(self.times):
-            return _INF
-        return float(self.times[self.pos])
-
-    def take_until(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Drain every pending event with ``time <= t``: one
-        ``searchsorted`` slice, no per-event work."""
-        lo = self.pos
-        hi = int(np.searchsorted(self.times, t, side="right"))
-        if hi < lo:
-            hi = lo
-        self.pos = hi
-        return self.times[lo:hi], self.payloads[lo:hi]
-
-
-class CompletionQueue:
-    """Round-bucketed completion events on growable numpy arrays.
-
-    Pushes append to a plain-list buffer; a drain consolidates the
-    buffer into the sorted arrays with one ``lexsort`` over
-    ``(time, slot)`` — slots increase in push order, so equal-time
-    completions replay in exactly the order the old heap's global
-    sequence numbers produced.  The slot also serves as the live-
-    completion token the kill path uses to orphan a stale entry (the
-    entry itself stays queued and is skipped on drain).
-    """
-
-    __slots__ = ("_times", "_slots", "_pos", "_buf_t", "_buf_s",
-                 "_buf_min", "_jobs")
-
-    def __init__(self):
-        self._times = np.empty(0, np.float64)
-        self._slots = np.empty(0, np.int64)
-        self._pos = 0
-        self._buf_t: List[float] = []
-        self._buf_s: List[int] = []
-        self._buf_min = _INF
-        self._jobs: List = []  # slot-indexed, one entry per push
-
-    def __len__(self) -> int:
-        return (len(self._times) - self._pos) + len(self._buf_t)
-
-    def push(self, t: float, job) -> int:
-        """Queue ``job``'s completion at ``t``; returns its slot (the
-        live-completion token)."""
-        slot = len(self._jobs)
-        self._jobs.append(job)
-        self._buf_t.append(t)
-        self._buf_s.append(slot)
-        if t < self._buf_min:
-            self._buf_min = t
-        return slot
-
-    def job(self, slot: int):
-        return self._jobs[slot]
-
-    def peek_time(self) -> float:
-        head = (
-            float(self._times[self._pos])
-            if self._pos < len(self._times)
-            else _INF
-        )
-        return head if head <= self._buf_min else self._buf_min
-
-    def _consolidate(self) -> None:
-        if not self._buf_t:
-            return
-        times = np.concatenate(
-            [self._times[self._pos:], np.array(self._buf_t, np.float64)]
-        )
-        slots = np.concatenate(
-            [self._slots[self._pos:], np.array(self._buf_s, np.int64)]
-        )
-        order = np.lexsort((slots, times))
-        self._times = times[order]
-        self._slots = slots[order]
-        self._pos = 0
-        self._buf_t.clear()
-        self._buf_s.clear()
-        self._buf_min = _INF
-
-    def take_until(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Drain every pending completion with ``time <= t`` as
-        ``(times, slots)`` in ``(time, slot)`` order — the round
-        bucket."""
-        if self._buf_t:
-            self._consolidate()
-        lo = self._pos
-        hi = int(np.searchsorted(self._times, t, side="right"))
-        if hi < lo:
-            hi = lo
-        self._pos = hi
-        return self._times[lo:hi], self._slots[lo:hi]
-
 
 class EventStreams:
-    """The four event streams of one run, merged per scheduling round.
+    """Every pending event of one run on one heap.
 
-    ``arrivals``/``repairs``/``injects`` are :class:`ArrayEventQueue`\\ s
-    (pre-known), ``completions`` a :class:`CompletionQueue` (dynamic).
+    Entries are ``(time, kind, payload)`` tuples.  The constructor takes
+    the pre-known streams as ``(time, payload)`` pairs — arrivals keyed
+    by job-table row, repairs and injections by fault-timeline index;
+    :meth:`push_completion` adds a completion as its job starts.
     """
 
-    __slots__ = ("arrivals", "completions", "repairs", "injects")
+    __slots__ = ("heap", "completion_jobs")
 
     def __init__(
         self,
-        arrivals: ArrayEventQueue,
-        completions: CompletionQueue,
-        repairs: Optional[ArrayEventQueue] = None,
-        injects: Optional[ArrayEventQueue] = None,
+        arrivals: Iterable[Tuple[float, int]],
+        repairs: Iterable[Tuple[float, int]] = (),
+        injects: Iterable[Tuple[float, int]] = (),
     ):
-        empty = None
-        if repairs is None or injects is None:
-            empty = ArrayEventQueue(
-                np.empty(0, np.float64), np.empty(0, np.int64)
-            )
-        self.arrivals = arrivals
-        self.completions = completions
-        self.repairs = repairs if repairs is not None else empty
-        self.injects = injects if injects is not None else ArrayEventQueue(
-            np.empty(0, np.float64), np.empty(0, np.int64)
-        ) if empty is None else empty
+        heap = [(t, ARRIVAL, row) for t, row in arrivals]
+        heap.extend((t, FAULT_REPAIR, i) for t, i in repairs)
+        heap.extend((t, FAULT_INJECT, i) for t, i in injects)
+        heapq.heapify(heap)
+        self.heap: List[Tuple[float, int, int]] = heap
+        #: slot -> job, one entry per :meth:`push_completion`
+        self.completion_jobs: List = []
+
+    def push_completion(self, t: float, job) -> int:
+        """Queue ``job``'s completion at ``t``; returns its slot, which
+        orders equal-time completions by push and is the live-completion
+        token the kill path uses to orphan a stale entry."""
+        slot = len(self.completion_jobs)
+        self.completion_jobs.append(job)
+        heapq.heappush(self.heap, (t, COMPLETION, slot))
+        return slot
 
     def next_time(self) -> float:
-        """Earliest pending event time across all streams (``inf`` when
-        every stream is drained)."""
-        t = self.arrivals.peek_time()
-        c = self.completions.peek_time()
-        if c < t:
-            t = c
-        r = self.repairs.peek_time()
-        if r < t:
-            t = r
-        i = self.injects.peek_time()
-        if i < t:
-            t = i
-        return t
+        """Earliest pending event time (``inf`` when none is pending)."""
+        heap = self.heap
+        return heap[0][0] if heap else _INF
 
     def empty(self) -> bool:
+        """No event can still fire.  A repair at ``inf`` (a fault that
+        is never repaired) stays on the heap but does not count."""
         return self.next_time() == _INF
 
     def take_round(
         self, t: float
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every pending event with ``time <= t``, merged across streams
-        into global ``(time, kind, payload)`` order.
-
-        This is the replacement for popping the old heap: one slice per
-        stream plus one ``lexsort`` over the round, with the payload ids
-        supplying the within-kind tie-break (push order), so the merged
-        order is exactly the heap's ``(time, kind, seq)`` order.
-        """
-        parts = []
-        for kind, stream in (
-            (FAULT_REPAIR, self.repairs),
-            (COMPLETION, self.completions),
-            (ARRIVAL, self.arrivals),
-            (FAULT_INJECT, self.injects),
-        ):
-            times, payloads = stream.take_until(t)
-            if len(times):
-                parts.append((times, kind, payloads))
-        if not parts:
-            z = np.empty(0, np.float64)
-            zi = np.empty(0, np.int64)
-            return z, zi.astype(np.int8), zi
-        if len(parts) == 1:
-            times, kind, payloads = parts[0]
-            kinds = np.full(len(times), kind, np.int8)
-            return times, kinds, payloads
-        times = np.concatenate([p[0] for p in parts])
-        kinds = np.concatenate(
-            [np.full(len(p[0]), p[1], np.int8) for p in parts]
-        )
-        payloads = np.concatenate([p[2] for p in parts])
-        order = np.lexsort((payloads, kinds, times))
-        return times[order], kinds[order], payloads[order]
+    ) -> Tuple[List[float], List[int], List[int]]:
+        """Pop every pending event with ``time <= t``, as the lists
+        ``(times, kinds, payloads)`` in ``(time, kind, payload)``
+        order."""
+        heap = self.heap
+        times: List[float] = []
+        kinds: List[int] = []
+        payloads: List[int] = []
+        pop = heapq.heappop
+        while heap and heap[0][0] <= t:
+            time, kind, payload = pop(heap)
+            times.append(time)
+            kinds.append(kind)
+            payloads.append(payload)
+        return times, kinds, payloads
 
 
 def round_boundary(t0: float, event_time: float, step: float) -> float:

@@ -159,6 +159,11 @@ class FaultTimeline:
             mttr = mttf * DEFAULT_MTTR_FRACTION
         if not mttr > 0:
             raise ValueError(f"mttr must be positive, got mttr={mttr!r}")
+        # An infinite horizon would append faults forever.
+        if not 0 <= horizon < math.inf:
+            raise ValueError(
+                f"horizon must be finite and >= 0, got horizon={horizon!r}"
+            )
         rng = rng_for(stream, seed)
         faults: List[FaultSpec] = []
         for node in range(num_nodes):

@@ -15,9 +15,9 @@ The simulator replays a job-queue trace against one allocator:
 The implementation is split into two layers:
 
 * the **event core** (:mod:`repro.sched.eventcore`) holds the trace as
-  a column-array job table and the four event streams (arrivals,
-  completions, fault repairs, fault injections) on sorted numpy arrays,
-  merged one *round* at a time;
+  a column-array job table and every pending event (arrivals,
+  completions, fault repairs, fault injections) on one heap, popped one
+  *round* at a time;
 * the **policy layer** (:class:`_RunState`, below) holds the mutable
   scheduling state of one run — queue, reservations, running set,
   areas — and applies the drained events and scheduling passes.
@@ -71,8 +71,6 @@ from repro.sched.eventcore import (
     COMPLETION,
     FAULT_INJECT,
     FAULT_REPAIR,
-    ArrayEventQueue,
-    CompletionQueue,
     EventStreams,
     JobTable,
     round_boundary,
@@ -322,18 +320,17 @@ class _RunState:
         self.event_log = sim.event_log
 
         # Event streams: arrivals and fault events are pre-known;
-        # completions are discovered as jobs start.
+        # completions are pushed as jobs start.  Every event time is a
+        # float, also where a job or fault spec holds an int.
         faults = sim.fault_timeline.faults
         self.streams = EventStreams(
-            table.arrival_queue(),
-            CompletionQueue(),
-            repairs=ArrayEventQueue(
-                [spec.end for spec in faults if spec.end is not None],
-                [i for i, spec in enumerate(faults) if spec.end is not None],
-            ),
-            injects=ArrayEventQueue(
-                [spec.start for spec in faults], list(range(len(faults)))
-            ),
+            zip(table.arrivals.tolist(), range(len(table))),
+            repairs=[
+                (float(spec.end), i)
+                for i, spec in enumerate(faults)
+                if spec.end is not None
+            ],
+            injects=[(float(spec.start), i) for i, spec in enumerate(faults)],
         )
 
         #: the waiting jobs, in queue order: arrival order under FIFO,
@@ -566,7 +563,7 @@ class _RunState:
         if self.resilience is not None:
             actual *= float(self.table.work_frac[job.row])
         job.end = now + actual
-        slot = self.streams.completions.push(job.end, job)
+        slot = self.streams.push_completion(job.end, job)
         if self.resilience is not None:
             self.live_comp[job.id] = slot
         # Planning sees the *estimated* completion time — the same
@@ -868,23 +865,21 @@ class _RunState:
 
     # -- event drains --------------------------------------------------
     def drain_scalar(
-        self, times: np.ndarray, kinds: np.ndarray, payloads: np.ndarray
+        self, times: List[float], kinds: List[int], payloads: List[int]
     ) -> Tuple[int, int]:
         """Apply one round's events one at a time (the historical loop;
         the ``REPRO_NAIVE_EVENTS=1`` twin, and the only drain that
         feeds per-event telemetry sinks).  Returns (arrivals,
         completions)."""
         sim = self.sim
-        streams = self.streams
+        completion_jobs = self.streams.completion_jobs
         tracer = self.tracer
         sampler = self.sampler
         table = self.table
         resilience = self.resilience
         arrivals = 0
         completions = 0
-        for t, kind, payload in zip(
-            times.tolist(), kinds.tolist(), payloads.tolist()
-        ):
+        for t, kind, payload in zip(times, kinds, payloads):
             if sampler is not None:
                 # Boundaries before t see the state as of entering
                 # them: sample *before* applying the event.
@@ -903,7 +898,7 @@ class _RunState:
                     )
                 resilience.inject(payload, t)
             elif kind == COMPLETION:
-                job = streams.completions.job(payload)
+                job = completion_jobs[payload]
                 if resilience is not None:
                     if self.live_comp.get(job.id) != payload:
                         continue  # orphaned by a kill
@@ -927,13 +922,13 @@ class _RunState:
         return arrivals, completions
 
     def drain_columnar(
-        self, times: np.ndarray, kinds: np.ndarray, payloads: np.ndarray
+        self, times: List[float], kinds: List[int], payloads: List[int]
     ) -> Tuple[int, int]:
         """Apply one round's events as bulk state transitions.
 
         ``take_round`` yields the events in global ``(time, kind,
-        payload)`` order; this splits the batch into maximal
-        same-kind segments (preserving that order) and hands
+        payload)`` order; one walk over ``kinds`` splits the batch into
+        maximal same-kind segments (preserving that order) and hands
         completion/arrival segments to the columnar handlers.  Fault
         events stay per-event — they are rare — but their victims
         drain through the bulk release path (:meth:`kill_jobs`).
@@ -953,11 +948,13 @@ class _RunState:
         resilience = self.resilience
         arrivals = 0
         completions = 0
-        cuts = np.flatnonzero(np.diff(kinds)) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [n]))
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            kind = int(kinds[s])
+        e = 0
+        while e < n:
+            s = e
+            kind = kinds[s]
+            e += 1
+            while e < n and kinds[e] == kind:
+                e += 1
             if kind == COMPLETION:
                 completions += self.complete_batch(
                     times[s:e], payloads[s:e]
@@ -966,9 +963,7 @@ class _RunState:
                 self.enqueue_batch(times[s:e], payloads[s:e])
                 arrivals += e - s
             else:
-                for t, payload in zip(
-                    times[s:e].tolist(), payloads[s:e].tolist()
-                ):
+                for t, payload in zip(times[s:e], payloads[s:e]):
                     self.advance(t)
                     if kind == FAULT_REPAIR:
                         resilience.repair(payload, t)
@@ -985,7 +980,7 @@ class _RunState:
                         resilience.inject(payload, t)
         return arrivals, completions
 
-    def complete_batch(self, times: np.ndarray, slots: np.ndarray) -> int:
+    def complete_batch(self, times: List[float], slots: List[int]) -> int:
         """Retire a time-sorted run of completions in one transition.
 
         The area accumulators advance event by event in the exact
@@ -997,7 +992,7 @@ class _RunState:
         ``release_many``, one state-column write per job, one
         histogram ``add_many``.
         """
-        streams = self.streams
+        completion_jobs = self.streams.completion_jobs
         table = self.table
         resilience = self.resilience
         running = self.running
@@ -1017,7 +1012,7 @@ class _RunState:
         live: List[Job] = []
         util: List[float] = []
         want_util = pending > 0 and cap > 0
-        for t, slot in zip(times.tolist(), slots.tolist()):
+        for t, slot in zip(times, slots):
             dt = t - last_t
             if dt > 0:
                 tba += busy * dt
@@ -1027,7 +1022,7 @@ class _RunState:
                 if stats is not None:
                     stats.degraded_node_seconds += degraded * dt
                 last_t = t
-            job = streams.completions.job(slot)
+            job = completion_jobs[slot]
             if resilience is not None:
                 # Orphaned by a kill: the clock still advanced above,
                 # exactly like the scalar twin.
@@ -1053,10 +1048,10 @@ class _RunState:
                 running.pop(job.id)
                 state_col[job.row] = done
         if util:
-            self.instant.add_many(np.array(util, np.float64))
+            self.instant.add_many(util)
         return len(live)
 
-    def enqueue_batch(self, times: np.ndarray, rows: np.ndarray) -> None:
+    def enqueue_batch(self, times: List[float], rows: List[int]) -> None:
         """Enqueue a time-sorted run of arrivals in one transition."""
         table = self.table
         resilience = self.resilience
@@ -1069,7 +1064,7 @@ class _RunState:
         da = self.demand_area
         busy = self.cur_busy
         pending = len(self.queue)
-        for t in times.tolist():
+        for t in times:
             dt = t - last_t
             if dt > 0:
                 tba += busy * dt
@@ -1084,7 +1079,7 @@ class _RunState:
         self.total_busy_area = tba
         self.busy_area = ba
         self.demand_area = da
-        jobs = [table.jobs[r] for r in rows.tolist()]
+        jobs = [table.jobs[r] for r in rows]
         queue = self.queue
         if self.priority_key is None:
             queue.extend(jobs)
@@ -1100,7 +1095,7 @@ class _RunState:
         """Run rounds until every stream is drained.
 
         Each round covers ``(previous boundary, round_t]``: drain the
-        round's events in global ``(time, kind, seq)`` order (advancing
+        round's events in global ``(time, kind, payload)`` order (advancing
         the clock and areas event by event), then run one scheduling
         pass at the boundary.  Event-driven mode is the degenerate case
         ``round_t = next event time`` — one timestamp per round, a pass

@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import math
 from pathlib import Path
-from typing import List, Optional, TextIO, Union
+from typing import Dict, List, Optional, TextIO, Union
 
 from repro.sched.job import Job
 from repro.traces.trace import Trace
@@ -39,13 +39,16 @@ def read_swf(
     ``cores_per_node`` converts processor counts to node counts (archive
     logs report processors).  Jobs with non-positive size or run time,
     and cancelled jobs that never ran, are skipped — the archive's own
-    recommendation for simulation use.
+    recommendation for simulation use.  Any other bad row (wrong field
+    count, unparsable or non-finite field, a value ``Job`` rejects, a
+    job id already kept) raises ``ValueError`` naming its line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", errors="replace") as fh:
             return read_swf(fh, name or Path(source).stem, cores_per_node,
                             system_nodes, keep_arrivals)
     jobs: List[Job] = []
+    first_line: Dict[int, int] = {}  # job id -> line of its kept row
     max_procs = 0
     for lineno, line in enumerate(source, 1):
         line = line.strip()
@@ -72,16 +75,24 @@ def read_swf(
             )
         if procs <= 0 or run_time <= 0:
             continue  # cancelled or malformed job
+        if job_id in first_line:
+            raise ValueError(
+                f"SWF line {lineno}: duplicate job id {job_id} "
+                f"(first on line {first_line[job_id]})"
+            )
         size = max(1, -(-procs // cores_per_node))  # ceil division
         max_procs = max(max_procs, procs)
-        jobs.append(
-            Job(
+        try:
+            job = Job(
                 id=job_id,
                 size=size,
                 runtime=run_time,
                 arrival=submit if keep_arrivals else 0.0,
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"SWF line {lineno}: {exc}") from None
+        first_line[job_id] = lineno
+        jobs.append(job)
     if not jobs:
         raise ValueError("SWF source contained no usable jobs")
     return Trace(

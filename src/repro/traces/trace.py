@@ -51,9 +51,15 @@ class Trace:
     def __post_init__(self) -> None:
         if not self.jobs:
             raise ValueError(f"trace {self.name!r} has no jobs")
-        ids = {j.id for j in self.jobs}
-        if len(ids) != len(self.jobs):
-            raise ValueError(f"trace {self.name!r} has duplicate job ids")
+        if len({j.id for j in self.jobs}) != len(self.jobs):
+            # Walk only on failure, to name the first id seen twice.
+            seen: set = set()
+            for job in self.jobs:
+                if job.id in seen:
+                    raise ValueError(
+                        f"trace {self.name!r} has duplicate job id {job.id}"
+                    )
+                seen.add(job.id)
         if not self._sorted:
             self.jobs.sort(key=lambda j: (j.arrival, j.id))
             self._sorted = True

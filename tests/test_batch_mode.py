@@ -1,15 +1,19 @@
-"""Batch-step scheduling rounds and the array event core."""
+"""Batch-step scheduling rounds and the event core."""
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baseline import BaselineAllocator
 from repro.obs.sampler import ROW_FIELDS, TimeSeriesSampler
 from repro.obs.tracer import Tracer
 from repro.sched.eventcore import (
-    ArrayEventQueue,
-    CompletionQueue,
+    ARRIVAL,
+    COMPLETION,
+    FAULT_INJECT,
+    FAULT_REPAIR,
     EventStreams,
     JobTable,
     round_boundary,
@@ -40,60 +44,147 @@ def _run(jobs, **kwargs):
 # ----------------------------------------------------------------------
 # eventcore units
 # ----------------------------------------------------------------------
+def _drain(streams, t):
+    """One round as ``(time, kind, payload)`` tuples."""
+    return list(zip(*streams.take_round(t)))
+
+
 class TestArrayEventQueue:
+    """The pre-known arrival stream on the event heap."""
+
     def test_stable_order_and_cursor(self):
-        q = ArrayEventQueue([5.0, 1.0, 5.0, 3.0], [0, 1, 2, 3])
-        assert q.peek_time() == 1.0
-        times, payloads = q.take_until(5.0)
-        assert list(times) == [1.0, 3.0, 5.0, 5.0]
-        # equal times keep payload (push) order — the heap's tie-break
-        assert list(payloads) == [1, 3, 0, 2]
-        assert len(q) == 0
-        assert q.peek_time() == math.inf
+        streams = EventStreams([(5.0, 0), (1.0, 1), (5.0, 2), (3.0, 3)])
+        assert streams.next_time() == 1.0
+        times, kinds, payloads = streams.take_round(5.0)
+        assert times == [1.0, 3.0, 5.0, 5.0]
+        assert kinds == [ARRIVAL] * 4
+        # equal-time arrivals keep job-table row (trace) order
+        assert payloads == [1, 3, 0, 2]
+        assert streams.empty()
+        assert streams.next_time() == math.inf
 
     def test_take_until_partial(self):
-        q = ArrayEventQueue([1.0, 2.0, 3.0], [0, 1, 2])
-        times, _ = q.take_until(2.0)
-        assert list(times) == [1.0, 2.0]
-        assert q.peek_time() == 3.0
+        streams = EventStreams([(1.0, 0), (2.0, 1), (3.0, 2)])
+        times, _, payloads = streams.take_round(2.0)
+        assert times == [1.0, 2.0]
+        assert payloads == [0, 1]
+        assert streams.next_time() == 3.0
 
 
 class TestCompletionQueue:
+    """Completions pushed onto the event heap as jobs start."""
+
     def test_round_bucketing_preserves_push_order(self):
-        q = CompletionQueue()
+        streams = EventStreams([])
         a, b, c = object(), object(), object()
-        sa = q.push(10.0, a)
-        sb = q.push(5.0, b)
-        sc = q.push(10.0, c)
-        assert q.peek_time() == 5.0
-        times, slots = q.take_until(10.0)
-        assert list(times) == [5.0, 10.0, 10.0]
-        assert [q.job(s) for s in slots] == [b, a, c]
+        sa = streams.push_completion(10.0, a)
+        sb = streams.push_completion(5.0, b)
+        sc = streams.push_completion(10.0, c)
+        assert streams.next_time() == 5.0
+        times, kinds, slots = streams.take_round(10.0)
+        assert times == [5.0, 10.0, 10.0]
+        assert kinds == [COMPLETION] * 3
+        # equal-time completions keep push order
+        assert [streams.completion_jobs[s] for s in slots] == [b, a, c]
         assert (sa, sb, sc) == (0, 1, 2)
-        assert len(q) == 0
+        assert streams.empty()
 
     def test_interleaved_push_and_drain(self):
-        q = CompletionQueue()
-        q.push(1.0, "x")
-        q.take_until(1.0)
-        q.push(3.0, "y")
-        q.push(2.0, "z")
-        times, slots = q.take_until(5.0)
-        assert [q.job(s) for s in slots] == ["z", "y"]
-        assert list(times) == [2.0, 3.0]
+        streams = EventStreams([])
+        streams.push_completion(1.0, "x")
+        assert _drain(streams, 1.0) == [(1.0, COMPLETION, 0)]
+        streams.push_completion(3.0, "y")
+        streams.push_completion(2.0, "z")
+        times, _, slots = streams.take_round(5.0)
+        assert [streams.completion_jobs[s] for s in slots] == ["z", "y"]
+        assert times == [2.0, 3.0]
 
 
 class TestEventStreamsMerge:
     def test_global_order_repair_completion_arrival_inject(self):
-        arrivals = ArrayEventQueue([10.0], [0])
-        completions = CompletionQueue()
-        completions.push(10.0, "done")
-        repairs = ArrayEventQueue([10.0], [0])
-        injects = ArrayEventQueue([10.0], [1])
-        streams = EventStreams(arrivals, completions, repairs, injects)
+        streams = EventStreams(
+            [(10.0, 0)], repairs=[(10.0, 0)], injects=[(10.0, 1)]
+        )
+        streams.push_completion(10.0, "done")
         _, kinds, _ = streams.take_round(10.0)
-        assert list(kinds) == [-1, 0, 1, 2]
+        assert kinds == [FAULT_REPAIR, COMPLETION, ARRIVAL, FAULT_INJECT]
         assert streams.empty()
+
+    def test_never_repaired_fault_leaves_streams_empty(self):
+        # A fault with ``end=inf`` never fires its repair.  The run loop
+        # marks the jobs still waiting unscheduled once ``empty()``
+        # holds, so the pending ``inf`` entry must not count.
+        streams = EventStreams(
+            [(1.0, 0)], repairs=[(math.inf, 0)], injects=[(0.0, 0)]
+        )
+        assert not streams.empty()
+        assert _drain(streams, 0.0) == [(0.0, FAULT_INJECT, 0)]
+        assert _drain(streams, 1.0) == [(1.0, ARRIVAL, 0)]
+        assert streams.next_time() == math.inf
+        assert streams.empty()
+        assert streams.heap == [(math.inf, FAULT_REPAIR, 0)]
+
+
+# Few distinct times, so ties across and within kinds are common.
+_event_time = st.integers(min_value=0, max_value=8).map(lambda k: k / 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrivals=st.lists(_event_time, max_size=12),
+    repairs=st.lists(_event_time, max_size=6),
+    injects=st.lists(_event_time, max_size=6),
+    rounds=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=3).map(lambda k: k / 2),
+            st.lists(
+                st.integers(min_value=1, max_value=4).map(lambda k: k / 2),
+                max_size=4,
+            ),
+        ),
+        max_size=8,
+    ),
+)
+def test_rounds_pop_due_events_in_sorted_order(
+    arrivals, repairs, injects, rounds
+):
+    """Each round holds exactly the pending entries at or below its
+    bound, and the rounds joined together are ``sorted()`` of every
+    ``(time, kind, payload)`` entry.  Completions are pushed between
+    rounds strictly after the last bound, as a started job ends after
+    the pass that starts it."""
+    streams = EventStreams(
+        [(t, row) for row, t in enumerate(arrivals)],
+        repairs=[(t, i) for i, t in enumerate(repairs)],
+        injects=[(t, i) for i, t in enumerate(injects)],
+    )
+    pending = (
+        [(t, ARRIVAL, row) for row, t in enumerate(arrivals)]
+        + [(t, FAULT_REPAIR, i) for i, t in enumerate(repairs)]
+        + [(t, FAULT_INJECT, i) for i, t in enumerate(injects)]
+    )
+    every = list(pending)
+    joined = []
+    bound = 0.0
+    for step, offsets in rounds:
+        bound += step
+        due = sorted(e for e in pending if e[0] <= bound)
+        pending = [e for e in pending if e[0] > bound]
+        got = _drain(streams, bound)
+        assert got == due
+        joined.extend(got)
+        for offset in offsets:
+            slot = streams.push_completion(bound + offset, object())
+            entry = (bound + offset, COMPLETION, slot)
+            pending.append(entry)
+            every.append(entry)
+        assert streams.next_time() == min(
+            (e[0] for e in pending), default=math.inf
+        )
+    last = max((e[0] for e in every), default=0.0)
+    joined.extend(_drain(streams, max(last, bound)))
+    assert streams.empty()
+    assert joined == sorted(every)
 
 
 class TestJobTable:

@@ -103,6 +103,20 @@ class TestFaultTimeline:
             FaultTimeline.synthetic(4, mttf=1.0, mttr=float("nan"),
                                     horizon=10.0)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), -5.0])
+    def test_synthetic_rejects_bad_horizon(self, horizon):
+        # It used to return an empty timeline without a word.
+        with pytest.raises(ValueError, match=f"horizon={horizon!r}"):
+            FaultTimeline.synthetic(4, mttf=1.0, horizon=horizon)
+
+    def test_synthetic_rejects_infinite_horizon(self):
+        # The per-node renewal loop would append faults forever.
+        with pytest.raises(ValueError, match="horizon=inf"):
+            FaultTimeline.synthetic(4, mttf=1.0, horizon=float("inf"))
+
+    def test_synthetic_accepts_zero_horizon(self):
+        assert len(FaultTimeline.synthetic(4, mttf=1.0, horizon=0.0)) == 0
+
 
 class TestVictimPolicy:
     """A whole-cluster job killed at t=50 by a node fault repaired at 60."""
@@ -314,6 +328,15 @@ def test_run_scheme_synthesizes_deterministic_timeline(tree):
     with pytest.raises(ValueError):
         run_scheme(setup, "jigsaw", mttf=1000.0,
                    fault_timeline=FaultTimeline())
+
+
+def test_run_scheme_rejects_bad_fault_horizon():
+    from repro.experiments.runner import paper_setup, run_scheme
+
+    setup = paper_setup("Synth-16", scale=0.005, seed=0)
+    # It used to replay fault-free on an empty timeline.
+    with pytest.raises(ValueError, match="horizon=-5.0"):
+        run_scheme(setup, "jigsaw", mttf=1000.0, fault_horizon=-5.0)
 
 
 def test_resilience_metrics_reach_registry(tree):

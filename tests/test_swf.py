@@ -72,6 +72,33 @@ def test_non_finite_times_rejected(field, value):
         read_swf(io.StringIO(" ".join(fields)))
 
 
+def test_rejected_job_names_its_line():
+    good = " ".join(["1", "0", "-1", "50", "4"] + ["-1"] * 13)
+    bad = " ".join(["2", "-3", "-1", "50", "4"] + ["-1"] * 13)
+    with pytest.raises(
+        ValueError,
+        match=r"SWF line 3: job 2: arrival must be finite and >= 0",
+    ):
+        read_swf(io.StringIO("\n".join([good, "; comment", bad])))
+
+
+def test_duplicate_job_id_names_both_lines():
+    row = " ".join(["7", "0", "-1", "50", "4"] + ["-1"] * 13)
+    other = " ".join(["8", "5", "-1", "50", "4"] + ["-1"] * 13)
+    with pytest.raises(
+        ValueError,
+        match=r"SWF line 4: duplicate job id 7 \(first on line 1\)",
+    ):
+        read_swf(io.StringIO("\n".join([row, other, "; comment", row])))
+
+
+def test_skipped_row_does_not_claim_its_id():
+    cancelled = " ".join(["7", "0", "-1", "0", "4"] + ["-1"] * 13)
+    kept = " ".join(["7", "5", "-1", "50", "4"] + ["-1"] * 13)
+    trace = read_swf(io.StringIO("\n".join([cancelled, kept])))
+    assert [j.id for j in trace.jobs] == [7]
+
+
 def test_empty_file_rejected():
     with pytest.raises(ValueError, match="no usable jobs"):
         read_swf(io.StringIO("; nothing\n"))

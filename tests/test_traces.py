@@ -31,6 +31,11 @@ class TestTraceContainer:
         with pytest.raises(ValueError):
             Trace("t", jobs)
 
+    def test_duplicate_id_is_named(self):
+        jobs = [Job(id=i, size=1, runtime=1.0) for i in (1, 2, 3, 2, 1)]
+        with pytest.raises(ValueError, match="'t' has duplicate job id 2$"):
+            Trace("t", jobs)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Trace("t", [])
