@@ -7,9 +7,9 @@ and the prefilter counters.  Then takes the radix-32 preset for a
 bounded smoke run: Synth-32 on the 8192-node cluster must drain the
 queue.
 
-A third leg measures the bitset shape search + cross-pass memo for the
-search-heavy schemes (jigsaw, laas, lc+s) on the same trace: wall
-ms/job and the memo counters.
+A third leg measures the bitset shape search for the search-heavy
+schemes (jigsaw, laas, lc+s) on the same trace: wall ms/job and the
+backtracking steps executed.
 
 Decision invariance is not measured here: the golden digests in
 ``tests/data/decision_digests.json`` and the fingerprint baseline
@@ -28,8 +28,7 @@ SCALE_TRACE = "Synth-32"
 SMOKE_SCHEME = "jigsaw"
 SCHEMES = ("baseline", "ta", "laas", "jigsaw", "lc+s")
 
-#: the search-heavy schemes whose bitset search + memo the third leg
-#: measures
+#: the search-heavy schemes whose bitset search the third leg measures
 SEARCH_SCHEMES = ("jigsaw", "laas", "lc+s")
 
 #: schemes whose restricted shapes give the prefilter something to skip
@@ -91,10 +90,10 @@ def scale_smoke(scale=None, seed=0):
 
 
 def search_cost(scale=None, seed=0):
-    """(scheme -> row) bitset search + cross-pass memo on Synth-28.
+    """(scheme -> row) bitset search on Synth-28.
 
     End-to-end wall ms/job, best of ``REPEATS`` in-process runs, with
-    the memo counters of the run.
+    the backtracking steps the run executed.
     """
     rows = {}
     for scheme in SEARCH_SCHEMES:
@@ -107,9 +106,7 @@ def search_cost(scale=None, seed=0):
         jobs = len(result.jobs) or 1
         rows[scheme] = {
             "ms/job": best * 1e3 / jobs,
-            "memo hits": result.stats.xpass_memo_hits,
-            "epoch flushes": result.stats.xpass_memo_epoch_flushes,
-            "replayed steps": result.stats.xpass_memo_replayed_steps,
+            "steps": result.stats.backtrack_steps,
             "_result": result,
         }
     return rows
@@ -144,9 +141,9 @@ def render(rows, smoke, search_rows):
         row_header="scheme",
     )
     search_tbl = render_table(
-        f"Bitset search + cross-pass memo: {TRACE} (wall ms/job)",
+        f"Bitset search: {TRACE} (wall ms/job)",
         _visible(search_rows),
-        ("ms/job", "memo hits", "epoch flushes", "replayed steps"),
+        ("ms/job", "steps"),
         row_header="scheme",
     )
     return main + "\n\n" + smoke_tbl + "\n\n" + search_tbl
@@ -156,7 +153,7 @@ def bench_payload(scale: float = GATE_SCALE, seed: int = 0) -> dict:
     """The ``BENCH_pass_scale.json`` document: the scheduling pass on
     the gate slice (Synth-28 under jigsaw) plus the bitset-search leg
     for the search-heavy schemes, wall time tolerant and the work
-    proxies (attempts, memo counters) exact.
+    proxies (attempts, backtracking steps) exact.
     """
     setup_for(TRACE, scale=scale, seed=seed)
     (out,) = run_grid([
@@ -180,11 +177,7 @@ def bench_payload(scale: float = GATE_SCALE, seed: int = 0) -> dict:
         tag = scheme.replace("+", "")
         quantities[f"search_indexed_ms_per_job.{tag}"] = {
             "value": row["ms/job"], "unit": "ms"}
-        counters[f"search_xpass_memo_hits.{tag}"] = searched.xpass_memo_hits
-        counters[f"search_xpass_memo_epoch_flushes.{tag}"] = (
-            searched.xpass_memo_epoch_flushes)
-        counters[f"search_xpass_memo_replayed_steps.{tag}"] = (
-            searched.xpass_memo_replayed_steps)
+        counters[f"search_backtrack_steps.{tag}"] = searched.backtrack_steps
     return make_bench_result(
         "pass_scale", quantities, counters, env=environment(scale),
     )

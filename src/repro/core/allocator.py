@@ -121,19 +121,6 @@ class AllocatorStats:
     memo_hits: int = metric(
         "repro_search_memo_hits_total",
         "per-search memo hits that skipped a pod sub-search")
-    #: a hit means an earlier allocate() proved the sub-search
-    #: infeasible and the pod's mutation epoch has not moved since
-    xpass_memo_hits: int = metric(
-        "repro_search_xpass_memo_hits_total",
-        "cross-pass negative-memo hits that skipped a pod sub-search")
-    xpass_memo_epoch_flushes: int = metric(
-        "repro_search_xpass_memo_epoch_flushes_total",
-        "cross-pass memo entries dropped because the pod epoch moved")
-    #: ``backtrack_steps + xpass_memo_replayed_steps`` is invariant
-    #: under the memo (the memo-invariance tests rely on it)
-    xpass_memo_replayed_steps: int = metric(
-        "repro_search_xpass_memo_replayed_steps_total",
-        "backtracking steps replayed from cross-pass memo hits")
     backtrack_steps: int = metric(
         "repro_search_backtrack_steps_total",
         "backtracking steps executed by searches")

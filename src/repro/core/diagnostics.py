@@ -145,17 +145,6 @@ def fragmentation_snapshot(
     )
 
 
-def structural_snapshot(allocator: Allocator) -> FragmentationSnapshot:
-    """Probe-free fragmentation snapshot (structure only, no searches).
-
-    Cheap enough to take per sample interval inside a simulation and
-    guaranteed not to perturb the allocator in any way — it never calls
-    :meth:`~repro.core.allocator.Allocator.can_allocate`, so even the
-    cache counters stay untouched.
-    """
-    return fragmentation_snapshot(allocator, probe_sizes=())
-
-
 def compare_fragmentation(
     allocators: Sequence[Allocator],
     probe_sizes: Optional[Sequence[int]] = None,

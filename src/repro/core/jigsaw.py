@@ -129,13 +129,6 @@ class JigsawAllocator(Allocator):
         # Per-_search negative/positive memo for repeated per-pod
         # sub-searches (used by the LC family, cleared at every search).
         self._pod_memo: Dict[Tuple[int, int, int, int], tuple] = {}
-        # Cross-pass negative memo: (pod, LT, nL, nrL, bw-key) ->
-        # (pod epoch at record time, step cost).  Entries outlive
-        # _search calls and are validated lazily against the pod's
-        # mutation epoch — the same claim/release/repair paths that
-        # invalidate the feasibility cache bump the epoch, so a valid
-        # entry proves the sub-search would fail identically again.
-        self._xpass_memo: Dict[tuple, Tuple[object, int]] = {}
 
     class BudgetExhausted(Exception):
         """Raised internally when a search exceeds its step budget."""
@@ -314,7 +307,7 @@ class JigsawAllocator(Allocator):
         their bucket row.
 
         In a pod without claimed uplinks every leaf mask is full, so the
-        backtracking of :meth:`_find_two_level_in_pod_impl` never
+        backtracking of :meth:`_find_two_level_in_pod` never
         prunes: it takes the first ``LT`` leaves in best-fit order, and
         the first further leaf with ``>= nrL`` free nodes as remainder.
         Feasibility and the :meth:`_score_two_level` score are then
@@ -414,74 +407,7 @@ class JigsawAllocator(Allocator):
         """Bitmask of free spine links at (pod, L2 i) (hook for LC)."""
         return self.state.spine_free_mask[pod][i]
 
-    # ------------------------------------------------------------------
-    # Cross-pass negative memo
-    # ------------------------------------------------------------------
-    def _memo_bw_key(self) -> Optional[float]:
-        """Bandwidth component of the cross-pass memo key.
-
-        ``None`` for the exclusive-link schemes, whose per-pod searches
-        depend only on pod-local occupancy; LC+S overrides this with the
-        current job's bandwidth need (its link masks depend on it)."""
-        return None
-
-    def _pod_epoch_key(self, pod: int):
-        """Mutation-epoch token guarding memo entries for ``pod``.
-
-        A per-pod sub-search reads only pod-local state, and every
-        mutation of that state (claim/release/release_many, including
-        the fault injector's) bumps the epoch — so an unchanged token
-        proves the sub-search would replay identically."""
-        return self.state.pod_epoch[pod]
-
-    def _xpass_memo_lookup(self, key: tuple) -> Optional[int]:
-        """Step cost of a valid negative memo entry, or ``None``.
-
-        Stale entries (epoch moved on) are dropped and counted; the
-        caller charges the returned cost through :meth:`_charge` and
-        treats the sub-search as failed.  Keys are
-        ``(kind, pod, ...shape fields..., bw)`` — the leading ``kind``
-        tag separates sub-searches with different semantics (a pod that
-        cannot host a *linked* three-level slice may still host the
-        identical node counts as a link-free single-leaf shape)."""
-        hit = self._xpass_memo.get(key)
-        if hit is None:
-            return None
-        epoch, cost = hit
-        if epoch != self._pod_epoch_key(key[1]):
-            del self._xpass_memo[key]
-            self.stats.xpass_memo_epoch_flushes += 1
-            return None
-        self.stats.xpass_memo_hits += 1
-        # Replayed-step accounting mirrors what the un-memoized search
-        # would have *executed*: when the budget binds mid-replay, the
-        # un-memoized search only runs the steps left before timing out.
-        self.stats.xpass_memo_replayed_steps += min(cost, self._steps_left)
-        return cost
-
     def _find_two_level_in_pod(
-        self, pod: int, shape: TwoLevelShape
-    ) -> Optional[Tuple[List[int], int, Optional[int], int]]:
-        """Memo-guarded :meth:`_find_two_level_in_pod_impl`.
-
-        A valid cross-pass entry replays the recorded failure: the step
-        cost is charged against the budget (so a budget-limited scheme
-        times out at the identical step) and ``None`` is returned
-        without re-walking the pod.  Only *completed* failed searches
-        are recorded — a budget abort propagates before the store."""
-        key = ("2l", pod, shape.LT, shape.nL, shape.nrL, self._memo_bw_key())
-        cost = self._xpass_memo_lookup(key)
-        if cost is not None:
-            self._charge(cost)
-            return None
-        epoch = self._pod_epoch_key(pod)
-        before = self._steps_left
-        result = self._find_two_level_in_pod_impl(pod, shape)
-        if result is None:
-            self._xpass_memo[key] = (epoch, before - self._steps_left)
-        return result
-
-    def _find_two_level_in_pod_impl(
         self, pod: int, shape: TwoLevelShape
     ) -> Optional[Tuple[List[int], int, Optional[int], int]]:
         """Find ``shape`` inside ``pod``.

@@ -170,18 +170,6 @@ class LeastConstrainedAllocator(JigsawAllocator):
             return None
         return best[1], best[2]
 
-    def _memo_bw_key(self) -> Optional[float]:
-        # LC+S leaf masks depend on the job's bandwidth need, so memo
-        # entries are only valid for the need they were recorded under.
-        return self._bw if self.share_links else None
-
-    def _pod_epoch_key(self, pod: int):
-        # LC+S feasibility additionally reads bandwidth headroom, which
-        # lives in LinkCapacityState — couple both epochs.
-        if self.share_links:
-            return (self.state.pod_epoch[pod], self.links.pod_epoch[pod])
-        return self.state.pod_epoch[pod]
-
     def _trace_attrs(self, size):
         attrs = super()._trace_attrs(size)
         attrs["share_links"] = self.share_links
@@ -252,9 +240,10 @@ class LeastConstrainedAllocator(JigsawAllocator):
         LT, nL, nrL)`` key — the cluster state and the job's bandwidth
         need are fixed for the duration of a search, so a repeat call
         (``_finish_general`` probes the same remainder pods once per
-        completed pod combination) must return the same solutions.  A hit replays the recorded step cost through
-        :meth:`_charge` so the LC+S budget timeout fires at exactly the
-        step it would have fired at without the memo.
+        completed pod combination) must return the same solutions.  A
+        hit replays the recorded step cost through :meth:`_charge` so
+        the LC+S budget timeout fires at exactly the step it would have
+        fired at without the memo.
         """
         key = (pod, LT, nL, nrL)
         hit = self._pod_memo.get(key)
@@ -263,25 +252,9 @@ class LeastConstrainedAllocator(JigsawAllocator):
             self.stats.memo_hits += 1
             self._charge(cost)
             return sols
-        # Cross-pass negative memo: an earlier allocate() proved this
-        # pod empty for the same sub-shape and bandwidth, and the pod's
-        # epochs have not moved.  Replay the recorded cost (the budget
-        # must time out at the identical step) and seed the per-search
-        # memo so repeat probes within this search count memo_hits
-        # exactly as they would have.
-        xkey = ("pe", pod, LT, nL, nrL, self._memo_bw_key())
-        cost = self._xpass_memo_lookup(xkey)
-        if cost is not None:
-            self._charge(cost)
-            self._pod_memo[key] = ([], cost)
-            return []
-        epoch = self._pod_epoch_key(pod)
         before = self._steps_left
         sols = self._find_all_in_pod_uncached(pod, LT, nL, nrL)
-        cost = before - self._steps_left
-        self._pod_memo[key] = (sols, cost)
-        if not sols:
-            self._xpass_memo[xkey] = (epoch, cost)
+        self._pod_memo[key] = (sols, before - self._steps_left)
         return sols
 
     def _find_all_in_pod_uncached(

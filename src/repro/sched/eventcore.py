@@ -107,11 +107,6 @@ class JobTable:
         O(distinct sizes) allocator calls instead of O(jobs))."""
         return np.unique(self.sizes)
 
-    def first_job_with_size(self, size: int):
-        """The first job (trace order) requesting ``size`` nodes."""
-        idx = int(np.argmax(self.sizes == size))
-        return self.jobs[idx]
-
     def first_oversized(self, effective_size, capacity: int):
         """The first job (trace order) whose *effective* size exceeds
         ``capacity``, or ``None`` — one allocator call per distinct size

@@ -215,7 +215,9 @@ class SimResult:
 
     @property
     def xpass_memo_hits(self) -> int:
-        return self.stats.xpass_memo_hits
+        # The cross-pass search memo is gone; this constant stays only
+        # because bench/replay.py's COUNT_FIELDS reads the name.
+        return 0
 
     # ------------------------------------------------------------------
     @property

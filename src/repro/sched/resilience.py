@@ -153,12 +153,18 @@ class FaultTimeline:
         """
         if num_nodes < 1:
             raise ValueError("num_nodes must be positive")
-        if not mttf > 0:
-            raise ValueError(f"mttf must be positive, got mttf={mttf!r}")
+        # An infinite mean would silently mean "never fails" or "never
+        # repaired"; a permanent fault is an explicit FaultSpec(end=None).
+        if not 0 < mttf < math.inf:
+            raise ValueError(
+                f"mttf must be finite and positive, got mttf={mttf!r}"
+            )
         if mttr is None:
             mttr = mttf * DEFAULT_MTTR_FRACTION
-        if not mttr > 0:
-            raise ValueError(f"mttr must be positive, got mttr={mttr!r}")
+        if not 0 < mttr < math.inf:
+            raise ValueError(
+                f"mttr must be finite and positive, got mttr={mttr!r}"
+            )
         # An infinite horizon would append faults forever.
         if not 0 <= horizon < math.inf:
             raise ValueError(

@@ -527,29 +527,20 @@ class _RunState:
         sim = self.sim
         if self.provenance:
             self.prov_attempt(job, now)
-            # Classify a failure *before* the call: the cache verdict
-            # is consumed inside allocate(), and the budget flag is
-            # only fresh if the search actually ran (a free-node
-            # shortfall skips it, leaving the flag stale).
-            allocator = self.allocator
-            allocator._check_watermark()
-            was_cached = (
-                (allocator.effective_size(job.size), job.bw_need)
-                in allocator._failed_keys
-            )
-            had_room = job.size <= allocator.state.free_nodes_total
+            # The budget flag is only fresh if the search actually ran
+            # (a free-node shortfall skips it, leaving the flag stale),
+            # so note the room before the call.  A cached key never
+            # gets here: dispatch_start charges it as a skip.
+            had_room = job.size <= self.allocator.state.free_nodes_total
         alloc = self.allocator.allocate(job.id, job.size, bw_need=job.bw_need)
         if alloc is None:
             if self.provenance:
-                table = self.table
-                if was_cached:
-                    table.skip_cache[job.row] += 1
-                elif had_room and getattr(
+                if had_room and getattr(
                     self.allocator, "_budget_exhausted", False
                 ):
-                    table.skip_budget[job.row] += 1
+                    self.table.skip_budget[job.row] += 1
                 else:
-                    table.skip_search[job.row] += 1
+                    self.table.skip_search[job.row] += 1
             return False
         self.emit(now, "start", job, via, wait=now - job.arrival)
         job.start = now
@@ -689,24 +680,18 @@ class _RunState:
         """
         alloc = self.allocator
         if key in alloc._failed_keys:
-            if self.provenance:
-                self.prov_attempt(job, now)
-                self.table.skip_cache[job.row] += 1
-            alloc.charge_skip(job.id, job.size, job.bw_need, "cache")
-            return False
-        if alloc.cut_infeasible(key[0], key[1]):
-            if self.provenance:
-                self.prov_attempt(job, now)
-                self.table.skip_cut[job.row] += 1
-            alloc.charge_skip(job.id, job.size, job.bw_need, "cut")
-            return False
-        if screened:
-            if self.provenance:
-                self.prov_attempt(job, now)
-                self.table.skip_screen[job.row] += 1
-            alloc.charge_skip(job.id, job.size, job.bw_need, "screen")
-            return False
-        return self.try_start(job, now, via=via)
+            reason = "cache"
+        elif alloc.cut_infeasible(key[0], key[1]):
+            reason = "cut"
+        elif screened:
+            reason = "screen"
+        else:
+            return self.try_start(job, now, via=via)
+        if self.provenance:
+            self.prov_attempt(job, now)
+            getattr(self.table, f"skip_{reason}")[job.row] += 1
+        alloc.charge_skip(job.id, job.size, job.bw_need, reason)
+        return False
 
     def easy_schedule(self, now: float) -> None:
         """EASY pass: FIFO from the head, then backfill the window.

@@ -26,7 +26,7 @@ a capacity cap rather than exclusively owned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -206,10 +206,6 @@ class ClusterState:
         #: a fully-free leaf on this mask cannot host a full-bandwidth
         #: (all-uplinks) placement
         self._busy_leaf_mask: List[int] = [0] * m3
-        #: per-pod mutation epoch: bumped whenever any resource of the
-        #: pod (node, leaf uplink, spine link) changes hands.  Lets
-        #: allocators validate cross-call memo entries in O(1).
-        self.pod_epoch: List[int] = [0] * m3
         self._claims: Dict[int, ClaimRecord] = {}
 
     # ------------------------------------------------------------------
@@ -429,21 +425,16 @@ class ClusterState:
 
         for n in nodes:
             node_owner[n] = job_id
-        touched_pods: Set[int] = set()
-        self._shift_leaves(deltas, touched_pods)
+        self._shift_leaves(deltas)
         m2 = self.tree.m2
         for leaf, i in leaf_links:
             self.leaf_up_mask[leaf] &= ~(1 << i)
             pod = leaf // m2
-            touched_pods.add(pod)
             if self._leaf_busy_up[leaf] == 0:
                 self._busy_leaf_mask[pod] |= 1 << (leaf - pod * m2)
             self._leaf_busy_up[leaf] += 1
         for pod, i, j in spine_links:
             self.spine_free_mask[pod][i] &= ~(1 << j)
-            touched_pods.add(pod)
-        for pod in touched_pods:
-            self.pod_epoch[pod] += 1
         self.free_nodes_total -= len(nodes)
         self._claims[job_id] = ClaimRecord(job_id, nodes, leaf_links, spine_links)
 
@@ -481,11 +472,10 @@ class ClusterState:
     def _free_records(self, recs: Sequence[ClaimRecord]) -> None:
         """Return the nodes and links of claim records already taken off
         ``_claims`` to the free pool, with one index update per touched
-        leaf and one epoch bump per touched pod across all of them."""
+        leaf across all of them."""
         m1, m2 = self.tree.m1, self.tree.m2
         node_owner = self.node_owner
         deltas: Dict[int, int] = {}
-        touched_pods: Set[int] = set()
         freed = 0
         for rec in recs:
             for n in rec.nodes:
@@ -496,21 +486,17 @@ class ClusterState:
             for leaf, i in rec.leaf_links:
                 self.leaf_up_mask[leaf] |= 1 << i
                 pod = leaf // m2
-                touched_pods.add(pod)
                 self._leaf_busy_up[leaf] -= 1
                 if self._leaf_busy_up[leaf] == 0:
                     self._busy_leaf_mask[pod] &= ~(1 << (leaf - pod * m2))
             for pod, i, j in rec.spine_links:
                 self.spine_free_mask[pod][i] |= 1 << j
-                touched_pods.add(pod)
-        self._shift_leaves(deltas, touched_pods)
-        for pod in touched_pods:
-            self.pod_epoch[pod] += 1
+        self._shift_leaves(deltas)
         self.free_nodes_total += freed
 
-    def _shift_leaves(self, deltas: Dict[int, int], touched_pods: Set[int]) -> None:
+    def _shift_leaves(self, deltas: Dict[int, int]) -> None:
         """Move every leaf of ``deltas`` from ``f`` to ``f + delta`` free
-        nodes in one step, and add its pod to ``touched_pods``.
+        nodes in one step.
 
         The one per-leaf index update behind :meth:`claim` (negative
         deltas) and :meth:`release` / :meth:`release_many` (positive):
@@ -528,7 +514,6 @@ class ClusterState:
         leaf_ge = self._leaf_ge
         for leaf, delta in deltas.items():
             pod = leaf // m2
-            touched_pods.add(pod)
             f = int(free_per_leaf[leaf])
             nf = f + delta
             free_per_leaf[leaf] = nf
@@ -641,10 +626,6 @@ class LinkCapacityState:
         t = self.tree
         self.leaf_bw = np.zeros((t.num_leaves, t.l2_per_pod))
         self.spine_bw = np.zeros((t.num_pods, t.l2_per_pod, t.spines_per_group))
-        #: per-pod bandwidth-mutation epoch, bumped on every claim or
-        #: release touching any link of the pod — the LC-family analogue
-        #: of :attr:`ClusterState.pod_epoch` for memo invalidation
-        self.pod_epoch: List[int] = [0] * t.num_pods
         self._pow2_leaf = 1 << np.arange(t.l2_per_pod, dtype=np.int64)
         self._pow2_spine = 1 << np.arange(t.spines_per_group, dtype=np.int64)
         self._claims: Dict[int, Tuple[Tuple[LinkId, ...], Tuple[SpineLinkId, ...], float]] = {}
@@ -716,16 +697,10 @@ class LinkCapacityState:
         for pod, i, j in spine_links:
             if self.spine_bw[pod][i][j] + need > cap + 1e-9:
                 raise AllocationError(f"spine link ({pod}, {i}, {j}) over capacity")
-        m2 = self.tree.m2
-        touched_pods = set()
         for leaf, i in leaf_links:
             self.leaf_bw[leaf][i] += need
-            touched_pods.add(leaf // m2)
         for pod, i, j in spine_links:
             self.spine_bw[pod][i][j] += need
-            touched_pods.add(pod)
-        for pod in touched_pods:
-            self.pod_epoch[pod] += 1
         self._claims[job_id] = (tuple(leaf_links), tuple(spine_links), need)
 
     def claimants(
@@ -759,17 +734,11 @@ class LinkCapacityState:
         # on the links this job touched: a whole-array clip here costs
         # O(total links) per release and would also paper over genuine
         # accounting bugs on links the job never used.
-        m2 = self.tree.m2
-        touched_pods = set()
         for leaf, i in leaf_links:
             self.leaf_bw[leaf][i] -= need
             if self.leaf_bw[leaf][i] < 0.0:
                 self.leaf_bw[leaf][i] = 0.0
-            touched_pods.add(leaf // m2)
         for pod, i, j in spine_links:
             self.spine_bw[pod][i][j] -= need
             if self.spine_bw[pod][i][j] < 0.0:
                 self.spine_bw[pod][i][j] = 0.0
-            touched_pods.add(pod)
-        for pod in touched_pods:
-            self.pod_epoch[pod] += 1

@@ -1,6 +1,6 @@
-"""Bitset shape search, cross-pass memoization and the hot-path fixes.
+"""Bitset shape search and its hot-path fixes.
 
-The PR's invariants, as regression and property tests:
+The invariants, as regression and property tests:
 
 * a leaf-uplink fault on an otherwise-free leaf must never crash the
   three-level claim (the search now requires *usable* full leaves:
@@ -11,11 +11,6 @@ The PR's invariants, as regression and property tests:
   for baseline and ta, soundly for jigsaw and laas, whose verdicts
   also match a recount of the screen's definition — and screen
   survivors claim/release cleanly under link faults;
-* the cross-pass negative memo changes no placement and no budget
-  trajectory: memo-on and memo-off runs produce identical job records,
-  with ``backtrack_steps + xpass_memo_replayed_steps`` equal to the
-  memo-off step count, across schemes, queue orders and fault
-  timelines (memo-off = every memo lookup patched to miss);
 * the two-level bucket-row scorer is decision-identical to the per-pod
   scored walk it replaced.
 """
@@ -28,10 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.conditions import check_allocation
-from repro.core.jigsaw import JigsawAllocator
 from repro.core.registry import make_allocator
 from repro.core.shapes import TwoLevelShape
-from repro.experiments.runner import paper_setup, run_scheme
 from repro.topology.fattree import FatTree, LinkId
 from repro.topology.faults import FaultInjector
 
@@ -42,12 +35,6 @@ common = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-def _records(result):
-    return [
-        (r.job_id, r.size, r.arrival, r.start, r.end) for r in result.jobs
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -192,64 +179,6 @@ def _check_screen_over_every_size(scheme, seed):
             alloc.release(jid)
             jid += 1
     alloc.state.audit()
-
-
-# ----------------------------------------------------------------------
-# Cross-pass memo: decision and budget invariance
-# ----------------------------------------------------------------------
-SCHEMES = ("baseline", "ta", "laas", "jigsaw", "lc+s")
-QUEUE_ORDERS = ("fifo", "sjf", "smallest", "largest")
-
-
-def _run_pair(monkeypatch, scheme, **kwargs):
-    """One run with the cross-pass memo and one without, same inputs.
-
-    The memo-off reference patches every memo lookup to miss: entries
-    are still recorded but never replayed, so each sub-search runs."""
-    on = run_scheme(paper_setup("Synth-16", scale=0.004), scheme, **kwargs)
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            JigsawAllocator, "_xpass_memo_lookup", lambda self, key: None
-        )
-        off = run_scheme(
-            paper_setup("Synth-16", scale=0.004), scheme, **kwargs
-        )
-    return on, off
-
-
-def _assert_memo_invariant(on, off, context):
-    assert _records(on) == _records(off), context
-    assert on.unscheduled == off.unscheduled, context
-    on, off = on.stats, off.stats
-    assert on.memo_hits == off.memo_hits, context
-    assert off.xpass_memo_hits == 0, context
-    assert off.xpass_memo_replayed_steps == 0, context
-    # Replayed steps account for exactly the walk the memo skipped.
-    assert (
-        on.backtrack_steps + on.xpass_memo_replayed_steps
-        == off.backtrack_steps
-    ), context
-
-
-@pytest.mark.parametrize("queue_order", QUEUE_ORDERS)
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_xpass_memo_invariant_across_queue_orders(
-    monkeypatch, scheme, queue_order
-):
-    on, off = _run_pair(monkeypatch, scheme, queue_order=queue_order)
-    _assert_memo_invariant(on, off, (scheme, queue_order))
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_xpass_memo_invariant_under_faults(monkeypatch, scheme):
-    kwargs = dict(
-        mttf=20_000.0, fault_seed=1,
-        fault_victim_policy="requeue-remaining",
-        checkpoint_interval=600.0,
-    )
-    on, off = _run_pair(monkeypatch, scheme, **kwargs)
-    assert on.faults_injected == off.faults_injected > 0, scheme
-    _assert_memo_invariant(on, off, (scheme, "faulted"))
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,13 @@ def test_simulate_rejects_nan_mttf():
               "--scheme", "jigsaw", "--mttf", "nan"])
 
 
+def test_simulate_rejects_infinite_mttf():
+    # An infinite MTTF used to run with no faults and say nothing.
+    with pytest.raises(ValueError, match="mttf=inf"):
+        main(["simulate", "--scale", "0.004", "--trace", "Synth-16",
+              "--scheme", "jigsaw", "--mttf", "inf"])
+
+
 def test_simulate_rejects_non_finite_step_interval():
     # argparse's float accepts "inf"; the run used to lose every job
     # after the first round instead of failing.

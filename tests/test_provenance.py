@@ -30,6 +30,7 @@ from tests.decision_digests import (
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "benchmarks"))
 from _check_obs_schema import check_provenance  # noqa: E402
+from _fingerprint import VARIANTS  # noqa: E402
 
 TRACE = "Synth-16"
 SCALE = 0.004
@@ -88,6 +89,30 @@ class TestTwinMatrix:
         setup = paper_setup(TRACE, scale=SCALE)
         result = run_scheme(setup, "jigsaw")
         assert result.provenance == []
+
+
+class TestSkipBreakdown:
+    """The per-reason skip columns, which the ledger digest leaves out,
+    add up to the allocator's own counters in the fingerprint's event,
+    batch (Δt=300) and faulted drive modes."""
+
+    @pytest.mark.parametrize("drive", dict(VARIANTS))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_skip_columns_match_allocator_counters(self, scheme, drive):
+        setup = paper_setup(TRACE, scale=SCALE)
+        result = run_scheme(setup, scheme, provenance=True,
+                            **dict(VARIANTS)[drive])
+        total = {c: sum(r[c] for r in result.provenance)
+                 for c in SKIP_COLUMNS}
+        stats = result.stats
+        context = (scheme, drive, total)
+        assert total["skip_cut"] == stats.size_cut_skips, context
+        assert total["skip_cache"] == stats.cache_hits, context
+        prefiltered = (total["skip_cache"] + total["skip_cut"]
+                       + total["skip_screen"])
+        assert prefiltered == stats.queue_prefiltered, context
+        searched = total["skip_search"] + total["skip_budget"]
+        assert searched == stats.failures - stats.queue_prefiltered, context
 
 
 class TestExports:

@@ -103,6 +103,17 @@ class TestFaultTimeline:
             FaultTimeline.synthetic(4, mttf=1.0, mttr=float("nan"),
                                     horizon=10.0)
 
+    def test_synthetic_rejects_infinite_mttf(self):
+        # It used to return an empty timeline without a word.
+        with pytest.raises(ValueError, match="mttf=inf"):
+            FaultTimeline.synthetic(4, mttf=float("inf"), horizon=1000.0)
+
+    def test_synthetic_rejects_infinite_mttr(self):
+        # It used to return faults whose repairs never came (end=inf).
+        with pytest.raises(ValueError, match="mttr=inf"):
+            FaultTimeline.synthetic(4, mttf=100.0, mttr=float("inf"),
+                                    horizon=1000.0, seed=1)
+
     @pytest.mark.parametrize("horizon", [float("nan"), -5.0])
     def test_synthetic_rejects_bad_horizon(self, horizon):
         # It used to return an empty timeline without a word.

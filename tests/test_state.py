@@ -138,7 +138,6 @@ def _ownership_snapshot(state):
         list(state.leaf_up_mask),
         [list(row) for row in state.spine_free_mask],
         list(state._leaf_busy_up),
-        list(state.pod_epoch),
         state.free_nodes_total,
         state.resident_jobs(),
     )
@@ -214,7 +213,6 @@ class TestLinkIdBounds:
         with pytest.raises(AllocationError, match="outside the cluster"):
             links.claim(1, leaf_links, spine_links, 1.0)
         assert not links.leaf_bw.any() and not links.spine_bw.any()
-        assert links.pod_epoch == [0] * tree.num_pods
         with pytest.raises(AllocationError):
             links.release(1)  # nothing was recorded either
 
