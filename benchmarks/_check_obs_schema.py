@@ -273,8 +273,7 @@ def check_bench(path: str) -> List[str]:
 def check_provenance(path: str) -> List[str]:
     from repro.sched.metrics import PROVENANCE_COLUMNS
 
-    skip_cols = ("skip_cache", "skip_cut", "skip_screen", "skip_search",
-                 "skip_budget")
+    skip_cols = ("skip_cache", "skip_screen", "skip_search", "skip_budget")
     states = {"pending", "queued", "running", "completed", "unscheduled"}
     errors: List[str] = []
     count = 0

@@ -157,7 +157,7 @@ def fingerprint(
                 "unscheduled": list(result.unscheduled),
                 # Diagnostic counters (not decision keys; see above).
                 "queue_prefiltered": result.stats.queue_prefiltered,
-                "size_cut_skips": result.stats.size_cut_skips,
+                "cache_hits": result.stats.cache_hits,
             }
     return out
 

@@ -28,7 +28,7 @@ def _counters(allocator) -> str:
     s = allocator.stats
     return (
         f"pruned={s.pods_pruned} cand={s.candidate_hits} "
-        f"memo={s.memo_hits} steps={s.backtrack_steps} "
+        f"steps={s.backtrack_steps} "
         f"cache={s.cache_hits}/{s.cache_hits + s.cache_misses}"
     )
 

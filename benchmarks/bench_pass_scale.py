@@ -62,7 +62,7 @@ def pass_scale(scale=None, seed=0, workers=None):
             "ms/job": min(o.wall_seconds for o in outs) * 1e3 / jobs,
             "sched ms/job": result.mean_sched_time_per_job * 1e3,
             "prefiltered": result.stats.queue_prefiltered,
-            "cut skips": result.stats.size_cut_skips,
+            "cache hits": result.stats.cache_hits,
             "attempts": result.stats.attempts,
             "rounds": result.scheduling_rounds,
         }
@@ -130,7 +130,7 @@ def render(rows, smoke, search_rows):
     main = render_table(
         f"Scheduling pass: {TRACE} (wall ms/job)",
         _visible(rows),
-        ("util%", "ms/job", "sched ms/job", "prefiltered", "cut skips",
+        ("util%", "ms/job", "sched ms/job", "prefiltered", "cache hits",
          "attempts", "rounds"),
         row_header="scheme",
     )
@@ -168,7 +168,7 @@ def bench_payload(scale: float = GATE_SCALE, seed: int = 0) -> dict:
     counters = {
         "alloc_attempts": result.stats.attempts,
         "queue_prefiltered": result.stats.queue_prefiltered,
-        "size_cut_skips": result.stats.size_cut_skips,
+        "cache_hits": result.stats.cache_hits,
         "jobs": jobs,
         "unscheduled": len(result.unscheduled),
     }
@@ -193,8 +193,8 @@ def bench_pass_scale(benchmark, save_result, save_bench, scale):
         if scheme in PREFILTER_SCHEMES:
             # Deterministic speed proxy: the prefilter skipped real work.
             assert row["prefiltered"] > 0, scheme
-    # The monotone size cut fired somewhere on this contended trace.
-    assert sum(row["cut skips"] for row in rows.values()) > 0, rows
+    # The feasibility cache fired somewhere on this contended trace.
+    assert sum(row["cache hits"] for row in rows.values()) > 0, rows
 
     # Radix-32 smoke: the 8192-node preset drains its queue.
     assert not smoke["_result"].unscheduled, smoke["_result"].unscheduled

@@ -9,7 +9,7 @@ Also saves the allocator feasibility-cache companion table (per run,
 the share of allocate()/can_allocate() lookups answered from the
 cross-pass infeasibility cache instead of a full search) and the
 search-effort companion table (pods pruned by the occupancy prefilter,
-candidate-list/memo hits, backtracking steps).
+candidate-list hits, backtracking steps).
 """
 
 from repro.experiments import table3

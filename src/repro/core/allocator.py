@@ -21,7 +21,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -118,20 +117,16 @@ class AllocatorStats:
     candidate_hits: int = metric(
         "repro_search_candidate_hits_total",
         "candidate lists served from the maintained order")
-    memo_hits: int = metric(
-        "repro_search_memo_hits_total",
-        "per-search memo hits that skipped a pod sub-search")
     backtrack_steps: int = metric(
         "repro_search_backtrack_steps_total",
         "backtracking steps executed by searches")
+    budget_aborts: int = metric(
+        "repro_search_budget_aborts_total",
+        "searches abandoned when the step budget ran out")
     queue_prefiltered: int = metric(
         "repro_queue_prefiltered_total",
         "queued candidates the scheduling pass rejected without a search "
-        "(feasibility cache, size cut or batch screen)")
-    #: a smaller effective size already failed durably this round
-    size_cut_skips: int = metric(
-        "repro_size_cut_skips_total",
-        "prefilter skips proven by the monotone size cut")
+        "(feasibility cache or batch screen)")
 
     def record(self, success: bool, seconds: float) -> None:
         self.attempts += 1
@@ -157,10 +152,9 @@ class AllocatorStats:
             f"{self.cache_invalidations} invalidations)",
             f"search effort: {self.pods_pruned} pods pruned, "
             f"{self.candidate_hits} candidate-list hits, "
-            f"{self.memo_hits} memo hits, "
-            f"{self.backtrack_steps} backtracking steps",
-            f"pass prefilter: {self.queue_prefiltered} candidates "
-            f"skipped ({self.size_cut_skips} by the size cut)",
+            f"{self.backtrack_steps} backtracking steps, "
+            f"{self.budget_aborts} budget aborts",
+            f"pass prefilter: {self.queue_prefiltered} candidates skipped",
         ))
 
     def as_registry(self, registry=None, labels=None):
@@ -199,23 +193,16 @@ class Allocator(ABC):
         self.state = ClusterState(tree)
         self.stats = AllocatorStats()
         self.allocations: Dict[int, Allocation] = {}
-        # Allocation-feasibility cache.  A key is (effective size,
-        # bw_need); a key is present iff a search with that key failed
-        # and no resource has been freed since.  Claims only *shrink*
-        # availability (nodes, exclusive links, link-bandwidth headroom,
-        # TA's implicit reservations), so a proven failure stays a
-        # failure across any number of claims; only release() — or an
-        # external event that returns capacity, see
-        # :meth:`invalidate_feasibility_cache` — can make it stale.
-        self._failed_keys: Set[Tuple[int, Optional[float]]] = set()
-        # Monotone size-cut floor: (cut class, bw_need) -> smallest
-        # effective size proven durably infeasible since the last cache
-        # flush.  Within one cut class (see :meth:`cut_class`)
-        # feasibility is monotone in the effective size, so any queued
-        # job at or above the floor can be rejected without a search.
-        # Lives and dies with the feasibility cache: fed only by the
-        # durable-failure sites below, cleared exactly where
-        # ``_failed_keys`` clears.
+        # Allocation-feasibility cache: (cut class, bw_need) -> the
+        # smallest effective size proven durably infeasible since free
+        # capacity last grew.  Within one cut class (see
+        # :meth:`cut_class`) feasibility is monotone in the effective
+        # size, and claims only *shrink* availability (nodes, exclusive
+        # links, link-bandwidth headroom, TA's implicit reservations),
+        # so every size at or above the floor stays infeasible across
+        # any number of claims; only release() — or an external event
+        # that returns capacity, see :meth:`invalidate_feasibility_cache`
+        # — can make a floor stale.
         self._failed_floor: Dict[Tuple[Hashable, Optional[float]], int] = {}
         # Watermark guarding against *direct* state mutation (tests and
         # diagnostics releasing nodes without going through release()):
@@ -243,18 +230,7 @@ class Allocator(ABC):
         if job_id in self.allocations:
             raise ValueError(f"job {job_id} is already allocated")
         t0 = time.perf_counter()
-        alloc: Optional[Allocation] = None
-        self._check_watermark()
-        key = (self.effective_size(size), bw_need)
-        if key in self._failed_keys:
-            self.stats.cache_hits += 1
-        else:
-            self.stats.cache_misses += 1
-            if size <= self.state.free_nodes_total:
-                alloc = self._search(job_id, size, bw_need)
-            if alloc is None and self._failure_is_durable():
-                self._failed_keys.add(key)
-                self._note_durable_failure(key)
+        alloc = self._cached_search(job_id, size, bw_need)
         if alloc is not None:
             self._claim(alloc, bw_need)
             self.allocations[job_id] = alloc
@@ -268,30 +244,36 @@ class Allocator(ABC):
     def can_allocate(self, size: int, bw_need: Optional[float] = None) -> bool:
         """Whether a ``size``-node job could be placed *right now*.
 
-        A hypothetical probe: runs the same search as :meth:`allocate`
-        but claims nothing and spends no time in the timing statistics
-        (so Table 3's scheduling times are not polluted by diagnostics).
-        It does consult — and, on failure, populate — the feasibility
-        cache, since a probe's failure is exactly as durable as a real
-        attempt's.
+        A hypothetical probe: the same cache lookup and search as
+        :meth:`allocate`, but it claims nothing and spends no time in
+        the timing statistics (so Table 3's scheduling times are not
+        polluted by diagnostics).  A size the feasibility cache
+        condemns is refused without a search, and a durable failure
+        lowers the cache's floor exactly as a real attempt's would.
         """
         if size < 1:
             raise ValueError("job size must be positive")
+        return self._cached_search(-1, size, bw_need) is not None
+
+    def _cached_search(
+        self, job_id: int, size: int, bw_need: Optional[float]
+    ) -> Optional[Allocation]:
+        """The feasibility-cache lookup :meth:`allocate` and
+        :meth:`can_allocate` share: a condemned size runs no search;
+        otherwise a free-node shortfall or a durable search failure
+        lowers the floor."""
         self._check_watermark()
-        key = (self.effective_size(size), bw_need)
-        if key in self._failed_keys:
+        eff = self.effective_size(size)
+        if self.cut_infeasible(eff, bw_need):
             self.stats.cache_hits += 1
-            return False
+            return None
         self.stats.cache_misses += 1
-        if size > self.state.free_nodes_total:
-            self._failed_keys.add(key)
-            self._note_durable_failure(key)
-            return False
-        ok = self._search(-1, size, bw_need) is not None
-        if not ok and self._failure_is_durable():
-            self._failed_keys.add(key)
-            self._note_durable_failure(key)
-        return ok
+        if size <= self.state.free_nodes_total:
+            alloc = self._search(job_id, size, bw_need)
+            if alloc is not None or not self._failure_is_durable():
+                return alloc
+        self._lower_floor(eff, bw_need)
+        return None
 
     def release(self, job_id: int) -> None:
         """Return a finished job's resources to the free pool."""
@@ -346,7 +328,7 @@ class Allocator(ABC):
             self.state.release_many(job_ids)
 
     def invalidate_feasibility_cache(self) -> None:
-        """Forget every cached infeasibility verdict.
+        """Forget every floor of the feasibility cache.
 
         Called automatically on :meth:`release`.  Anything else that
         grows free capacity *without* going through release — e.g.
@@ -357,10 +339,9 @@ class Allocator(ABC):
         caught by a free-node watermark at the next consult, so only
         link-only growth strictly requires the explicit call.
         """
-        if self._failed_keys:
-            self._failed_keys.clear()
+        if self._failed_floor:
+            self._failed_floor.clear()
             self.stats.cache_invalidations += 1
-        self._failed_floor.clear()
         self._min_free_seen = self.state.free_nodes_total
 
     def _check_watermark(self) -> None:
@@ -373,13 +354,18 @@ class Allocator(ABC):
 
     @property
     def feasibility_cache_size(self) -> int:
-        """Number of (effective size, bw_need) keys currently proven
-        unallocatable (diagnostic; resets to 0 on every release)."""
-        return len(self._failed_keys)
+        """Number of floors the feasibility cache holds (diagnostic;
+        resets to 0 on every release)."""
+        return len(self._failed_floor)
 
     def feasibility_cache_keys(self) -> Tuple[Tuple[int, Optional[float]], ...]:
-        """Snapshot of the cached infeasible keys (for audits/tests)."""
-        return tuple(sorted(self._failed_keys, key=repr))
+        """Each floor as ``(effective size, bw_need)``: that size and
+        every larger one in its cut class are proven unallocatable (for
+        audits/tests)."""
+        floors = self._failed_floor.items()
+        return tuple(sorted(
+            ((eff, bw_need) for (_, bw_need), eff in floors), key=repr
+        ))
 
     def effective_size(self, size: int) -> int:
         """Nodes a ``size``-node job actually consumes under this scheme.
@@ -395,10 +381,10 @@ class Allocator(ABC):
     def cut_class(self, eff: int) -> Hashable:
         """Partition key within which feasibility is monotone in ``eff``.
 
-        The monotone size cut only compares effective sizes that share a
-        cut class.  The base scheme families (Baseline, Jigsaw, LaaS,
-        LC+S) are globally monotone — dropping a node from any legal
-        placement of ``eff`` nodes yields a legal placement of
+        A feasibility-cache floor only condemns effective sizes that
+        share its cut class.  The base scheme families (Baseline,
+        Jigsaw, LaaS, LC+S) are globally monotone — dropping a node from
+        any legal placement of ``eff`` nodes yields a legal placement of
         ``eff - 1`` — so one class suffices.  TA overrides this with its
         containment tier: a multi-leaf placement can be feasible while a
         single-leaf (smaller) job has no leaf with enough room.
@@ -406,7 +392,7 @@ class Allocator(ABC):
         return 0
 
     def cut_infeasible(self, eff: int, bw_need: Optional[float]) -> bool:
-        """Whether the monotone size cut rejects ``eff`` at ``bw_need``.
+        """Whether the feasibility cache condemns ``eff`` at ``bw_need``.
 
         True iff some effective size ``<= eff`` in the same cut class
         failed durably since the last cache flush.
@@ -414,9 +400,8 @@ class Allocator(ABC):
         floor = self._failed_floor.get((self.cut_class(eff), bw_need))
         return floor is not None and eff >= floor
 
-    def _note_durable_failure(self, key: Tuple[int, Optional[float]]) -> None:
-        """Lower the size-cut floor for a durably failed key."""
-        eff, bw_need = key
+    def _lower_floor(self, eff: int, bw_need: Optional[float]) -> None:
+        """Record that ``eff`` at ``bw_need`` is durably infeasible."""
         fkey = (self.cut_class(eff), bw_need)
         cur = self._failed_floor.get(fkey)
         if cur is None or eff < cur:
@@ -433,10 +418,9 @@ class Allocator(ABC):
         mid-pass stays valid for the rest of the pass).  Each scheme
         reads its occupancy summaries once per call and compares every
         candidate against them.  ``None`` means the scheme has no screen
-        and every candidate goes to the dispatcher's cache/cut checks
-        only.  Schemes whose feasibility is not a function of the
-        occupancy indexes alone (LC+S's bandwidth masks) must return
-        ``None``.
+        and every candidate goes to the dispatcher's cache check only.
+        Schemes whose feasibility is not a function of the occupancy
+        indexes alone (LC+S's bandwidth masks) must return ``None``.
         """
         return None
 
@@ -451,26 +435,23 @@ class Allocator(ABC):
         failed :meth:`allocate` call.
 
         The scheduling pass may only skip an allocate() whose failure is
-        already proven (cached key, monotone size cut, occupancy
-        screen).  Decision invariance requires the *counters* to stay
+        already proven: ``reason`` is ``"cache"`` when the feasibility
+        cache condemns the size (:meth:`cut_infeasible`) and
+        ``"screen"`` when the occupancy screen (:meth:`batch_screen`)
+        does.  Decision invariance requires the *counters* to stay
         identical too — ``alloc_attempts`` is fingerprinted — so every
-        skip is charged here: attempts/failures/cache counters move as
-        the scalar call would have moved them, the feasibility cache
-        learns the (durable) verdict, and only the ``_search`` body is
-        saved.  ``reason`` is ``"cache"``, ``"cut"`` or ``"screen"``.
+        skip is charged here as the failed call would have been: a
+        cache skip counts a hit, a screen skip counts a miss and lowers
+        the floor, and only the ``_search`` body is saved.
         """
         t0 = time.perf_counter()
         self._check_watermark()
-        key = (self.effective_size(size), bw_need)
         self.stats.queue_prefiltered += 1
-        if reason == "cut":
-            self.stats.size_cut_skips += 1
-        if key in self._failed_keys:
+        if reason == "cache":
             self.stats.cache_hits += 1
         else:
             self.stats.cache_misses += 1
-            self._failed_keys.add(key)
-            self._note_durable_failure(key)
+            self._lower_floor(self.effective_size(size), bw_need)
         self.stats.record(False, time.perf_counter() - t0)
 
     @property
@@ -503,7 +484,7 @@ class Allocator(ABC):
         """Whether the last failed :meth:`_search` *proves* infeasibility.
 
         A complete search's failure stays valid until capacity grows,
-        so it may enter the feasibility cache.  Budget-limited searches
+        so it may lower a feasibility-cache floor.  Budget-limited searches
         (LC+S's scheduling timeout) override this to return ``False``
         when they gave up early: a timeout is not a proof — a later,
         smaller search space might succeed within the budget, and

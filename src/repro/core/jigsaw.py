@@ -126,9 +126,6 @@ class JigsawAllocator(Allocator):
         self.strategy = strategy
         self._steps_left = self.step_budget
         self._budget_exhausted = False
-        # Per-_search negative/positive memo for repeated per-pod
-        # sub-searches (used by the LC family, cleared at every search).
-        self._pod_memo: Dict[Tuple[int, int, int, int], tuple] = {}
 
     class BudgetExhausted(Exception):
         """Raised internally when a search exceeds its step budget."""
@@ -139,21 +136,6 @@ class JigsawAllocator(Allocator):
         self._steps_left -= 1
         if self._steps_left <= 0:
             raise self.BudgetExhausted()
-
-    def _charge(self, steps: int) -> None:
-        """Account ``steps`` backtracking steps at once (memo replay).
-
-        A memo hit must leave the budget exactly where re-running the
-        memoized sub-search would have left it — including raising
-        :class:`BudgetExhausted` at the same instant — or the LC+S
-        timeout would fire at different points and change decisions.
-        Replayed steps are *not* re-counted in ``stats.backtrack_steps``:
-        that counter reports work actually executed.
-        """
-        if steps:
-            self._steps_left -= steps
-            if self._steps_left <= 0:
-                raise self.BudgetExhausted()
 
     # ------------------------------------------------------------------
     # Shape enumeration hooks (overridden by LaaS)
@@ -184,7 +166,6 @@ class JigsawAllocator(Allocator):
         if alloc_size > self.state.free_nodes_total:
             return None
         self._steps_left = self.step_budget
-        self._pod_memo.clear()
         try:
             # Look for a single-subtree allocation first.
             found = self._search_two_level(alloc_size)
@@ -198,12 +179,13 @@ class JigsawAllocator(Allocator):
                     return self._build_three_level(job_id, size, shape, *found3)
         except self.BudgetExhausted:
             self._budget_exhausted = True
+            self.stats.budget_aborts += 1
             return None  # the paper's per-job scheduling timeout (LC+S)
         return None
 
     def _failure_is_durable(self) -> bool:
         # A timed-out search proves nothing about feasibility; only an
-        # exhaustive failure may enter the cross-pass feasibility cache.
+        # exhaustive failure may lower a feasibility-cache floor.
         return not self._budget_exhausted
 
     def _trace_attrs(self, size):

@@ -183,9 +183,9 @@ class LeastConstrainedAllocator(JigsawAllocator):
         leaves everywhere) and its feasibility depends on fractional
         link-bandwidth masks, not on the node-occupancy summaries alone
         — Jigsaw's full-leaf screen would wrongly reject placements LC
-        can build from partial leaves.  The monotone size cut (fed by
-        LC's *durable* failures only) and the feasibility cache still
-        apply; they are bandwidth-keyed and proof-backed.
+        can build from partial leaves.  The feasibility cache still
+        applies: its floors are bandwidth-keyed and fed by LC's
+        *durable* (exhaustive) failures only.
         """
         return None
 
@@ -234,32 +234,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
         self, pod: int, LT: int, nL: int, nrL: int
     ) -> List[_PodSolution]:
         """All (capped) sub-allocations of ``LT`` leaves x ``nL`` nodes in
-        ``pod``, each optionally with an ``nrL``-node remainder leaf.
-
-        Results are memoized per ``_search`` under their exact ``(pod,
-        LT, nL, nrL)`` key — the cluster state and the job's bandwidth
-        need are fixed for the duration of a search, so a repeat call
-        (``_finish_general`` probes the same remainder pods once per
-        completed pod combination) must return the same solutions.  A
-        hit replays the recorded step cost through :meth:`_charge` so
-        the LC+S budget timeout fires at exactly the step it would have
-        fired at without the memo.
-        """
-        key = (pod, LT, nL, nrL)
-        hit = self._pod_memo.get(key)
-        if hit is not None:
-            sols, cost = hit
-            self.stats.memo_hits += 1
-            self._charge(cost)
-            return sols
-        before = self._steps_left
-        sols = self._find_all_in_pod_uncached(pod, LT, nL, nrL)
-        self._pod_memo[key] = (sols, before - self._steps_left)
-        return sols
-
-    def _find_all_in_pod_uncached(
-        self, pod: int, LT: int, nL: int, nrL: int
-    ) -> List[_PodSolution]:
+        ``pod``, each optionally with an ``nrL``-node remainder leaf."""
         tree = self.tree
         state = self.state
         need = LT * nL + nrL
@@ -416,25 +391,8 @@ class LeastConstrainedAllocator(JigsawAllocator):
     def _remainder_only_solutions(
         self, rp: int, shape: ThreeLevelShape
     ) -> List[_PodSolution]:
-        """Remainder pods holding only the remainder leaf (``LrT == 0``).
-
-        Entirely tick-free, so the per-search memo replays it at cost 0.
-        The key reuses the ``(pod, LT, nL, nrL)`` space with ``LT = 0``,
-        which no real :meth:`_find_all_in_pod` call can produce
-        (``TwoLevelShape``/``ThreeLevelShape`` force ``LT >= 1``).
-        """
-        key = (rp, 0, 0, shape.nrL)
-        hit = self._pod_memo.get(key)
-        if hit is not None:
-            self.stats.memo_hits += 1
-            return hit[0]
-        sols = self._remainder_only_uncached(rp, shape)
-        self._pod_memo[key] = (sols, 0)
-        return sols
-
-    def _remainder_only_uncached(
-        self, rp: int, shape: ThreeLevelShape
-    ) -> List[_PodSolution]:
+        """Remainder pods holding only the remainder leaf (``LrT == 0``);
+        tick-free."""
         tree = self.tree
         out: List[_PodSolution] = []
         # Best-fit (free, leaf-id) order — identical to the old

@@ -89,7 +89,7 @@ class TopologyAwareAllocator(Allocator):
 
         Across tiers it is not: a pod can host a T2 job while every
         individual leaf is too fragmented for a smaller T1 job.  The
-        size-cut floor therefore lives per tier.
+        feasibility cache's floor therefore lives per tier.
         """
         return self.classify(eff)
 

@@ -37,9 +37,9 @@ def table3_full(
     Returns ``(rows, cache_rows, search_rows)``: ``rows`` is scheme ->
     trace -> mean allocator seconds per job; ``cache_rows`` is scheme ->
     trace -> ``"hit%  (hits/lookups)"``; ``search_rows`` is scheme ->
-    trace -> ``"pruned/cand/memo/steps"`` (pods pruned by the occupancy
-    prefilter, candidate lists read off the maintained order, per-search
-    memo hits, backtracking steps executed).
+    trace -> ``"pruned/cand/steps"`` (pods pruned by the occupancy
+    prefilter, candidate lists read off the maintained order,
+    backtracking steps executed).
     """
     cells = [
         sim_cell(trace=name, scheme=scheme, scale=scale, seed=seed)
@@ -62,7 +62,7 @@ def table3_full(
             )
             search_rows[scheme][name] = (
                 f"{stats.pods_pruned}/{stats.candidate_hits}"
-                f"/{stats.memo_hits}/{stats.backtrack_steps}"
+                f"/{stats.backtrack_steps}"
             )
     return rows, cache_rows, search_rows
 
@@ -117,11 +117,11 @@ def render_cache(cache_rows: Dict[str, Dict[str, str]]) -> str:
 
 
 def render_search(search_rows: Dict[str, Dict[str, str]]) -> str:
-    """The search-effort companion table (pruned/cand/memo/steps)."""
+    """The search-effort companion table (pruned/cand/steps)."""
     traces = list(next(iter(search_rows.values())))
     return render_table(
         "Allocator search effort: pods pruned/candidate hits"
-        "/memo hits/backtrack steps",
+        "/backtrack steps",
         search_rows,
         traces,
         row_header="Approach",

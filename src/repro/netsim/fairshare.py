@@ -38,12 +38,6 @@ class FlowRates:
     #: residual (unused) capacity per link
     residual: Dict[LinkKey, float]
 
-    def min_rate(self) -> float:
-        return min(self.rates.values()) if self.rates else 0.0
-
-    def max_rate(self) -> float:
-        return max(self.rates.values()) if self.rates else 0.0
-
 
 def max_min_fair_rates(
     flow_links: Mapping[FlowId, Sequence[LinkKey]],

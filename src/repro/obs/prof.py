@@ -4,7 +4,7 @@ Where :mod:`repro.obs.tracer` answers *which call* took the time (one
 span per ``allocate``), the stage profiler answers *which part of the
 search*: :meth:`StageProfiler.attach` wraps the allocator methods that
 make up the stages of ``_search`` — pod prefilter, per-pod shape fit,
-memo replay, the two-level/three-level phases, the final claim — and
+pod enumeration, the two-level/three-level phases, the final claim — and
 the profiler accumulates wall time, call counts and a log-bucketed
 duration histogram per ``(scheme, stage stack)``.
 
@@ -64,8 +64,7 @@ _JIGSAW_STAGES = {
 }
 _LC_STAGES = {
     **_JIGSAW_STAGES,
-    "_find_all_in_pod_uncached": "pod_enum",
-    "_charge": "memo_replay",
+    "_find_all_in_pod": "pod_enum",
 }
 
 #: scheme name -> {allocator method: stage}: the methods

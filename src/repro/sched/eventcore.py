@@ -55,8 +55,7 @@ class JobTable:
 
     __slots__ = ("jobs", "ids", "sizes", "arrivals", "state", "row_of",
                  "work_frac", "first_eligible", "attempt_count",
-                 "skip_cache", "skip_cut", "skip_screen", "skip_search",
-                 "skip_budget")
+                 "skip_cache", "skip_screen", "skip_search", "skip_budget")
 
     def __init__(self, jobs: Sequence):
         self.jobs = list(jobs)
@@ -79,14 +78,14 @@ class JobTable:
         # Provenance columns (``Simulator(provenance=True)``): the first
         # time the scheduler *considered* the job, how many allocation
         # attempts were charged for it, and that attempt count broken
-        # down by rejection reason (feasibility-cache negative, monotone
-        # size cut, batch-screen reject, failed ``_search``, step-budget
-        # timeout).  Written only when provenance recording is on;
-        # always allocated so the columns are cheap to reason about.
+        # down by rejection reason (size condemned by the feasibility
+        # cache's floor, batch-screen reject, failed ``_search``,
+        # step-budget timeout).  Written only when provenance recording
+        # is on; always allocated so the columns are cheap to reason
+        # about.
         self.first_eligible = np.full(n, math.nan, np.float64)
         self.attempt_count = np.zeros(n, np.int64)
         self.skip_cache = np.zeros(n, np.int64)
-        self.skip_cut = np.zeros(n, np.int64)
         self.skip_screen = np.zeros(n, np.int64)
         self.skip_search = np.zeros(n, np.int64)
         self.skip_budget = np.zeros(n, np.int64)

@@ -361,7 +361,7 @@ def _mean(values: Sequence[float]) -> float:
 #: agree.  Catalog with semantics: ``docs/observability.md``.
 PROVENANCE_COLUMNS = (
     "job_id", "size", "arrival", "first_eligible", "attempts",
-    "skip_cache", "skip_cut", "skip_screen", "skip_search", "skip_budget",
+    "skip_cache", "skip_screen", "skip_search", "skip_budget",
     "start", "end", "wait", "state",
 )
 

@@ -511,7 +511,6 @@ class _RunState:
                 "first_eligible": None if math.isnan(fe) else fe,
                 "attempts": int(table.attempt_count[i]),
                 "skip_cache": int(table.skip_cache[i]),
-                "skip_cut": int(table.skip_cut[i]),
                 "skip_screen": int(table.skip_screen[i]),
                 "skip_search": int(table.skip_search[i]),
                 "skip_budget": int(table.skip_budget[i]),
@@ -527,17 +526,11 @@ class _RunState:
         sim = self.sim
         if self.provenance:
             self.prov_attempt(job, now)
-            # The budget flag is only fresh if the search actually ran
-            # (a free-node shortfall skips it, leaving the flag stale),
-            # so note the room before the call.  A cached key never
-            # gets here: dispatch_start charges it as a skip.
-            had_room = job.size <= self.allocator.state.free_nodes_total
+            aborts = self.allocator.stats.budget_aborts
         alloc = self.allocator.allocate(job.id, job.size, bw_need=job.bw_need)
         if alloc is None:
             if self.provenance:
-                if had_room and getattr(
-                    self.allocator, "_budget_exhausted", False
-                ):
+                if self.allocator.stats.budget_aborts != aborts:
                     self.table.skip_budget[job.row] += 1
                 else:
                     self.table.skip_search[job.row] += 1
@@ -649,11 +642,11 @@ class _RunState:
     # of :mod:`repro.sched.backfill` (EASY) or
     # :meth:`~repro.sched.profile.FreeProfile.earliest_fit`
     # (conservative).  Their speed comes from never *running* a search
-    # whose failure is already proven: the feasibility cache, the
-    # monotone size cut and the allocator's batch screen are all
-    # durable-infeasibility proofs, so a candidate they condemn is
-    # skipped via ``charge_skip`` — which moves the attempt/failure/
-    # cache counters exactly as the failed ``allocate`` would have.
+    # whose failure is already proven: the feasibility cache's floors
+    # and the allocator's batch screen are both durable-infeasibility
+    # proofs, so a candidate they condemn is skipped via
+    # ``charge_skip`` — which moves the attempt/failure/cache counters
+    # exactly as the failed ``allocate`` would have.
     # Decisions are held to the golden digests in
     # ``tests/data/decision_digests.json``.
 
@@ -669,20 +662,18 @@ class _RunState:
     ) -> bool:
         """``try_start`` with proven-failure short-circuits.
 
-        Checks, in order: the allocator's feasibility cache, the
-        monotone size cut, then the caller's precomputed batch-screen
-        verdict (one batch call covers a whole window; head dispatches
-        skip the screen — a head fails at most once per pass and that
-        failure is durably cached).  Each is a durable proof that the
-        search would fail, so the skip is charged like the failed
-        ``allocate`` and the verdict is identical — only the lost
-        search is saved.
+        Checks, in order: the allocator's feasibility cache
+        (:meth:`~repro.core.allocator.Allocator.cut_infeasible`), then
+        the caller's precomputed batch-screen verdict (one batch call
+        covers a whole window; head dispatches skip the screen — a head
+        fails at most once per pass and that failure is durably
+        cached).  Each is a durable proof that the search would fail,
+        so the skip is charged like the failed ``allocate`` and the
+        verdict is identical — only the lost search is saved.
         """
         alloc = self.allocator
-        if key in alloc._failed_keys:
+        if alloc.cut_infeasible(key[0], key[1]):
             reason = "cache"
-        elif alloc.cut_infeasible(key[0], key[1]):
-            reason = "cut"
         elif screened:
             reason = "screen"
         else:

@@ -50,9 +50,7 @@ STEP_MODES = (None, 300.0)  # event-driven and batch-step
 
 #: columns of the provenance ledger that break a skip down by reason;
 #: the ledger digest keeps only their sum
-SKIP_COLUMNS = (
-    "skip_cache", "skip_cut", "skip_screen", "skip_search", "skip_budget",
-)
+SKIP_COLUMNS = ("skip_cache", "skip_screen", "skip_search", "skip_budget")
 
 
 def _sha(obj) -> str:

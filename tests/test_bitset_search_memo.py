@@ -72,7 +72,7 @@ class TestUsableLeafFault:
         # failure in the floor/cache machinery.
         assert alloc.allocate(1, size) is None
         eff = alloc.effective_size(size)
-        assert (eff, None) in alloc._failed_keys
+        assert (eff, None) in alloc.feasibility_cache_keys()
         inj.repair(ticket)
         # The repaired link restores feasibility; a floor recorded under
         # the fault must not skip the now-feasible job.

@@ -1,12 +1,13 @@
 """The allocator's cross-pass feasibility cache.
 
-A failed search is cached by (effective size, bw_need) and stays valid
-until capacity grows: release(), or FaultInjector.repair().  These
-tests pin the counter semantics, every invalidation path, the
-non-durability of budget-limited (timed-out) failures, and — via a
-random interleaving of allocate/release/fault/repair — that every
-cached verdict always agrees with a fresh allocator replaying the same
-live claims.
+A durable failure lowers a floor keyed by (cut class, bw_need): that
+effective size and every larger one in its class stay infeasible until
+capacity grows — release(), or FaultInjector.repair().  These tests
+pin the counter semantics, every invalidation path, the non-durability
+of budget-limited (timed-out) failures, and — via a random
+interleaving of allocate/release/fault/repair — that every size a floor
+condemns is one a search on a fresh allocator replaying the same live
+claims also rejects.
 """
 
 import random
@@ -49,13 +50,20 @@ class TestCounters:
         assert alloc.feasibility_cache_keys() == ((4, None),)
         del filler
 
-    def test_distinct_keys_cached_separately(self, tree):
+    def test_floor_serves_larger_sizes_and_searches_smaller(self, tree):
         alloc = JigsawAllocator(tree)
         fill(alloc)
+        misses = alloc.stats.cache_misses
         assert alloc.allocate(1, 4) is None
+        # A larger size sits above the floor: served without a search.
         assert alloc.allocate(2, 5) is None
-        assert alloc.feasibility_cache_size == 2
-        assert alloc.stats.cache_hits == 0
+        assert alloc.stats.cache_hits == 1
+        assert alloc.feasibility_cache_keys() == ((4, None),)
+        # A smaller one is searched, and its failure lowers the floor.
+        assert alloc.allocate(3, 3) is None
+        assert alloc.stats.cache_misses == misses + 2
+        assert alloc.feasibility_cache_keys() == ((3, None),)
+        assert alloc.feasibility_cache_size == 1
 
     def test_success_is_never_cached(self, tree):
         alloc = JigsawAllocator(tree)
@@ -156,6 +164,19 @@ class TestDurability:
         assert alloc.stats.cache_hits == 0
         assert alloc.stats.cache_misses == 2
 
+    def test_shortfall_after_timeout_is_cached(self, tree):
+        # A free-node shortfall proves infeasibility whatever the
+        # previous search did: the timeout of the call before must not
+        # make it look non-durable.
+        alloc = LeastConstrainedAllocator(tree, step_budget=1)
+        alloc.state.claim(999, range(100))  # 28 nodes stay free
+        assert alloc.allocate(1, 8) is None
+        assert alloc.stats.budget_aborts == 1
+        assert alloc.feasibility_cache_keys() == ()
+        assert alloc.allocate(2, 64) is None
+        assert alloc.stats.budget_aborts == 1
+        assert alloc.feasibility_cache_keys() == ((64, None),)
+
     def test_exhaustive_failure_is_cached_under_budget(self, tree):
         # A generous budget lets the search fail *exhaustively*, which
         # is a durable proof even for the budget-limited scheme.
@@ -174,10 +195,27 @@ class TestDurability:
         assert alloc.feasibility_cache_size == 2
 
 
+def assert_floors_sound(alloc, fresh):
+    """Every size up to the free-node count that ``alloc``'s floors
+    condemn is one a search on ``fresh`` — the same live claims — also
+    rejects.  ``fresh``'s own floors are flushed before each probe, so
+    only a search can answer it."""
+    for bw_need in {bw for _, bw in alloc.feasibility_cache_keys()}:
+        for size in range(1, alloc.state.free_nodes_total + 1):
+            if not alloc.cut_infeasible(alloc.effective_size(size), bw_need):
+                continue
+            fresh.invalidate_feasibility_cache()
+            assert not fresh.can_allocate(size, bw_need), (
+                f"cache says {size} nodes (bw {bw_need}) are infeasible "
+                f"but a fresh search succeeds"
+            )
+
+
 class TestStatefulInterleaving:
     """Random allocate/release/fault/repair against Jigsaw; after every
-    step the derived-state audit must pass and every cached verdict must
-    agree with a *fresh* allocator replaying the same live claims."""
+    step the derived-state audit must pass and every size the floors
+    condemn must be rejected by a *fresh* allocator replaying the same
+    live claims."""
 
     def _fresh_replica(self, tree, alloc, fault_claims):
         fresh = JigsawAllocator(tree)
@@ -189,13 +227,9 @@ class TestStatefulInterleaving:
 
     def _check(self, tree, alloc, fault_claims):
         alloc.state.audit()
-        if not alloc._failed_keys:
-            return
-        fresh = self._fresh_replica(tree, alloc, fault_claims)
-        for size, bw_need in alloc.feasibility_cache_keys():
-            assert not fresh.can_allocate(size, bw_need), (
-                f"cache says {size} nodes (bw {bw_need}) are infeasible "
-                f"but a fresh search succeeds"
+        if alloc.feasibility_cache_size:
+            assert_floors_sound(
+                alloc, self._fresh_replica(tree, alloc, fault_claims)
             )
 
     def test_interleaved_operations(self):
@@ -262,5 +296,4 @@ class TestStatefulInterleaving:
             for a in alloc.allocations.values():
                 fresh.state.claim(a.job_id, a.nodes,
                                   a.leaf_links, a.spine_links)
-            for size, bw_need in alloc.feasibility_cache_keys():
-                assert not fresh.can_allocate(size, bw_need)
+            assert_floors_sound(alloc, fresh)

@@ -44,7 +44,7 @@ class TestAttachContract:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_detach_restores_instance_dict(self, scheme):
         allocator = make_allocator(scheme, TREE)
-        _round(allocator)  # caches and memos reach their steady shape
+        _round(allocator)  # caches reach their steady shape
         before = dict(vars(allocator))
         with _observed(allocator) as (prof, tracer):
             assert vars(allocator).keys() > before.keys()
@@ -167,7 +167,7 @@ class TestAllocSpans:
         tracer = Tracer(enabled=True)
         with trace_allocator(tracer, allocator):
             allocator.charge_skip(1, 9, 1.5, "screen")
-            allocator.charge_skip(2, 9, 1.5, "cut")
+            allocator.charge_skip(2, 9, 1.5, "cache")
             allocator.allocate(3, 9, bw_need=1.5)
         outcomes = [e["attrs"]["outcome"] for e in tracer.events]
         assert outcomes == ["prefiltered:screen", "cache_hit", "cache_hit"]

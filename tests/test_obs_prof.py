@@ -22,7 +22,7 @@ from repro.topology.fattree import FatTree
 BASE_STAGES = {"search", "claim", "release"}
 KNOWN_STAGES = BASE_STAGES | {
     "two_level", "three_level", "prefilter", "pod_fit",   # jigsaw/laas
-    "memo_replay", "pod_enum",                            # lc+s
+    "pod_enum",                                           # lc+s
     "t1", "t2", "t3",                                     # ta
 }
 

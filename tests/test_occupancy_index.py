@@ -13,9 +13,8 @@ Three families of checks:
 * **search invariance** — every allocator reproduces the placement
   stream recorded in ``tests/data/decision_digests.json`` (recorded
   while a naive recompute-per-call search still existed and matched
-  it), including under a tight LC+S step budget where the per-search
-  memo's tick-charging must make the timeout fire at exactly the same
-  step.
+  it), including under a tight LC+S step budget where the timeout must
+  fire at exactly the same step.
 """
 
 import random
@@ -352,39 +351,10 @@ class TestSearchEquivalence:
 
     def test_lcs_tight_budget_timeouts_match(self):
         # A budget small enough that searches genuinely exhaust it:
-        # the memo's tick-charging must reproduce the exact step at
-        # which BudgetExhausted fires, or the placements diverge.
+        # the search must reproduce the exact step at which
+        # BudgetExhausted fires, or the placements diverge.
         _alloc, failed = drive_golden("lcs_tight_budget")
         assert failed, "budget never fired — test lost its teeth"
-
-    def test_pod_memo_hit_replays_identical_cost(self):
-        # A memo hit must charge the budget exactly what the original
-        # call cost — otherwise BudgetExhausted fires at a different
-        # step than the uncached search and decisions diverge.
-        tree = FatTree.from_radix(8)
-        allocator = make_allocator("lc+s", tree)
-        allocator.state.claim(1, [0, 5, 17])
-        allocator._steps_left = allocator.step_budget
-        allocator._pod_memo.clear()
-
-        before = allocator._steps_left
-        first = allocator._find_all_in_pod(0, 2, 3, 0)
-        cost = before - allocator._steps_left
-        assert first and cost > 0
-        assert allocator.stats.memo_hits == 0
-
-        before = allocator._steps_left
-        again = allocator._find_all_in_pod(0, 2, 3, 0)
-        assert allocator.stats.memo_hits == 1
-        assert again is first  # replayed, not re-searched
-        assert before - allocator._steps_left == cost
-
-        # ...and a hit still raises BudgetExhausted when the replayed
-        # cost exhausts what's left, exactly like the real search would.
-        allocator._steps_left = cost
-        with pytest.raises(allocator.BudgetExhausted):
-            allocator._find_all_in_pod(0, 2, 3, 0)
-        assert allocator.stats.memo_hits == 2
 
     def test_search_effort_counters_populate(self):
         alloc, _failed = drive_golden("effort_counters")

@@ -106,11 +106,10 @@ class TestSkipBreakdown:
                  for c in SKIP_COLUMNS}
         stats = result.stats
         context = (scheme, drive, total)
-        assert total["skip_cut"] == stats.size_cut_skips, context
         assert total["skip_cache"] == stats.cache_hits, context
-        prefiltered = (total["skip_cache"] + total["skip_cut"]
-                       + total["skip_screen"])
+        prefiltered = total["skip_cache"] + total["skip_screen"]
         assert prefiltered == stats.queue_prefiltered, context
+        assert total["skip_budget"] == stats.budget_aborts, context
         searched = total["skip_search"] + total["skip_budget"]
         assert searched == stats.failures - stats.queue_prefiltered, context
 
@@ -239,7 +238,7 @@ class TestDegenerateRuns:
 
         row = {k: None for k in PROVENANCE_COLUMNS}
         row.update(job_id=1, size=2, arrival=0.0, attempts=0,
-                   skip_cache=0, skip_cut=0, skip_screen=0,
+                   skip_cache=0, skip_screen=0,
                    skip_search=0, skip_budget=0, state="queued",
                    first_eligible=float("nan"), wait=float("inf"))
         jsonl = tmp_path / "nonfinite.jsonl"

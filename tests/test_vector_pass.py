@@ -6,8 +6,8 @@ queue order, both drive modes and faulted replay.  Each configuration
 is held to its golden digest
 (``tests/data/decision_digests.json``), recorded while a second, scalar
 implementation of the pass still existed and reproduced every digest.
-A property test checks the monotone size cut directly (a size the cut
-condemns must be one the allocator's real search also rejects), and
+A property test checks the feasibility cache's floor directly (a size
+it condemns must be one the allocator's real search also rejects), and
 another checks run invariants on randomized traces.
 """
 
@@ -68,15 +68,17 @@ def test_prefilter_actually_fires():
     recorded digest (checked by ``_assert_golden`` elsewhere)."""
     result = run_pass("ta")
     assert result.stats.queue_prefiltered > 0
-    assert result.stats.size_cut_skips > 0
-    assert result.stats.queue_prefiltered >= result.stats.size_cut_skips
+    assert result.stats.cache_hits > 0
+    assert result.stats.queue_prefiltered >= result.stats.cache_hits
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_size_cut_soundness(data):
-    """Any size the monotone cut condemns is one the real search also
-    rejects — over random occupancy states of every scheme."""
+    """Any size the feasibility cache's floor condemns is one the real
+    search also rejects — over random occupancy states of every scheme.
+    The search runs on a fresh allocator holding the same claims, whose
+    own floor is flushed before each probe, so only a search answers."""
     scheme = data.draw(st.sampled_from(SCHEMES))
     tree = FatTree.from_radix(8)
     alloc = make_allocator(scheme, tree)
@@ -84,14 +86,14 @@ def test_size_cut_soundness(data):
     for _ in range(data.draw(st.integers(min_value=5, max_value=40))):
         jid += 1
         alloc.allocate(jid, data.draw(st.integers(min_value=1, max_value=40)))
-    condemned = 0
+    fresh = make_allocator(scheme, tree)
+    for a in alloc.allocations.values():
+        fresh._claim(a, None)
+        fresh.allocations[a.job_id] = a
     for size in range(1, tree.num_nodes + 1):
-        eff = alloc.effective_size(size)
-        if alloc.cut_infeasible(eff, None):
-            condemned += 1
-            assert not alloc.can_allocate(size), (scheme, size)
-    # (can_allocate probes feed the floor, so on a crowded state the
-    # sweep itself generates cut verdicts to check)
+        if alloc.cut_infeasible(alloc.effective_size(size), None):
+            fresh.invalidate_feasibility_cache()
+            assert not fresh.can_allocate(size), (scheme, size)
 
 
 @settings(max_examples=10, deadline=None)
