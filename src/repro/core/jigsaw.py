@@ -189,12 +189,7 @@ class JigsawAllocator(Allocator):
         return not self._budget_exhausted
 
     def _trace_attrs(self, size):
-        # steps_used reflects the last executed search (0 on cache hits)
-        return {
-            "strategy": self.strategy,
-            "steps_used": self.step_budget - self._steps_left,
-            "budget_exhausted": self._budget_exhausted,
-        }
+        return {"strategy": self.strategy}
 
     def batch_screen(self, effs):
         """Necessary-condition screen from the occupancy indexes.
@@ -248,6 +243,13 @@ class JigsawAllocator(Allocator):
         candidate either way; scoring only chooses *among* legal
         placements, which is exactly the freedom the paper argues
         precise conditions buy.
+
+        The scored walk is a branch and bound: the best score found so
+        far (the incumbent) is carried across shapes into
+        :meth:`_score_shape_pods`, which scores and fits only the pods
+        whose lower bounds still beat it.  A pruned pair could neither
+        replace the incumbent nor stop the walk, so the chosen
+        placement is the exhaustive walk's.
         """
         if self.strategy == "first":
             for shape in self._two_level_shape_iter(alloc_size):
@@ -266,25 +268,33 @@ class JigsawAllocator(Allocator):
             pods = self._two_level_pods(alloc_size, shape)
             if not pods:
                 continue
-            ranked = self._score_shape_pods(shape, pods)
+            ranked = self._score_shape_pods(
+                shape, pods, None if best is None else best[0]
+            )
             if ranked is None:
                 continue
             score, pod, found = ranked
             if score[:2] == (0, 0):
                 return self._materialize_two_level(shape, pod, found)
-            if best is None or score < best[0]:
-                best = (score, shape, pod, found)
+            best = (score, shape, pod, found)
         if best is None:
             return None
         return self._materialize_two_level(*best[1:])
 
-    def _score_shape_pods(self, shape: TwoLevelShape, pods: Sequence[int]):
-        """Best placement of ``shape`` among ``pods`` (ascending order).
+    def _score_shape_pods(
+        self,
+        shape: TwoLevelShape,
+        pods: Sequence[int],
+        incumbent: Optional[Tuple[int, int, int]] = None,
+    ):
+        """Best placement of ``shape`` among ``pods`` (ascending order)
+        that scores strictly below ``incumbent`` (any score when it is
+        ``None``).
 
         Returns ``(score, pod, found)`` for the first pod whose score
         starts ``(0, 0)``, else for the strict-``<`` minimum score (the
-        lowest pod on ties), or ``None`` when no pod can host the shape.
-        ``found`` is the solution of pods fitted by
+        lowest pod on ties), or ``None`` when no pod beats the
+        incumbent.  ``found`` is the solution of pods fitted by
         :meth:`_find_two_level_in_pod`, ``None`` for pods scored from
         their bucket row.
 
@@ -297,29 +307,51 @@ class JigsawAllocator(Allocator):
         (:func:`_bucket_row_score`).  Single-leaf shapes touch no link,
         so this holds in every pod; otherwise a pod holding a claimed
         uplink takes the per-pod fit, whose masks can prune.
+
+        The walk is a branch and bound on the best score so far (the
+        incumbent, then each better pod).  Any set the fit can return
+        holds at least as many free nodes and fully-free leaves as the
+        greedy set, so the bucket-row score is a lower bound on the
+        fit's score, and the fit runs only when that bound beats the
+        incumbent.  Before the row, with ``nL < m1``, at most
+        ``leaves_with_at_least(pod, nL) - full_free_leaves[pod]`` of the
+        ``LT`` leaves are partly free, so the rest break fully-free
+        leaves: a pod whose ``broken`` floor exceeds the incumbent's is
+        skipped outright.  A bound at or above the incumbent cannot
+        win, because winning takes a strict ``<``, and an incumbent
+        exists only when no ``(0, 0)`` score has been seen.
         """
         state = self.state
         m1 = self.tree.m1
         LT, nL, nrL = shape.LT, shape.nL, shape.nrL
         links = not shape.single_leaf
+        ge = state.leaf_ge_row(nL) if nL < m1 else None
+        full_free = state.full_free_leaves
         best = None  # (score, pod, found)
         for pod in pods:
+            if (
+                incumbent is not None
+                and ge is not None
+                and LT - ge[pod] + full_free[pod] > incumbent[0]
+            ):
+                continue
+            score = _bucket_row_score(
+                state.leaf_bucket_row(pod), LT, nL, nrL, m1
+            )
+            if score is None or (incumbent is not None and score >= incumbent):
+                continue
+            found = None
             if links and state.busy_uplink_leaf_mask(pod):
                 found = self._find_two_level_in_pod(pod, shape)
                 if found is None:
                     continue
                 score = self._score_two_level(shape, found)
-            else:
-                found = None
-                score = _bucket_row_score(
-                    state.leaf_bucket_row(pod), LT, nL, nrL, m1
-                )
-                if score is None:
+                if incumbent is not None and score >= incumbent:
                     continue
             if score[:2] == (0, 0):
                 return score, pod, found
-            if best is None or score < best[0]:
-                best = (score, pod, found)
+            best = (score, pod, found)
+            incumbent = score
         return best
 
     def _materialize_two_level(self, shape: TwoLevelShape, pod: int, found):

@@ -281,8 +281,11 @@ def trace_allocator(tracer: Tracer, allocator) -> Iterator[Tracer]:
     exit.  Each span carries ``scheme``, ``job``, ``size``, ``eff``
     (the effective size), ``outcome`` — ``cache_hit`` when the call was
     answered by the feasibility cache, else ``placed``/``failed`` for
-    ``allocate`` and ``prefiltered:<reason>`` for ``charge_skip`` — the
-    scheme's ``_trace_attrs``, ``bw_need`` when given, and
+    ``allocate`` and ``prefiltered:<reason>`` for ``charge_skip`` —
+    ``steps_used`` and ``budget_exhausted`` (the call's own change in
+    ``backtrack_steps`` and ``budget_aborts``, so 0 and ``False`` for a
+    call that ran no search), the scheme's ``_trace_attrs``,
+    ``bw_need`` when given, and
     ``level``/``nodes`` for a placed job.  A call that raises records
     no span.
     """
@@ -295,6 +298,8 @@ def trace_allocator(tracer: Tracer, allocator) -> Iterator[Tracer]:
     def observe(call, job_id, size, bw_need, miss):
         span = tracer.begin("alloc.search")
         hits = stats.cache_hits
+        steps = stats.backtrack_steps
+        aborts = stats.budget_aborts
         try:
             alloc = call()
         except BaseException:
@@ -307,6 +312,8 @@ def trace_allocator(tracer: Tracer, allocator) -> Iterator[Tracer]:
         span.set(
             scheme=allocator.name, job=job_id, size=size,
             eff=allocator.effective_size(size), outcome=outcome,
+            steps_used=stats.backtrack_steps - steps,
+            budget_exhausted=stats.budget_aborts != aborts,
             **allocator._trace_attrs(size),
         )
         if bw_need is not None:

@@ -334,6 +334,15 @@ class ClusterState:
         only read."""
         return self._leaf_buckets[pod]
 
+    def leaf_ge_row(self, k: int) -> Sequence[int]:
+        """Per-pod counts of leaves with at least ``k`` free nodes: entry
+        ``pod`` is :meth:`leaves_with_at_least` ``(pod, k)``.
+
+        The maintained row itself, handed out without a copy for the
+        two-level scorer's per-pod bound: index-owned state that callers
+        only read.  ``k`` must be in ``0..m1``."""
+        return self._leaf_ge[k]
+
     def feasible_pods(
         self,
         min_free: int,

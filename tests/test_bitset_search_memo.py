@@ -12,7 +12,12 @@ The invariants, as regression and property tests:
   also match a recount of the screen's definition — and screen
   survivors claim/release cleanly under link faults;
 * the two-level bucket-row scorer is decision-identical to the per-pod
-  scored walk it replaced.
+  scored walk it replaced;
+* the scorer's branch and bound prunes only on true lower bounds: in a
+  pod with a claimed uplink the per-pod fit never scores below the
+  pod's bucket row and never succeeds where the row fails, the
+  broken-leaf floor never exceeds the row's ``broken``, and a pod whose
+  bound does not beat the incumbent is neither fitted nor returned.
 """
 
 import random
@@ -23,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.conditions import check_allocation
+from repro.core.jigsaw import _bucket_row_score
 from repro.core.registry import make_allocator
 from repro.core.shapes import TwoLevelShape
 from repro.topology.fattree import FatTree, LinkId
@@ -343,3 +349,162 @@ class TestBucketRowScorer:
         assert {0, 1} <= set(alloc._two_level_pods(shape.size, shape))
         assert alloc._score_shape_pods(shape, [0, 1]) is None
         assert _walk_shape(alloc, shape, [0, 1]) is None
+
+
+# ----------------------------------------------------------------------
+# Branch and bound: the pruning bounds against the per-pod fit
+# ----------------------------------------------------------------------
+def _broken_floor(state, shape, pod):
+    """The scorer's broken-leaf floor: at most ``leaves_with_at_least(pod,
+    nL) - full_free_leaves[pod]`` of the ``LT`` leaves are partly free."""
+    partial = (
+        state.leaves_with_at_least(pod, shape.nL)
+        - state.full_free_leaves[pod]
+    )
+    return shape.LT - partial
+
+
+def _check_bounds(alloc):
+    """Every two-level shape against every pod: the bucket-row score is
+    exact in a pod without claimed uplinks and a lower bound in one
+    with, and the broken-leaf floor bounds the row's ``broken``."""
+    state, tree = alloc.state, alloc.tree
+    m1 = tree.m1
+    for size in range(1, tree.nodes_per_pod + 1):
+        for shape in alloc._two_level_shape_iter(size):
+            for pod in range(tree.num_pods):
+                row = state.leaf_bucket_row(pod)
+                bound = _bucket_row_score(
+                    row, shape.LT, shape.nL, shape.nrL, m1
+                )
+                found = alloc._find_two_level_in_pod(pod, shape)
+                fit = (
+                    None if found is None
+                    else alloc._score_two_level(shape, found)
+                )
+                where = (shape, pod, [r.bit_count() for r in row])
+                if shape.single_leaf or not state.busy_uplink_leaf_mask(pod):
+                    assert fit == bound, where
+                    continue
+                if bound is None:
+                    assert fit is None, where
+                elif fit is not None:
+                    assert fit >= bound, where
+                if bound is not None and shape.nL < m1:
+                    assert _broken_floor(state, shape, pod) <= bound[0], where
+
+
+@common
+@given(
+    scheme=st.sampled_from(["jigsaw", "laas"]),
+    tree=st.sampled_from([TREE8, TREE16]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_bucket_row_bounds_the_busy_pod_fit(scheme, tree, seed):
+    rng = random.Random(seed)
+    alloc = make_allocator(scheme, tree)
+    inj = FaultInjector(alloc)
+    jid = 0
+    live = []
+    for step in range(60):
+        r = rng.random()
+        if r < 0.55:
+            if alloc.allocate(jid, rng.randint(1, tree.nodes_per_pod)):
+                live.append(jid)
+            jid += 1
+        elif r < 0.8 and live:
+            alloc.release(live.pop(rng.randrange(len(live))))
+        else:
+            link = LinkId(
+                rng.randrange(tree.num_leaves), rng.randrange(tree.l2_per_pod)
+            )
+            if alloc.state.leaf_up_mask[link.leaf] >> link.l2_index & 1:
+                inj.fail_leaf_link(link)
+        if step % 20 == 19:
+            _check_bounds(alloc)
+    alloc.state.audit()
+
+
+class TestBranchAndBound:
+    """Directed incumbents for :meth:`JigsawAllocator._score_shape_pods`
+    on the radix-16 tree."""
+
+    @staticmethod
+    def _busy_pod(free):
+        alloc = make_allocator("jigsaw", TREE16)
+        inj = FaultInjector(alloc)
+        _pod_layout(inj, 0, free)
+        # An uplink fault on an exhausted leaf makes pod 0 busy without
+        # changing what it can host.
+        inj.fail_leaf_link(LinkId(free.index(0), 0))
+        assert alloc.state.busy_uplink_leaf_mask(0)
+        return alloc
+
+    @pytest.mark.parametrize("incumbent", [(0, 1, 0), (0, 2, 0)])
+    def test_busy_pod_bounded_at_incumbent_is_not_fitted(self, incumbent):
+        alloc = self._busy_pod([6, 6, 0, 0, 0, 0, 0, 0])
+        shape = TwoLevelShape(2, 5, 0)
+        row = alloc.state.leaf_bucket_row(0)
+        assert _bucket_row_score(row, 2, 5, 0, 8) == (0, 2, 0)
+        steps = alloc.stats.backtrack_steps
+        # The bound (0, 2, 0) does not beat the incumbent: an equal
+        # score cannot win, so the fit would be wasted.
+        assert alloc._score_shape_pods(shape, [0], incumbent) is None
+        assert alloc.stats.backtrack_steps == steps
+        # Without an incumbent the same pod is fitted and wins.
+        score, pod, found = alloc._score_shape_pods(shape, [0])
+        assert (score, pod) == ((0, 2, 0), 0) and found is not None
+        assert alloc.stats.backtrack_steps > steps
+
+    def test_broken_floor_equal_to_incumbent_is_scored(self):
+        # Leaves with >= 3 free: one full, one partial, so the floor is
+        # one broken leaf, the incumbent's own count: a lower residue
+        # still wins.
+        alloc = make_allocator("jigsaw", TREE16)
+        _pod_layout(FaultInjector(alloc), 0, [8, 3, 0, 0, 0, 0, 0, 0])
+        shape = TwoLevelShape(2, 3, 0)
+        assert _broken_floor(alloc.state, shape, 0) == 1
+        assert alloc._score_shape_pods(shape, [0], (1, 6, 0)) == (
+            (1, 5, 0), 0, None
+        )
+
+    def test_broken_floor_above_incumbent_skips_the_row(self):
+        alloc = make_allocator("jigsaw", TREE16)
+        _pod_layout(FaultInjector(alloc), 0, [8, 8, 0, 0, 0, 0, 0, 0])
+        shape = TwoLevelShape(2, 3, 0)
+        assert _broken_floor(alloc.state, shape, 0) == 2
+        rows = []
+        read_row = alloc.state.leaf_bucket_row
+
+        def spy(pod):
+            rows.append(pod)
+            return read_row(pod)
+
+        alloc.state.leaf_bucket_row = spy
+        assert alloc._score_shape_pods(shape, [0], (1, 0, 0)) is None
+        assert rows == []
+        assert alloc._score_shape_pods(shape, [0], (2, 11, 0)) == (
+            (2, 10, 0), 0, None
+        )
+        assert rows == [0]
+
+    def test_third_component_decides_between_shapes(self):
+        # Pod 0 hosts (1, 8, 3) at (0, 1, 1): a full leaf consumed and
+        # one node stranded.  Busy pod 1 hosts (2, 5, 1) at (0, 1, 0),
+        # which ties on (broken, residue) and wins on consumed.
+        tree = TREE16
+        alloc = make_allocator("jigsaw", tree)
+        ref = make_allocator("jigsaw", tree)
+        ref._search_two_level = types.MethodType(_walk_two_level, ref)
+        for a in (alloc, ref):
+            inj = FaultInjector(a)
+            _pod_layout(inj, 0, [8, 4, 0, 0, 0, 0, 0, 0])
+            _pod_layout(inj, 1, [5, 5, 2, 0, 0, 0, 0, 0])
+            for pod in range(2, tree.num_pods):
+                _pod_layout(inj, pod, [0] * tree.m2)
+            inj.fail_leaf_link(LinkId(tree.m2 + 3, 0))
+        placed, expected = alloc.allocate(1, 11), ref.allocate(1, 11)
+        assert placed.shape == expected.shape == TwoLevelShape(2, 5, 1)
+        leaves = sorted({n // tree.m1 for n in placed.nodes})
+        assert leaves == [8, 9, 10]
+        assert sorted(placed.nodes) == sorted(expected.nodes)

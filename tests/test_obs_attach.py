@@ -17,7 +17,8 @@ from repro.obs.tracer import Tracer, trace_allocator
 from repro.sched import simulator as simulator_module
 from repro.sched.job import Job
 from repro.sched.simulator import Simulator
-from repro.topology.fattree import FatTree
+from repro.topology.fattree import FatTree, LinkId
+from repro.topology.faults import FaultInjector
 
 SCHEMES = ("baseline", "ta", "laas", "jigsaw", "lc+s")
 TREE = FatTree.from_radix(8)
@@ -175,6 +176,45 @@ class TestAllocSpans:
         assert first["bw_need"] == 1.5 and first["eff"] == 9
         assert "level" not in first and "steps_used" in first
         assert {e["depth"] for e in tracer.events} == {0}
+
+    def test_steps_used_counts_the_call_alone(self):
+        # Every pod but one full, and one dead uplink per leaf of the
+        # last: any two of its leaves share only two free uplinks, so an
+        # 8-node search fits that pod shape by shape and fails.
+        allocator = make_allocator("jigsaw", TREE)
+        inj = FaultInjector(allocator)
+        for jid in range(1, TREE.num_pods):
+            assert allocator.allocate(jid, TREE.nodes_per_pod) is not None
+        (pod,) = allocator.state.feasible_pods(1)
+        for j in range(TREE.m2):
+            inj.fail_leaf_link(LinkId(pod * TREE.m2 + j, j))
+        size = 2 * TREE.m1
+        tracer = Tracer(enabled=True)
+        with trace_allocator(tracer, allocator):
+            assert allocator.allocate(100, size) is None
+            assert allocator.allocate(101, size) is None
+            allocator.charge_skip(102, size, None, "screen")
+        attrs = [e["attrs"] for e in tracer.events]
+        assert [a["outcome"] for a in attrs] == [
+            "failed", "cache_hit", "prefiltered:screen",
+        ]
+        steps = [a["steps_used"] for a in attrs]
+        # The hit and the skip ran no search; neither repeats its steps.
+        assert steps[0] > 0 and steps[1:] == [0, 0]
+
+    def test_budget_exhausted_is_the_calls_own(self):
+        allocator = make_allocator("lc+s", TREE, step_budget=10)
+        for jid in range(1, TREE.num_nodes // TREE.m1 + 1):
+            allocator.allocate(jid, 1)  # one busy node on every leaf
+        tracer = Tracer(enabled=True)
+        with trace_allocator(tracer, allocator):
+            assert allocator.allocate(999, 40) is None
+            allocator.charge_skip(1000, 40, None, "screen")
+        abort, skip = (e["attrs"] for e in tracer.events)
+        assert abort["budget_exhausted"] is True
+        assert abort["steps_used"] == 10
+        assert skip["budget_exhausted"] is False
+        assert skip["steps_used"] == 0
 
 
 class TestRunScopedTracer:
