@@ -25,7 +25,8 @@ no external schema libraries):
 * ``--provenance`` — per-job scheduling-provenance JSONL
   (:mod:`repro.sched.metrics`): every line carries the full column
   catalog, skip counts never exceed attempts, started jobs carry
-  consistent start/end/wait, unstarted jobs carry none.
+  consistent start/end/wait, unstarted jobs carry none, and the state
+  is ``completed`` for exactly the started jobs, else ``unscheduled``.
 
 Exits non-zero with a per-file error listing on any violation.
 """
@@ -274,7 +275,8 @@ def check_provenance(path: str) -> List[str]:
     from repro.sched.metrics import PROVENANCE_COLUMNS
 
     skip_cols = ("skip_cache", "skip_screen", "skip_search", "skip_budget")
-    states = {"pending", "queued", "running", "completed", "unscheduled"}
+    # A run ends with every job completed or stranded unscheduled.
+    states = {"completed", "unscheduled"}
     errors: List[str] = []
     count = 0
     with open(path, encoding="utf-8") as fh:
@@ -313,6 +315,11 @@ def check_provenance(path: str) -> List[str]:
             if row["state"] not in states:
                 errors.append(f"{where}: unknown state {row['state']!r}")
             started = row["start"] is not None
+            if (row["state"] == "completed") != started:
+                errors.append(
+                    f"{where}: state {row['state']} with start "
+                    f"{row['start']!r}"
+                )
             if started:
                 for col in ("end", "wait"):
                     if row[col] is None:
@@ -339,10 +346,6 @@ def check_provenance(path: str) -> List[str]:
                         errors.append(
                             f"{where}: unstarted job carries {col}"
                         )
-                if row["state"] in ("running", "completed"):
-                    errors.append(
-                        f"{where}: state {row['state']} without a start"
-                    )
     if count == 0:
         errors.append(f"{path}: no provenance rows")
     return errors

@@ -24,22 +24,17 @@ Frames nest: ``push`` opens a stage, ``pop`` closes it and charges the
 duration to the full stack path (``"search;two_level;pod_fit"``), with
 *self time* (duration minus enclosed child stages) tracked separately
 so a flamegraph built from :meth:`StageProfiler.to_collapsed` sums
-correctly.  Exports: collapsed-stack lines (feed them to any FlameGraph
-renderer), JSON, and the attribution table behind the ``repro prof``
+correctly.  Exports: the plain-dict :meth:`StageProfiler.snapshot` (the
+CLI writes it as JSON), collapsed-stack lines (feed them to any
+FlameGraph renderer) and the attribution table behind the ``repro prof``
 CLI subcommand.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
-import platform
-import sys
-from pathlib import Path
 from time import perf_counter
-from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, TextIO, Tuple, Union,
-)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.tracer import wrap_methods
 
@@ -184,57 +179,37 @@ class StageProfiler:
     # -- views ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict aggregate (picklable; ``SimResult.prof``)."""
-        stages = [
-            {
-                "scheme": scheme,
-                "stack": path,
-                "count": rec[0],
-                "total_s": rec[1],
-                "self_s": rec[2],
-                "hist_log2us": list(rec[3]),
-            }
-            for (scheme, path), rec in sorted(
-                self._agg.items(), key=lambda kv: (kv[0][0], -kv[1][1])
-            )
-        ]
-        return {"stages": stages}
+        return _snapshot_of(self._agg)
 
     def to_collapsed(self) -> str:
         """Collapsed-stack lines (``scheme;stage;... self_us``) — the
         flamegraph input format; self time so the frames sum exactly."""
-        lines = []
-        for (scheme, path), rec in sorted(self._agg.items()):
-            us = int(round(rec[2] * 1e6))
-            lines.append(f"{scheme};{path} {us}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    # -- export ---------------------------------------------------------
-    def write_json(self, target: Union[str, Path, TextIO]) -> None:
-        """Write :meth:`snapshot` (plus environment capture) as JSON."""
-        doc = self.snapshot()
-        doc["environment"] = {
-            "python": platform.python_version(),
-            "platform": sys.platform,
-        }
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            return
-        json.dump(doc, target, indent=2, sort_keys=True)
-
-    def write_collapsed(self, target: Union[str, Path, TextIO]) -> None:
-        """Write :meth:`to_collapsed` (flamegraph-compatible)."""
-        text = self.to_collapsed()
-        if isinstance(target, (str, Path)):
-            Path(target).write_text(text, encoding="utf-8")
-            return
-        target.write(text)
+        return snapshot_collapsed(self.snapshot())
 
 
 # ----------------------------------------------------------------------
 # Snapshot analysis (the ``repro prof`` attribution table)
 # ----------------------------------------------------------------------
+def _snapshot_of(agg: Dict[Tuple[str, str], list]) -> Dict[str, Any]:
+    """The snapshot dict of an aggregate keyed by ``(scheme, stack)``:
+    one stage entry per key, by descending total time within each
+    scheme."""
+    stages = [
+        {
+            "scheme": scheme,
+            "stack": path,
+            "count": rec[0],
+            "total_s": rec[1],
+            "self_s": rec[2],
+            "hist_log2us": list(rec[3]),
+        }
+        for (scheme, path), rec in sorted(
+            agg.items(), key=lambda kv: (kv[0][0], -kv[1][1])
+        )
+    ]
+    return {"stages": stages}
+
+
 def top_level_seconds(
     snapshot: Dict[str, Any], scheme: Optional[str] = None
 ) -> float:
@@ -262,22 +237,13 @@ def merge_snapshots(snapshots) -> Dict[str, Any]:
             rec[2] += s["self_s"]
             for i, c in enumerate(s["hist_log2us"]):
                 rec[3][i] += c
-    stages = [
-        {
-            "scheme": scheme, "stack": path, "count": rec[0],
-            "total_s": rec[1], "self_s": rec[2],
-            "hist_log2us": list(rec[3]),
-        }
-        for (scheme, path), rec in sorted(
-            agg.items(), key=lambda kv: (kv[0][0], -kv[1][1])
-        )
-    ]
-    return {"stages": stages}
+    return _snapshot_of(agg)
 
 
 def snapshot_collapsed(snapshot: Dict[str, Any]) -> str:
-    """Collapsed-stack lines from a snapshot dict (same format as
-    :meth:`StageProfiler.to_collapsed`, for post-run exports)."""
+    """Collapsed-stack lines (``scheme;stage;... self_us``) from a
+    snapshot dict, sorted by ``(scheme, stack)``:
+    :meth:`StageProfiler.to_collapsed` and the CLI's post-run export."""
     lines = []
     for s in sorted(
         snapshot.get("stages", ()), key=lambda s: (s["scheme"], s["stack"])

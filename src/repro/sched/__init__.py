@@ -7,11 +7,7 @@ utilization, turnaround times, makespan, instantaneous utilization and
 scheduling time.
 """
 
-from repro.sched.eventcore import (
-    EventStreams,
-    JobTable,
-    round_boundary,
-)
+from repro.sched.eventcore import EventStreams, round_boundary
 from repro.sched.interference import ContentionRuntimeModel
 from repro.sched.job import Job
 from repro.sched.metrics import (
@@ -34,7 +30,6 @@ __all__ = [
     "ContentionRuntimeModel",
     "EventStreams",
     "Job",
-    "JobTable",
     "Simulator",
     "SimResult",
     "fidelity_report",

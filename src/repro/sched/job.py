@@ -31,10 +31,6 @@ class Job:
     # Filled in by the simulator:
     start: float = field(default=-1.0, compare=False)
     end: float = field(default=-1.0, compare=False)
-    #: row index in the run's JobTable (stamped at table build; -1 =
-    #: not part of a table yet).  Hot paths address the table columns
-    #: by this instead of a dict lookup.
-    row: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
         # The chains also reject NaN (every NaN comparison is false): a

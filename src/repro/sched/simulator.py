@@ -14,13 +14,15 @@ The simulator replays a job-queue trace against one allocator:
 
 The implementation is split into two layers:
 
-* the **event core** (:mod:`repro.sched.eventcore`) holds the trace as
-  a column-array job table and every pending event (arrivals,
-  completions, fault repairs, fault injections) on one heap, popped one
-  *round* at a time;
-* the **policy layer** (:class:`_RunState`, below) holds the mutable
-  scheduling state of one run — queue, reservations, running set,
-  areas — and applies the drained events and scheduling passes.
+* the **event core** (:mod:`repro.sched.eventcore`) holds every
+  pending event (arrivals, completions, fault repairs, fault
+  injections) on one heap, popped one *round* at a time;
+* the **policy layer** (:class:`_RunState`, below) holds one run's
+  state in plain Python — the trace in order, the waiting queue, the
+  head's reservation, the running set, the areas and each job's
+  remaining work and provenance tallies — and applies the drained
+  events and scheduling passes.  Each job's arrival, start and end live
+  on its :class:`~repro.sched.job.Job` alone.
 
 Two drive modes share that machinery:
 
@@ -54,9 +56,8 @@ import dataclasses
 import math
 import numbers
 import os
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.allocator import Allocator
 from repro.obs.sampler import simulator_row
@@ -72,7 +73,6 @@ from repro.sched.eventcore import (
     FAULT_INJECT,
     FAULT_REPAIR,
     EventStreams,
-    JobTable,
     round_boundary,
 )
 from repro.sched.job import Job
@@ -116,11 +116,11 @@ class Simulator:
         event log) always take the scalar drain, which keeps the
         telemetry stream per-event without changing any decision.
     provenance:
-        ``True`` records per-job scheduling provenance on the job-table
-        columns — first-eligible time, attempt count, and every skipped
-        or failed attempt broken down by reason — exported as
-        ``SimResult.provenance`` (see ``docs/observability.md``).
-        Strictly passive; off by default.
+        ``True`` keeps a per-job ledger on the run state — first-eligible
+        time, attempt count, and every skipped or failed attempt broken
+        down by reason — exported as ``SimResult.provenance`` with each
+        job's final state, ``completed`` or ``unscheduled`` (see
+        ``docs/observability.md``).  Strictly passive; off by default.
     """
 
     #: how the head's reservation evolves while it waits:
@@ -253,46 +253,51 @@ class Simulator:
         if os.environ.get("REPRO_NAIVE_EVENTS", "") not in ("", "0"):
             use_columnar_events = False
         self.use_columnar_events = bool(use_columnar_events)
-        #: per-job provenance recording (lifecycle timeline plus skip
-        #: reasons on the job-table columns; see
+        #: per-job provenance recording (first-eligible times and skip
+        #: tallies on the run state; see
         #: :meth:`_RunState._provenance_rows`).  Strictly passive — the
-        #: columns are write-only during the run and the recording sites
+        #: tallies are write-only during the run and the recording sites
         #: never read scheduling state (``_fingerprint.py --prof``).
         self.provenance = bool(provenance)
         self.low_interference = allocator.low_interference
-        #: the head job's current reservation: (job id, Reservation)
-        self._sticky: Optional[Tuple[int, Reservation]] = None
         #: high-water mark of the waiting queue (jobs waiting to start)
         self.peak_queue_len = 0
 
     # ------------------------------------------------------------------
     def run(self, trace, trace_name: Optional[str] = None) -> SimResult:
-        """Simulate ``trace`` (a ``Trace`` or a sequence of jobs)."""
+        """Simulate ``trace`` (a ``Trace`` or a sequence of jobs).
+
+        A trace with a duplicate job id or a job larger than the cluster
+        is rejected before any job is reset, so a rejected run leaves
+        every job's earlier results untouched."""
         jobs: List[Job] = list(getattr(trace, "jobs", trace))
         name = trace_name or getattr(trace, "name", "trace")
-        seen: set = set()
+        by_id: Dict[int, Job] = {}
         for job in jobs:
-            if job.id in seen:
+            if job.id in by_id:
                 raise ValueError(
                     f"trace {name!r} has duplicate job id {job.id}"
                 )
-            seen.add(job.id)
-        self._sticky = None
-        self.peak_queue_len = 0
-        tree = self.allocator.tree
-        for job in jobs:
-            job.reset()
-        table = JobTable(jobs)
-        bad = table.first_oversized(
-            self.allocator.effective_size, tree.num_nodes
-        )
-        if bad is not None:
+            by_id[job.id] = job
+        # One allocator call per distinct size; the first offending job
+        # in trace order is the one named.
+        effective_size = self.allocator.effective_size
+        capacity = self.allocator.tree.num_nodes
+        oversized = {
+            size for size in {job.size for job in jobs}
+            if effective_size(size) > capacity
+        }
+        if oversized:
+            bad = next(job for job in jobs if job.size in oversized)
             raise ValueError(
                 f"job {bad.id} needs {bad.size} nodes "
-                f"(effective {self.allocator.effective_size(bad.size)}) "
-                f"but the cluster has {tree.num_nodes}"
+                f"(effective {effective_size(bad.size)}) "
+                f"but the cluster has {capacity}"
             )
-        state = _RunState(self, table)
+        self.peak_queue_len = 0
+        for job in jobs:
+            job.reset()
+        state = _RunState(self, jobs, by_id)
         if state.tracer.enabled:
             with trace_allocator(state.tracer, self.allocator):
                 state.drive()
@@ -311,9 +316,14 @@ class _RunState:
     observe or wrap individual transitions.
     """
 
-    def __init__(self, sim: Simulator, table: JobTable):
+    def __init__(
+        self, sim: Simulator, jobs: List[Job], by_id: Dict[int, Job]
+    ):
         self.sim = sim
-        self.table = table
+        #: the trace in order; an arrival's payload is its index here
+        self.jobs = jobs
+        #: job id -> job, for fault victims (which arrive as ids)
+        self.by_id = by_id
         self.allocator = sim.allocator
         self.tracer = sim.tracer if sim.tracer is not None else get_tracer()
         self.sampler = sim.sampler
@@ -322,9 +332,10 @@ class _RunState:
         # Event streams: arrivals and fault events are pre-known;
         # completions are pushed as jobs start.  Every event time is a
         # float, also where a job or fault spec holds an int.
+        arrivals = [float(job.arrival) for job in jobs]
         faults = sim.fault_timeline.faults
         self.streams = EventStreams(
-            zip(table.arrivals.tolist(), range(len(table))),
+            zip(arrivals, range(len(jobs))),
             repairs=[
                 (float(spec.end), i)
                 for i, spec in enumerate(faults)
@@ -338,6 +349,9 @@ class _RunState:
         #: job leaves it in the pass that starts it, so the head is
         #: ``queue[0]`` and a backfill window is a slice.
         self.queue: List[Job] = []
+        #: the head job's current reservation, (job id, Reservation),
+        #: honored per the simulator's reservation policy
+        self.head_reservation: Optional[Tuple[int, Reservation]] = None
         #: the running set: job id -> (estimated end, effective size),
         #: the pairs the head's reservation and the conservative
         #: profile are built from (both sort or sum them, so the dict's
@@ -356,12 +370,17 @@ class _RunState:
         #: sites are ``try_start``/``dispatch_start``, which both
         #: drains share, so the columnar gate above is unaffected)
         self.provenance = sim.provenance
+        #: provenance tallies keyed by (job id, column): ``attempts``
+        #: and the four ``skip_*`` reasons
+        self.prov_counts: Counter = Counter()
+        #: job id -> the first time the scheduler considered the job
+        self.first_eligible: Dict[int, float] = {}
 
         self.instant = InstantHistogram()
         self.busy_area = 0.0
         self.demand_area = 0.0
         self.total_busy_area = 0.0
-        self.last_t = table.first_arrival
+        self.last_t = min(arrivals, default=0.0)
         self.n_system = sim.allocator.tree.num_nodes
         self.unscheduled: List[int] = []
         self.makespan_start = self.last_t
@@ -380,6 +399,10 @@ class _RunState:
         #: job id -> slot of its live completion event; a kill orphans
         #: the queued entry, which is dropped on drain by this check
         self.live_comp: Dict[int, int] = {}
+        #: job id -> remaining-work fraction of a checkpoint-restarted
+        #: job (absent = 1.0, the full work; see
+        #: :mod:`repro.sched.resilience`)
+        self.work_frac: Dict[int, float] = {}
         if sim.fault_timeline:
             self.resilience = ResilienceManager(
                 sim.allocator,
@@ -402,18 +425,6 @@ class _RunState:
             self.priority_key = lambda job: job.size
         elif sim.queue_order == "largest":
             self.priority_key = lambda job: -job.size
-
-    # -- diagnostics views ---------------------------------------------
-    @property
-    def work_frac(self) -> Dict[int, float]:
-        """Dict view of the remaining-work column (diagnostics/tests):
-        ids whose remaining fraction has shrunk below 1."""
-        table = self.table
-        wf = table.work_frac
-        return {
-            int(table.ids[i]): float(wf[i])
-            for i in np.flatnonzero(wf != 1.0).tolist()
-        }
 
     # -- telemetry -----------------------------------------------------
     def sample_row(self, boundary: float) -> dict:
@@ -477,47 +488,44 @@ class _RunState:
         est = self.plan_runtime(job) * self.sim.estimate_factor
         if self.resilience is not None:
             # A checkpoint-restarted job only redoes its lost work.
-            est *= float(self.table.work_frac[job.row])
+            est *= self.work_frac.get(job.id, 1.0)
         return est
 
     # -- provenance ----------------------------------------------------
     def prov_attempt(self, job: Job, now: float) -> None:
         """Record one charged allocation attempt (real or skipped) for
         ``job`` and stamp the first time the scheduler considered it."""
-        table = self.table
-        row = job.row
-        table.attempt_count[row] += 1
-        if math.isnan(table.first_eligible[row]):
-            table.first_eligible[row] = now
+        self.prov_counts[job.id, "attempts"] += 1
+        self.first_eligible.setdefault(job.id, now)
 
     def _provenance_rows(self) -> List[dict]:
-        """One plain dict per trace job: lifecycle timeline plus the
-        per-reason skip accounting (the ``SimResult.provenance``
-        export; column catalog in ``docs/observability.md``)."""
-        table = self.table
-        names = {
-            JobTable.PENDING: "pending", JobTable.QUEUED: "queued",
-            JobTable.RUNNING: "running", JobTable.DONE: "completed",
-            JobTable.UNSCHEDULED: "unscheduled",
-        }
+        """One plain dict per trace job: timeline plus the per-reason
+        skip accounting (the ``SimResult.provenance`` export; column
+        catalog in ``docs/observability.md``).
+
+        A run ends with every job completed or unscheduled: ``drive``
+        stops only after every live completion has fired, and it
+        strands whatever still waits.  So a job's state is ``completed``
+        exactly when it holds a start."""
+        counts = self.prov_counts
         rows = []
-        for i, job in enumerate(table.jobs):
-            fe = float(table.first_eligible[i])
+        for job in self.jobs:
+            jid = job.id
             started = job.start >= 0
             rows.append({
-                "job_id": int(table.ids[i]),
-                "size": int(table.sizes[i]),
-                "arrival": float(table.arrivals[i]),
-                "first_eligible": None if math.isnan(fe) else fe,
-                "attempts": int(table.attempt_count[i]),
-                "skip_cache": int(table.skip_cache[i]),
-                "skip_screen": int(table.skip_screen[i]),
-                "skip_search": int(table.skip_search[i]),
-                "skip_budget": int(table.skip_budget[i]),
+                "job_id": int(jid),
+                "size": int(job.size),
+                "arrival": float(job.arrival),
+                "first_eligible": self.first_eligible.get(jid),
+                "attempts": counts[jid, "attempts"],
+                "skip_cache": counts[jid, "skip_cache"],
+                "skip_screen": counts[jid, "skip_screen"],
+                "skip_search": counts[jid, "skip_search"],
+                "skip_budget": counts[jid, "skip_budget"],
                 "start": job.start if started else None,
                 "end": job.end if started else None,
                 "wait": (job.start - job.arrival) if started else None,
-                "state": names[int(table.state[i])],
+                "state": "completed" if started else "unscheduled",
             })
         return rows
 
@@ -530,10 +538,12 @@ class _RunState:
         alloc = self.allocator.allocate(job.id, job.size, bw_need=job.bw_need)
         if alloc is None:
             if self.provenance:
-                if self.allocator.stats.budget_aborts != aborts:
-                    self.table.skip_budget[job.row] += 1
-                else:
-                    self.table.skip_search[job.row] += 1
+                reason = (
+                    "skip_budget"
+                    if self.allocator.stats.budget_aborts != aborts
+                    else "skip_search"
+                )
+                self.prov_counts[job.id, reason] += 1
             return False
         self.emit(now, "start", job, via, wait=now - job.arrival)
         job.start = now
@@ -545,7 +555,7 @@ class _RunState:
         else:
             actual = job.runtime_under(sim.low_interference)
         if self.resilience is not None:
-            actual *= float(self.table.work_frac[job.row])
+            actual *= self.work_frac.get(job.id, 1.0)
         job.end = now + actual
         slot = self.streams.push_completion(job.end, job)
         if self.resilience is not None:
@@ -558,7 +568,6 @@ class _RunState:
         if job.id in running:
             raise ValueError(f"job {job.id} is already running")
         running[job.id] = (now + self.walltime_est(job), self.eff(job))
-        self.table.state[job.row] = JobTable.RUNNING
         self.cur_busy += job.size
         return True
 
@@ -593,7 +602,6 @@ class _RunState:
             bisect.insort(queue, job, key=self.priority_key)
         sim = self.sim
         sim.peak_queue_len = max(sim.peak_queue_len, len(queue))
-        self.table.state[job.row] = JobTable.QUEUED
 
     def kill_job(self, job: Job, now: float, released: bool = False) -> None:
         """Drain one fault victim through the ordinary release path
@@ -614,8 +622,8 @@ class _RunState:
         resilience.stats.wasted_node_seconds += (elapsed - saved) * job.size
         resilience.stats.resubmissions += 1
         if planned > 0 and saved > 0:
-            wf = self.table.work_frac
-            wf[job.row] = float(wf[job.row]) * (1.0 - saved / planned)
+            wf = self.work_frac
+            wf[job.id] = wf.get(job.id, 1.0) * (1.0 - saved / planned)
         job.start = -1.0
         job.end = -1.0
         self.emit(now, "kill", job, elapsed=elapsed, saved=saved)
@@ -680,7 +688,7 @@ class _RunState:
             return self.try_start(job, now, via=via)
         if self.provenance:
             self.prov_attempt(job, now)
-            getattr(self.table, f"skip_{reason}")[job.row] += 1
+            self.prov_counts[job.id, "skip_" + reason] += 1
         alloc.charge_skip(job.id, job.size, job.bw_need, reason)
         return False
 
@@ -706,7 +714,7 @@ class _RunState:
             del queue[0]
             self.sample()
         if not queue or sim.backfill_window <= 0:
-            sim._sticky = None
+            self.head_reservation = None
             return
         head_job = queue[0]
         # The head's reservation is computed when it first blocks and
@@ -717,25 +725,26 @@ class _RunState:
         # the head — which starves large jobs; never recomputing
         # ("sticky") forces full drains.  The default renews the
         # reservation only once its shadow time has passed.
+        held = self.head_reservation
         expired = (
-            sim._sticky is not None
+            held is not None
             and sim.reservation_policy == "renew"
-            and now >= sim._sticky[1].shadow_time
+            and now >= held[1].shadow_time
         )
         if (
-            sim._sticky is None
-            or sim._sticky[0] != head_job.id
+            held is None
+            or held[0] != head_job.id
             or sim.reservation_policy == "slip"
             or expired
         ):
-            sim._sticky = (
+            held = self.head_reservation = (
                 head_job.id,
                 compute_reservation(
                     now, self.eff(head_job), self.allocator.free_nodes,
                     self.running.values(),
                 ),
             )
-        reservation = sim._sticky[1]
+        reservation = held[1]
         tracer = self.tracer
         bspan = tracer.begin("backfill.window") if tracer.enabled else None
         cands = queue[1:sim.backfill_window + 1]
@@ -851,7 +860,6 @@ class _RunState:
         completion_jobs = self.streams.completion_jobs
         tracer = self.tracer
         sampler = self.sampler
-        table = self.table
         resilience = self.resilience
         arrivals = 0
         completions = 0
@@ -869,9 +877,7 @@ class _RunState:
                 # Victims drain through the ordinary release path
                 # before the injector claims the hardware.
                 for victim_id in resilience.victims(payload):
-                    self.kill_job(
-                        table.jobs[table.row_of[victim_id]], t
-                    )
+                    self.kill_job(self.by_id[victim_id], t)
                 resilience.inject(payload, t)
             elif kind == COMPLETION:
                 job = completion_jobs[payload]
@@ -884,13 +890,12 @@ class _RunState:
                     sim.runtime_model.on_release(job.id)
                 self.running.pop(job.id)
                 self.cur_busy -= job.size
-                table.state[job.row] = JobTable.DONE
                 self.last_completion = t
                 completions += 1
                 self.emit(t, "complete", job)
                 self.sample()
-            else:  # ARRIVAL — payload is the job-table row
-                job = table.jobs[payload]
+            else:  # ARRIVAL — payload is the job's trace index
+                job = self.jobs[payload]
                 arrivals += 1
                 if self.event_log is not None:
                     self.event_log.record(t, "arrive", job.id, job.size)
@@ -920,7 +925,6 @@ class _RunState:
         n = len(times)
         if n < 16:
             return self.drain_scalar(times, kinds, payloads)
-        table = self.table
         resilience = self.resilience
         arrivals = 0
         completions = 0
@@ -947,11 +951,7 @@ class _RunState:
                         victims = resilience.victims(payload)
                         if victims:
                             self.kill_jobs(
-                                [
-                                    table.jobs[table.row_of[vid]]
-                                    for vid in victims
-                                ],
-                                t,
+                                [self.by_id[vid] for vid in victims], t
                             )
                         resilience.inject(payload, t)
         return arrivals, completions
@@ -965,15 +965,11 @@ class _RunState:
         order matters down to the bit); everything O(1)-per-event
         beyond that — allocation release, the occupancy-index update,
         the feasibility-cache invalidation — is grouped: one
-        ``release_many``, one state-column write per job, one
-        histogram ``add_many``.
+        ``release_many`` and one histogram ``add_many``.
         """
         completion_jobs = self.streams.completion_jobs
-        table = self.table
         resilience = self.resilience
         running = self.running
-        state_col = table.state
-        done = JobTable.DONE
         # Constant across the run: no arrivals, kills or fault events
         # occur inside a same-kind segment.
         pending = len(self.queue)
@@ -1022,14 +1018,13 @@ class _RunState:
                 if rm is not None:
                     rm.on_release(job.id)
                 running.pop(job.id)
-                state_col[job.row] = done
         if util:
             self.instant.add_many(util)
         return len(live)
 
-    def enqueue_batch(self, times: List[float], rows: List[int]) -> None:
-        """Enqueue a time-sorted run of arrivals in one transition."""
-        table = self.table
+    def enqueue_batch(self, times: List[float], indexes: List[int]) -> None:
+        """Enqueue a time-sorted run of arrivals (by trace index) in one
+        transition."""
         resilience = self.resilience
         stats = resilience.stats if resilience is not None else None
         degraded = resilience.degraded_nodes if resilience is not None else 0
@@ -1055,7 +1050,7 @@ class _RunState:
         self.total_busy_area = tba
         self.busy_area = ba
         self.demand_area = da
-        jobs = [table.jobs[r] for r in rows]
+        jobs = [self.jobs[i] for i in indexes]
         queue = self.queue
         if self.priority_key is None:
             queue.extend(jobs)
@@ -1064,7 +1059,6 @@ class _RunState:
                 bisect.insort(queue, job, key=self.priority_key)
         sim = self.sim
         sim.peak_queue_len = max(sim.peak_queue_len, len(queue))
-        table.state[rows] = JobTable.QUEUED
 
     # -- drive loop ----------------------------------------------------
     def drive(self) -> None:
@@ -1082,7 +1076,6 @@ class _RunState:
         streams = self.streams
         tracer = self.tracer
         sampler = self.sampler
-        table = self.table
         t0 = self.last_t
         round_idx = 0
         while True:
@@ -1143,7 +1136,6 @@ class _RunState:
                 # for valid traces; recorded for failure-injection tests).
                 for job in self.queue:
                     self.unscheduled.append(job.id)
-                    table.state[job.row] = JobTable.UNSCHEDULED
                     if self.event_log is not None:
                         self.event_log.record(
                             round_t, "unscheduled", job.id, job.size
@@ -1160,7 +1152,7 @@ class _RunState:
         resilience = self.resilience
         completed = [
             JobRecord(j.id, j.size, j.arrival, j.start, j.end)
-            for j in self.table.jobs
+            for j in self.jobs
             if j.end >= 0
         ]
         return SimResult(

@@ -142,7 +142,8 @@ class ClusterState:
 
     * ``_leaf_ge[k][pod]`` — leaves of ``pod`` with at least ``k`` free
       nodes (``k`` in ``0..m1``), the monotone counter behind the pod
-      prefilter (:meth:`feasible_pods`);
+      prefilter (:meth:`feasible_pods`); row ``m1`` is
+      ``full_free_leaves`` itself, the same list object;
     * ``_leaf_buckets[pod][f]`` — bitmask of leaf *offsets* (bit ``j`` =
       ``j``-th leaf of the pod) holding exactly ``f`` free nodes; the
       ``f = m1`` bucket is the fully-free-leaf bitmask, and walking the
@@ -151,7 +152,7 @@ class ClusterState:
       two-level scorer reads a pod's whole row (:meth:`leaf_bucket_row`).
 
     The per-pod counters, the per-node owners and the per-leaf uplink
-    counts are plain lists of ints: every reader touches one element or
+    masks are plain lists of ints: every reader touches one element or
     walks at most a few dozen pods, where numpy's fixed per-call cost
     outweighs the work.  Only ``free_per_leaf`` stays a numpy array,
     because the tier screens, Baseline's best-fit sort and
@@ -185,13 +186,15 @@ class ClusterState:
         self.spine_free_mask = [
             [self._full_spine_mask] * tree.l2_per_pod for _ in range(m3)
         ]
-        #: number of completely-free leaves per pod
-        self.full_free_leaves: List[int] = [m2] * m3
         #: total free nodes per pod
         self.pod_free: List[int] = [tree.nodes_per_pod] * m3
         #: leaves with >= k free nodes, per pod: row k is the per-pod
         #: list compared against a shape's leaf demand
         self._leaf_ge: List[List[int]] = [[m2] * m3 for _ in range(m1 + 1)]
+        #: number of completely-free leaves per pod: the ``_leaf_ge``
+        #: row ``m1`` itself (a leaf with ``m1`` free nodes is fully
+        #: free), so it needs no upkeep of its own
+        self.full_free_leaves: List[int] = self._leaf_ge[m1]
         #: per-pod bitmask buckets of leaf offsets by exact free count;
         #: bucket m1 is the fully-free-leaf mask
         self._leaf_buckets: List[List[int]] = [
@@ -199,12 +202,10 @@ class ClusterState:
         ]
         #: total free nodes on the machine
         self.free_nodes_total = tree.num_nodes
-        #: count of claimed uplinks per leaf (0 = every cable to the
-        #: pod's L2 switches is free); drives the usable-leaf index
-        self._leaf_busy_up: List[int] = [0] * tree.num_leaves
-        #: per-pod bitmask of leaf offsets with >= 1 claimed uplink;
-        #: a fully-free leaf on this mask cannot host a full-bandwidth
-        #: (all-uplinks) placement
+        #: per-pod bitmask of leaf offsets with >= 1 claimed uplink
+        #: (a leaf whose ``leaf_up_mask`` is not full); a fully-free
+        #: leaf on this mask cannot host a full-bandwidth (all-uplinks)
+        #: placement
         self._busy_leaf_mask: List[int] = [0] * m3
         self._claims: Dict[int, ClaimRecord] = {}
 
@@ -265,7 +266,7 @@ class ClusterState:
 
     def busy_uplink_leaf_mask(self, pod: int) -> int:
         """Bitmask of leaf offsets of ``pod`` with at least one claimed
-        uplink.  Maintained incrementally from ``_leaf_busy_up``."""
+        uplink.  Maintained incrementally from ``leaf_up_mask``."""
         return self._busy_leaf_mask[pod]
 
     def usable_full_leaf_mask(self, pod: int) -> int:
@@ -439,9 +440,7 @@ class ClusterState:
         for leaf, i in leaf_links:
             self.leaf_up_mask[leaf] &= ~(1 << i)
             pod = leaf // m2
-            if self._leaf_busy_up[leaf] == 0:
-                self._busy_leaf_mask[pod] |= 1 << (leaf - pod * m2)
-            self._leaf_busy_up[leaf] += 1
+            self._busy_leaf_mask[pod] |= 1 << (leaf - pod * m2)
         for pod, i, j in spine_links:
             self.spine_free_mask[pod][i] &= ~(1 << j)
         self.free_nodes_total -= len(nodes)
@@ -494,9 +493,8 @@ class ClusterState:
             freed += len(rec.nodes)
             for leaf, i in rec.leaf_links:
                 self.leaf_up_mask[leaf] |= 1 << i
-                pod = leaf // m2
-                self._leaf_busy_up[leaf] -= 1
-                if self._leaf_busy_up[leaf] == 0:
+                if self.leaf_up_mask[leaf] == self._full_leaf_mask:
+                    pod = leaf // m2
                     self._busy_leaf_mask[pod] &= ~(1 << (leaf - pod * m2))
             for pod, i, j in rec.spine_links:
                 self.spine_free_mask[pod][i] |= 1 << j
@@ -511,15 +509,14 @@ class ClusterState:
         deltas) and :meth:`release` / :meth:`release_many` (positive):
         the leaf's bit moves from bucket ``f`` to bucket ``f + delta``,
         the ``|delta|`` ``_leaf_ge`` rows strictly above the lower count
-        and up to the higher one change by one, and ``pod_free`` and
-        ``full_free_leaves`` follow — exactly the composition of
-        ``|delta|`` single-node steps, so the order in which a
-        mutation's nodes arrive does not matter.
+        and up to the higher one change by one (row ``m1`` is
+        ``full_free_leaves``), and ``pod_free`` follows — exactly the
+        composition of ``|delta|`` single-node steps, so the order in
+        which a mutation's nodes arrive does not matter.
         """
-        m1, m2 = self.tree.m1, self.tree.m2
+        m2 = self.tree.m2
         free_per_leaf = self.free_per_leaf
         pod_free = self.pod_free
-        full_free = self.full_free_leaves
         leaf_ge = self._leaf_ge
         for leaf, delta in deltas.items():
             pod = leaf // m2
@@ -527,10 +524,6 @@ class ClusterState:
             nf = f + delta
             free_per_leaf[leaf] = nf
             pod_free[pod] += delta
-            if f == m1:
-                full_free[pod] -= 1
-            elif nf == m1:
-                full_free[pod] += 1
             bit = 1 << (leaf - pod * m2)
             buckets = self._leaf_buckets[pod]
             buckets[f] &= ~bit
@@ -561,11 +554,6 @@ class ClusterState:
                 raise AllocationError(f"free_per_leaf[{leaf}] out of sync")
         for pod in range(tree.num_pods):
             lo = pod * tree.m2
-            full = int(
-                (self.free_per_leaf[lo : lo + tree.m2] == tree.m1).sum()
-            )
-            if full != self.full_free_leaves[pod]:
-                raise AllocationError(f"full_free_leaves[{pod}] out of sync")
             if int(self.free_per_leaf[lo : lo + tree.m2].sum()) != self.pod_free[pod]:
                 raise AllocationError(f"pod_free[{pod}] out of sync")
             counts = self.free_per_leaf[lo : lo + tree.m2]
@@ -585,10 +573,6 @@ class ClusterState:
             )
             if want_busy != self._busy_leaf_mask[pod]:
                 raise AllocationError(f"_busy_leaf_mask[{pod}] out of sync")
-        for leaf in range(tree.num_leaves):
-            claimed = tree.l2_per_pod - self.leaf_up_mask[leaf].bit_count()
-            if claimed != self._leaf_busy_up[leaf]:
-                raise AllocationError(f"_leaf_busy_up[{leaf}] out of sync")
         owned_nodes: Dict[int, int] = {}
         owned_leaf_links: Dict[LinkId, int] = {}
         owned_spine_links: Dict[SpineLinkId, int] = {}

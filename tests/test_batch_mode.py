@@ -15,11 +15,11 @@ from repro.sched.eventcore import (
     FAULT_INJECT,
     FAULT_REPAIR,
     EventStreams,
-    JobTable,
     round_boundary,
 )
 from repro.sched.job import Job
 from repro.sched.metrics import fidelity_report
+from repro.sched.resilience import FaultSpec, FaultTimeline
 from repro.sched.simulator import Simulator
 from repro.topology.fattree import FatTree
 
@@ -58,7 +58,7 @@ class TestArrayEventQueue:
         times, kinds, payloads = streams.take_round(5.0)
         assert times == [1.0, 3.0, 5.0, 5.0]
         assert kinds == [ARRIVAL] * 4
-        # equal-time arrivals keep job-table row (trace) order
+        # equal-time arrivals keep trace order (by trace index)
         assert payloads == [1, 3, 0, 2]
         assert streams.empty()
         assert streams.next_time() == math.inf
@@ -187,17 +187,38 @@ def test_rounds_pop_due_events_in_sorted_order(
     assert joined == sorted(every)
 
 
-class TestJobTable:
-    def test_columns_and_first_oversized(self):
-        jobs = [Job(id=1, size=4, runtime=1.0),
-                Job(id=2, size=9, runtime=2.0, arrival=5.0)]
-        table = JobTable(jobs)
-        assert list(table.sizes) == [4, 9]
-        assert table.first_arrival == 0.0
-        assert table.first_oversized(lambda s: s, capacity=10) is None
-        assert table.first_oversized(lambda s: s, capacity=8) is jobs[1]
-        # effective sizes count, not requested ones
-        assert table.first_oversized(lambda s: s * 3, capacity=10) is jobs[0]
+class TestEventTimesAreFloats:
+    """Every event time is a float, also where the trace or a fault
+    spec holds an int: the records' ``start``/``end`` feed
+    ``decisions_sha256``, whose JSON writes ``5`` for an int and
+    ``5.0`` for a float."""
+
+    @staticmethod
+    def _records(as_time, step):
+        # Event-driven: job 2 starts on its arrival at 5; node 0 fails
+        # at 50 and kills job 1, so job 3 starts in the kill's pass; job
+        # 1 restarts when job 3 ends.
+        jobs = [
+            Job(id=1, size=120, runtime=100.0, arrival=as_time(0)),
+            Job(id=2, size=8, runtime=30.0, arrival=as_time(5)),
+            Job(id=3, size=16, runtime=20.0, arrival=as_time(10)),
+        ]
+        faults = FaultTimeline(
+            (FaultSpec(as_time(50), "node", (0,), as_time(80)),)
+        )
+        result = _run(jobs, step_interval=step, fault_timeline=faults)
+        assert result.resubmissions == 1
+        return [(r.job_id, r.start, r.end) for r in result.jobs]
+
+    @pytest.mark.parametrize("step", [None, 300])
+    def test_int_trace_and_fault_times_replay_as_floats(self, step):
+        got = self._records(int, step)
+        # compare types too: 5 == 5.0
+        assert all(
+            type(start) is float and type(end) is float
+            for _, start, end in got
+        ), got
+        assert got == self._records(float, step)
 
 
 class TestRoundBoundary:

@@ -50,7 +50,7 @@ def _assert_reconstructs(result, context):
         starts = 1 if row["start"] is not None else 0
         assert row["attempts"] == skips + starts, (context, row)
         if starts:
-            assert row["state"] in ("running", "completed"), (context, row)
+            assert row["state"] == "completed", (context, row)
             assert row["first_eligible"] is not None, (context, row)
             assert row["first_eligible"] <= row["start"], (context, row)
             assert math.isclose(
@@ -59,8 +59,7 @@ def _assert_reconstructs(result, context):
             ), (context, row)
         else:
             assert row["end"] is None and row["wait"] is None, (context, row)
-            assert row["state"] in ("pending", "queued", "unscheduled"), (
-                context, row)
+            assert row["state"] == "unscheduled", (context, row)
 
     # Aggregate ledger: charged attempts on the result are exactly the
     # per-job attempts; successes are exactly the started jobs.

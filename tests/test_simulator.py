@@ -192,10 +192,49 @@ class TestMetricsAccounting:
         assert result.stats.attempts >= 20
 
 
+class _TripledSizes(BaselineAllocator):
+    """Consumes three nodes per requested node."""
+
+    def effective_size(self, size):
+        return 3 * size
+
+
 class TestValidationAndEdgeCases:
     def test_oversized_job_rejected_up_front(self, tree):
         with pytest.raises(ValueError, match="cluster has"):
             sim(tree).run([Job(id=1, size=129, runtime=1.0)])
+
+    def test_first_oversized_job_in_trace_order_is_named(self, tree):
+        jobs = [
+            Job(id=1, size=4, runtime=1.0),
+            Job(id=2, size=200, runtime=1.0),
+            Job(id=3, size=129, runtime=1.0),
+        ]
+        with pytest.raises(ValueError, match="job 2 needs 200 nodes"):
+            sim(tree).run(jobs)
+
+    def test_effective_sizes_count_not_requested_ones(self, tree):
+        # 43 nodes fit the 128-node cluster; 3 * 43 = 129 does not
+        jobs = [
+            Job(id=1, size=4, runtime=1.0),
+            Job(id=2, size=43, runtime=1.0),
+        ]
+        with pytest.raises(
+            ValueError, match=r"job 2 needs 43 nodes \(effective 129\)"
+        ):
+            Simulator(_TripledSizes(tree)).run(jobs)
+        result = sim(tree).run(jobs)
+        assert len(result.jobs) == 2
+
+    def test_oversized_job_rejected_before_any_job_is_reset(self, tree):
+        # The size check used to run after every job was reset, so a
+        # rejected run wiped the results of an earlier one.
+        first = Job(id=1, size=4, runtime=10.0)
+        sim(tree).run([first])
+        assert (first.start, first.end) == (0.0, 10.0)
+        with pytest.raises(ValueError, match="job 2 needs 129 nodes"):
+            sim(tree).run([first, Job(id=2, size=129, runtime=1.0)])
+        assert (first.start, first.end) == (0.0, 10.0)
 
     @pytest.mark.parametrize("second_arrival", [0.0, 100.0])
     def test_duplicate_job_ids_rejected_up_front(self, tree, second_arrival):

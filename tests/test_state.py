@@ -137,7 +137,6 @@ def _ownership_snapshot(state):
         list(state.node_owner),
         list(state.leaf_up_mask),
         [list(row) for row in state.spine_free_mask],
-        list(state._leaf_busy_up),
         state.free_nodes_total,
         state.resident_jobs(),
     )

@@ -7,9 +7,13 @@ that waits must be in it once.  After every scheduling pass and every
 fault kill, for every queue order and backfill policy, both drive
 modes and faulted ``requeue-remaining`` replays:
 
-* the queue holds each job whose job-table state is ``QUEUED`` exactly
-  once, and no other job;
+* the queue holds, once each, the jobs that have arrived by the
+  pass's or the kill's time and hold no start (a kill resets
+  ``start``), and no other job;
 * under a priority order, the jobs' keys are non-decreasing.
+
+The oracle reads the jobs' own ``arrival`` and ``start``, not any
+bookkeeping of the simulator's.
 """
 
 from collections import Counter
@@ -17,7 +21,6 @@ from collections import Counter
 import pytest
 
 from repro.core.registry import make_allocator
-from repro.sched.eventcore import JobTable
 from repro.sched.resilience import FaultTimeline
 from repro.sched.simulator import Simulator, _RunState
 from repro.topology.fattree import FatTree
@@ -51,12 +54,12 @@ CONFIGS = {
 }
 
 
-def check_queue(state):
-    """The queue is exactly the ``QUEUED`` jobs, each once, in key
-    order under a priority queue order."""
-    table = state.table
-    waiting = table.ids[table.state == JobTable.QUEUED]
-    assert sorted(job.id for job in state.queue) == sorted(waiting.tolist())
+def check_queue(state, jobs, now):
+    """The queue is exactly the jobs of ``jobs`` that have arrived by
+    ``now`` and hold no start, each once, in key order under a priority
+    queue order."""
+    waiting = [job.id for job in jobs if job.arrival <= now and job.start < 0]
+    assert sorted(job.id for job in state.queue) == sorted(waiting)
     if state.priority_key is not None:
         keys = [state.priority_key(job) for job in state.queue]
         assert all(a <= b for a, b in zip(keys, keys[1:]))
@@ -65,20 +68,23 @@ def check_queue(state):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_queue_holds_exactly_the_waiting_jobs(monkeypatch, name):
     calls = {"schedule": 0, "kill_job": 0}
+    jobs = pass_jobs()
 
-    def checked(method):
+    def checked(method, now_arg):
+        """Check the queue after every ``method`` call, at the time it
+        receives as positional argument ``now_arg``."""
         original = getattr(_RunState, method)
 
         def wrapper(self, *args, **kwargs):
             out = original(self, *args, **kwargs)
             calls[method] += 1
-            check_queue(self)
+            check_queue(self, jobs, args[now_arg])
             return out
 
         monkeypatch.setattr(_RunState, method, wrapper)
 
-    checked("schedule")
-    checked("kill_job")
+    checked("schedule", 0)  # schedule(now)
+    checked("kill_job", 1)  # kill_job(job, now)
     # Starts by mechanism, counted without an event log so the run
     # keeps its columnar event drain.
     starts = Counter()
@@ -93,7 +99,6 @@ def test_queue_holds_exactly_the_waiting_jobs(monkeypatch, name):
     sim = Simulator(
         make_allocator("jigsaw", FatTree.from_radix(8)), **CONFIGS[name]
     )
-    jobs = pass_jobs()
     result = sim.run(jobs, name)
 
     assert calls["schedule"] == result.scheduling_rounds
