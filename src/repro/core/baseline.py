@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.core.allocator import Allocation, Allocator
 
 
@@ -43,19 +41,12 @@ class BaselineAllocator(Allocator):
         if size > state.free_nodes_total:
             return None
         # Fill the fullest (least-free) non-empty leaves first.
-        free = state.free_per_leaf
-        occupied_order = np.argsort(free, kind="stable")
         nodes: List[int] = []
         remaining = size
-        for leaf in occupied_order:
-            f = int(free[leaf])
-            if f == 0:
-                continue
+        for f, leaf in state.best_fit_leaves(1):
             take = min(f, remaining)
-            nodes.extend(state.free_node_ids(int(leaf), take))
+            nodes.extend(state.free_node_ids(leaf, take))
             remaining -= take
             if remaining == 0:
-                break
-        if remaining:
-            return None  # unreachable given the free_nodes_total guard
-        return Allocation(job_id=job_id, size=size, nodes=tuple(nodes))
+                return Allocation(job_id=job_id, size=size, nodes=tuple(nodes))
+        return None  # unreachable given the free_nodes_total guard

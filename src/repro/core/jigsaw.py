@@ -375,7 +375,7 @@ class JigsawAllocator(Allocator):
         consumed = 0
         residue = 0
         for leaf in full_leaves:
-            f = int(free[leaf])
+            f = free[leaf]
             if f == m1:
                 if shape.nL == m1:
                     consumed += 1
@@ -383,7 +383,7 @@ class JigsawAllocator(Allocator):
                     broken += 1
             residue += f - shape.nL
         if rem_leaf is not None:
-            f = int(free[rem_leaf])
+            f = free[rem_leaf]
             if f == m1:
                 broken += 1
             residue += f - shape.nrL

@@ -105,8 +105,8 @@ class LeastConstrainedAllocator(JigsawAllocator):
         self.max_solutions_per_pod = max_solutions_per_pod
         self._bw = default_bw
         self._bw_by_job: Dict[int, float] = {}
-        # Per-_search columnar mask caches (pod -> per-leaf / per-L2
-        # bitmask rows at the current bandwidth need); reset by _search.
+        # Per-_search mask caches (pod -> per-leaf / per-L2 bitmask
+        # rows at the current bandwidth need); reset by _search.
         self._leaf_mask_cache: Dict[int, List[int]] = {}
         self._spine_mask_cache: Dict[int, List[int]] = {}
 
@@ -115,12 +115,10 @@ class LeastConstrainedAllocator(JigsawAllocator):
     # ------------------------------------------------------------------
     def _leaf_mask(self, leaf: int) -> int:
         if self.share_links:
-            # Columnar per-search cache: bandwidth and link state are
-            # fixed for the duration of one _search, so all of a pod's
-            # leaf masks are built in one vectorized pass (identical
-            # IEEE comparison, see
-            # :meth:`LinkCapacityState.leaf_masks_of_pod`) on first
-            # touch instead of one Python loop per leaf per probe.
+            # Bandwidth and link state are fixed for the duration of
+            # one _search, so all of a pod's leaf masks are built in one
+            # pass (:meth:`LinkCapacityState.leaf_masks_of_pod`) on
+            # first touch instead of once per leaf per probe.
             pod = leaf // self.tree.m2
             row = self._leaf_mask_cache.get(pod)
             if row is None:

@@ -17,9 +17,11 @@ over **all** of its uplinks, so the whole leaf's uplink set belongs to
 that job (Figure 2, center — internal link fragmentation) and no other
 multi-leaf job may place nodes there.  Likewise a pod carrying part of a
 machine-spanning job could see that job's traffic on all of its
-L2-to-spine links, so at most one T3 job may touch a pod.  T1 jobs use no
-uplinks at all (their traffic turns around inside the leaf crossbar), so
-they may share leaves with anything.
+L2-to-spine links, so at most one T3 job may touch a pod.  TA reserves at
+whole-leaf granularity: once a multi-leaf job holds nodes on a leaf, no
+other job is placed there, T1 jobs included, even though T1 traffic never
+leaves the leaf crossbar.  T1 jobs share leaves with each other, and a
+multi-leaf job may join a leaf that only T1 jobs use.
 
 The paper attributes to TA exactly two failure modes, both reproduced
 here: internal fragmentation of *links* (never of nodes — TA assigns
@@ -31,9 +33,7 @@ three).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.allocator import Allocation, Allocator
 from repro.topology.fattree import XGFT
@@ -46,27 +46,17 @@ class TopologyAwareAllocator(Allocator):
     ----------
     tree:
         Topology to allocate on.
-    t1_shares_multi_leaf:
-        Whether single-leaf (T1) jobs may be placed on leaves whose
-        uplinks are implicitly reserved by a multi-leaf job.  ``False``
-        (default) is the strict reading — TA reserves at whole-leaf
-        granularity, so a reserved leaf takes no other job's nodes;
-        ``True`` is the permissive reading (T1 traffic never leaves the
-        leaf crossbar, so no contention is conceivable).  The difference
-        is an ablation knob.
     """
 
     name = "ta"
     isolating = True
 
-    def __init__(self, tree: XGFT, t1_shares_multi_leaf: bool = False):
+    def __init__(self, tree: XGFT):
         super().__init__(tree)
-        self.t1_shares_multi_leaf = t1_shares_multi_leaf
         #: job id of the multi-leaf job whose nodes sit on each leaf, or -1
-        #: (numpy so the T1/T2/T3 scans are vectorized comparisons)
-        self._multi_owner = np.full(tree.num_leaves, -1, dtype=np.int64)
+        self._multi_owner: List[int] = [-1] * tree.num_leaves
         #: job id of the T3 job touching each pod, or -1
-        self._t3_owner = np.full(tree.num_pods, -1, dtype=np.int64)
+        self._t3_owner: List[int] = [-1] * tree.num_pods
         #: per-job bookkeeping for release: (class, leaves, pods)
         self._job_meta: Dict[int, Tuple[str, Tuple[int, ...], Tuple[int, ...]]] = {}
 
@@ -96,26 +86,29 @@ class TopologyAwareAllocator(Allocator):
     def batch_screen(self, effs):
         """Exact containment-rule feasibility, one comparison per tier.
 
-        * T1 is feasible iff some usable leaf has ``>= size`` free
-          nodes (``usable`` honours ``t1_shares_multi_leaf``);
-        * T2 iff some pod's usable leaves total ``>= size``;
-        * T3 iff the usable leaves of T3-eligible pods total ``>= size``.
+        * T1 is feasible iff some unreserved leaf has ``>= size`` free
+          nodes;
+        * T2 iff some pod's unreserved leaves total ``>= size``;
+        * T3 iff the unreserved leaves of T3-eligible pods total
+          ``>= size``.
 
         These mirror :meth:`_search_t1`/``_t2``/``_t3`` exactly — the
         search succeeds iff the screen passes — so a ``True`` here is a
         proof of (durable) infeasibility, and TA's failed searches
-        vanish entirely from the scheduling pass.  The three limits are
-        whole-array sums over ``free_per_leaf``; each candidate is then
-        one comparison.
+        vanish entirely from the scheduling pass.  The three limits
+        come from one walk over the unreserved per-leaf free counts;
+        each candidate is then one comparison.
         """
         tree = self.tree
-        free = self.state.free_per_leaf
-        usable = np.where(self._multi_owner == -1, free, 0)
-        t1_free = free if self.t1_shares_multi_leaf else usable
-        t1_max = int(t1_free.max()) if t1_free.size else 0
-        totals = usable.reshape(tree.num_pods, tree.m2).sum(axis=1)
-        t2_max = int(totals.max()) if totals.size else 0
-        t3_total = int(np.where(self._t3_owner == -1, totals, 0).sum())
+        usable = self._usable_free()
+        totals = self._pod_totals(usable)
+        t1_max = max(usable, default=0)
+        t2_max = max(totals, default=0)
+        t3_total = sum(
+            total
+            for total, owner in zip(totals, self._t3_owner)
+            if owner == -1
+        )
         m1, npod = tree.m1, tree.nodes_per_pod
         return [
             eff > (
@@ -138,85 +131,76 @@ class TopologyAwareAllocator(Allocator):
         return self._search_t3(job_id, size)
 
     def _search_t1(self, job_id: int, size: int) -> Optional[Allocation]:
-        """Best-fit single leaf with ``size`` free nodes."""
+        """Best-fit unreserved leaf with ``size`` free nodes: fewest free
+        nodes, then lowest leaf id."""
         state = self.state
-        tree = self.tree
-        free = state.free_per_leaf
-        eligible = free >= size
-        if not self.t1_shares_multi_leaf:
-            eligible &= self._multi_owner == -1
-        # argmin over (free where eligible else m1+1) returns the *first*
-        # leaf achieving the minimum: fewest free nodes, lowest leaf id.
-        scored = np.where(eligible, free, tree.m1 + 1)
-        best = int(np.argmin(scored))
-        if scored[best] > tree.m1:
-            return None
-        nodes = state.free_node_ids(best, size)
-        return Allocation(job_id=job_id, size=size, nodes=tuple(nodes))
+        owner = self._multi_owner
+        for _f, leaf in state.best_fit_leaves(size):
+            if owner[leaf] == -1:
+                nodes = state.free_node_ids(leaf, size)
+                return Allocation(job_id=job_id, size=size, nodes=nodes)
+        return None
 
-    def _usable_free(self) -> np.ndarray:
+    def _usable_free(self) -> List[int]:
         """Per-leaf free counts with multi-leaf-reserved leaves zeroed."""
-        return np.where(
-            self._multi_owner == -1, self.state.free_per_leaf, 0
-        )
+        return [
+            f if owner == -1 else 0
+            for f, owner in zip(self.state.free_per_leaf, self._multi_owner)
+        ]
+
+    def _pod_totals(self, usable: List[int]) -> List[int]:
+        """Per-pod sums of :meth:`_usable_free`."""
+        m2 = self.tree.m2
+        return [sum(usable[lo : lo + m2]) for lo in range(0, len(usable), m2)]
 
     def _search_t2(self, job_id: int, size: int) -> Optional[Allocation]:
         """Single pod, on leaves with no other multi-leaf job's nodes."""
         tree = self.tree
-        usable_free = self._usable_free()
-        totals = usable_free.reshape(tree.num_pods, tree.m2).sum(axis=1)
-        ok = np.flatnonzero(totals >= size)
-        self.stats.pods_pruned += tree.num_pods - int(ok.size)
-        if ok.size == 0:
+        usable = self._usable_free()
+        ok = [pod for pod, t in enumerate(self._pod_totals(usable)) if t >= size]
+        self.stats.pods_pruned += tree.num_pods - len(ok)
+        if not ok:
             return None
-        pod = int(ok[0])  # first feasible pod
-        lo = pod * tree.m2
-        seg = usable_free[lo : lo + tree.m2]
-        idx = np.flatnonzero(seg > 0)
-        return self._take_from_leaves(job_id, size, seg[idx], idx + lo)
+        lo = ok[0] * tree.m2  # first feasible pod
+        return self._take_from_leaves(
+            job_id, size, usable, range(lo, lo + tree.m2)
+        )
 
     def _search_t3(self, job_id: int, size: int) -> Optional[Allocation]:
-        """Across pods that no other T3 job touches, on unreserved leaves."""
+        """Across pods that no other T3 job touches, on unreserved leaves:
+        pods in index order up to the first one at which the running
+        usable total reaches the job."""
         tree = self.tree
-        usable_free = self._usable_free()
-        eligible = self._t3_owner == -1
-        self.stats.pods_pruned += int((~eligible).sum())
-        per_pod = usable_free.reshape(tree.num_pods, tree.m2).sum(axis=1)
-        cum = np.cumsum(np.where(eligible, per_pod, 0))
-        if int(cum[-1]) < size:
-            return None
-        # Pods in index order up to the first one at which the running
-        # usable total reaches the job.
-        cut = int(np.searchsorted(cum, size))
-        limit = (cut + 1) * tree.m2
-        mask = np.repeat(eligible[: cut + 1], tree.m2)
-        idx = np.flatnonzero((usable_free[:limit] > 0) & mask)
-        return self._take_from_leaves(job_id, size, usable_free[idx], idx)
+        m2 = tree.m2
+        t3_owner = self._t3_owner
+        self.stats.pods_pruned += tree.num_pods - t3_owner.count(-1)
+        usable = self._usable_free()
+        leaves: List[int] = []
+        total = 0
+        for pod, pod_total in enumerate(self._pod_totals(usable)):
+            if t3_owner[pod] == -1:
+                leaves.extend(range(pod * m2, (pod + 1) * m2))
+                total += pod_total
+                if total >= size:
+                    return self._take_from_leaves(job_id, size, usable, leaves)
+        return None
 
     def _take_from_leaves(
-        self,
-        job_id: int,
-        size: int,
-        free_arr: np.ndarray,
-        leaf_arr: np.ndarray,
+        self, job_id: int, size: int, usable: List[int], leaves: Iterable[int]
     ) -> Allocation:
-        """Take ``size`` nodes, emptiest leaves first (fewest leaves
-        touched, so the fewest uplink sets are implicitly reserved).
-
-        ``np.lexsort`` keys are (secondary, primary) = (leaf, -free), so
-        the order is emptiest-first with leaf-id tie-break; the take
-        stops at the prefix the running total proves sufficient.
-        """
-        order = np.lexsort((leaf_arr, -free_arr))
-        f = free_arr[order]
-        leaves = leaf_arr[order]
-        cut = int(np.searchsorted(np.cumsum(f), size))
+        """Take ``size`` nodes from ``leaves``, emptiest first with
+        leaf-id tie-break (fewest leaves touched, so the fewest uplink
+        sets are implicitly reserved), stopping once the job is
+        covered."""
+        order = sorted((-usable[leaf], leaf) for leaf in leaves if usable[leaf])
         nodes: List[int] = []
         remaining = size
-        for i in range(cut + 1):
-            take = min(int(f[i]), remaining)
-            nodes.extend(self.state.free_node_ids(int(leaves[i]), take))
+        for neg_free, leaf in order:
+            take = min(-neg_free, remaining)
+            nodes.extend(self.state.free_node_ids(leaf, take))
             remaining -= take
+            if remaining == 0:
+                break
         assert remaining == 0, "capacity was checked before taking nodes"
         return Allocation(job_id=job_id, size=size, nodes=tuple(nodes))
 

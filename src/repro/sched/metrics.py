@@ -27,8 +27,6 @@ import math
 from dataclasses import MISSING, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.allocator import AllocatorStats
 from repro.obs.metrics import metric
 
@@ -41,14 +39,6 @@ INSTANT_BINS = (
     ("80-90", 80.0, 90.0),
     ("60-80", 60.0, 80.0),
     ("<=60", -0.0001, 60.0),
-)
-
-#: Ascending bin edges / labels derived from INSTANT_BINS, used by the
-#: vectorized ``InstantHistogram.add_many`` (searchsorted wants ascending).
-_INSTANT_LABELS_ASC = tuple(label for label, _, _ in reversed(INSTANT_BINS))
-_INSTANT_EDGES = np.array(
-    [INSTANT_BINS[-1][1]] + [hi for _, _, hi in reversed(INSTANT_BINS)],
-    np.float64,
 )
 
 #: Figure 7's "large job" threshold, in nodes.
@@ -72,23 +62,6 @@ class InstantHistogram:
                 self.total += 1
                 return
         raise ValueError(f"utilization {utilization_pct} outside [0, 100]")
-
-    def add_many(self, utilization_pcts: "np.ndarray") -> None:
-        """Classify a batch of samples; identical to per-sample :meth:`add`.
-
-        Bins by the same half-open ``lo <= u < hi`` ranges via
-        ``searchsorted`` over the ascending bin edges.
-        """
-        arr = np.asarray(utilization_pcts, np.float64)
-        if arr.size == 0:
-            return
-        idx = np.searchsorted(_INSTANT_EDGES, arr, side="right") - 1
-        if (idx < 0).any() or (idx >= len(_INSTANT_LABELS_ASC)).any():
-            bad = arr[(idx < 0) | (idx >= len(_INSTANT_LABELS_ASC))][0]
-            raise ValueError(f"utilization {bad} outside [0, 100]")
-        for i, n in zip(*np.unique(idx, return_counts=True)):
-            self.counts[_INSTANT_LABELS_ASC[i]] += int(n)
-        self.total += int(arr.size)
 
     def fraction(self, label: str) -> float:
         """Share of samples in the named bin (0 when no samples)."""

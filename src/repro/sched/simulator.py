@@ -964,8 +964,8 @@ class _RunState:
         metrics are sums of per-interval products, so association
         order matters down to the bit); everything O(1)-per-event
         beyond that — allocation release, the occupancy-index update,
-        the feasibility-cache invalidation — is grouped: one
-        ``release_many`` and one histogram ``add_many``.
+        the feasibility-cache invalidation — is grouped into one
+        ``release_many``.
         """
         completion_jobs = self.streams.completion_jobs
         resilience = self.resilience
@@ -982,7 +982,6 @@ class _RunState:
         da = self.demand_area
         busy = self.cur_busy
         live: List[Job] = []
-        util: List[float] = []
         want_util = pending > 0 and cap > 0
         for t, slot in zip(times, slots):
             dt = t - last_t
@@ -1005,7 +1004,7 @@ class _RunState:
             live.append(job)
             self.last_completion = t
             if want_util:
-                util.append(100.0 * busy / cap)
+                self.instant.add(100.0 * busy / cap)
         self.last_t = last_t
         self.total_busy_area = tba
         self.busy_area = ba
@@ -1018,8 +1017,6 @@ class _RunState:
                 if rm is not None:
                     rm.on_release(job.id)
                 running.pop(job.id)
-        if util:
-            self.instant.add_many(util)
         return len(live)
 
     def enqueue_batch(self, times: List[float], indexes: List[int]) -> None:
@@ -1151,7 +1148,7 @@ class _RunState:
         sim = self.sim
         resilience = self.resilience
         completed = [
-            JobRecord(j.id, j.size, j.arrival, j.start, j.end)
+            JobRecord(j.id, j.size, float(j.arrival), j.start, j.end)
             for j in self.jobs
             if j.end >= 0
         ]

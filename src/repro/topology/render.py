@@ -101,8 +101,8 @@ def render_free_summary(state: ClusterState) -> str:
     tree = state.tree
     lines: List[str] = []
     for pod in range(tree.num_pods):
-        free = int(state.free_leaf_counts_in_pod(pod).sum())
-        full = int(state.full_free_leaves[pod])
+        free = state.pod_free[pod]
+        full = state.full_free_leaves[pod]
         bar = "#" * round(10 * (1 - free / tree.nodes_per_pod))
         lines.append(
             f"pod {pod:>3}: {free:>4}/{tree.nodes_per_pod} free, "

@@ -26,9 +26,7 @@ a capacity cap rather than exclusively owned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.topology.fattree import LinkId, SpineLinkId, XGFT
 
@@ -151,12 +149,13 @@ class ClusterState:
       (:meth:`leaf_candidates`) without a per-call sort, and the
       two-level scorer reads a pod's whole row (:meth:`leaf_bucket_row`).
 
-    The per-pod counters, the per-node owners and the per-leaf uplink
-    masks are plain lists of ints: every reader touches one element or
-    walks at most a few dozen pods, where numpy's fixed per-call cost
-    outweighs the work.  Only ``free_per_leaf`` stays a numpy array,
-    because the tier screens, Baseline's best-fit sort and
-    ``batch_screen`` read it whole.
+    Every per-node, per-leaf and per-pod fact is a plain list of ints:
+    readers touch one element or walk at most a few hundred leaves,
+    where numpy's fixed per-call cost outweighs the work.
+    ``free_per_leaf`` is the one per-leaf free count: the index update
+    reads it to move a leaf between buckets, and the scorers index it
+    one leaf at a time.  Whole-machine best-fit walks read the buckets
+    instead (:meth:`best_fit_leaves`).
 
     Every index is updated once per touched leaf inside each mutation
     (:meth:`_shift_leaves`) and is purely derived data: rebuilding it
@@ -173,13 +172,8 @@ class ClusterState:
 
         #: owner job id per node, -1 = free
         self.node_owner: List[int] = [-1] * tree.num_nodes
-        #: free-node count per leaf (numpy: readers scan it whole)
-        self.free_per_leaf = np.full(tree.num_leaves, m1, dtype=np.int32)
-        # Read-only alias handed out by free_leaf_counts_in_pod: slices
-        # of a non-writeable view are non-writeable themselves, so
-        # allocators cannot scribble on index-owned state.
-        self._free_per_leaf_ro = self.free_per_leaf.view()
-        self._free_per_leaf_ro.flags.writeable = False
+        #: free-node count per leaf
+        self.free_per_leaf: List[int] = [m1] * tree.num_leaves
         #: free leaf-uplink bitmask per leaf (bit i = cable to L2 i free)
         self.leaf_up_mask = [self._full_leaf_mask] * tree.num_leaves
         #: free spine-link bitmask per (pod, L2 index)
@@ -219,12 +213,6 @@ class ClusterState:
     def is_idle(self) -> bool:
         return not self._claims
 
-    def free_nodes_on_leaf(self, leaf: int) -> int:
-        return int(self.free_per_leaf[leaf])
-
-    def leaf_is_fully_free(self, leaf: int) -> bool:
-        return self.free_per_leaf[leaf] == self.tree.m1
-
     def free_node_ids(self, leaf: int, k: int) -> Tuple[int, ...]:
         """The ``k`` lowest-numbered free nodes on ``leaf``."""
         if k == 0:
@@ -237,16 +225,6 @@ class ClusterState:
                 f"leaf {leaf} has {len(free)} free nodes, requested {k}"
             )
         return tuple(free[:k])
-
-    def free_leaf_counts_in_pod(self, pod: int) -> np.ndarray:
-        """Read-only view of per-leaf free-node counts for ``pod``.
-
-        The array is allocator-owned index state: writing through the
-        returned view would silently desynchronize the incremental
-        occupancy indexes, so mutation raises ``ValueError``.
-        """
-        lo = pod * self.tree.m2
-        return self._free_per_leaf_ro[lo : lo + self.tree.m2]
 
     # ------------------------------------------------------------------
     # Incremental occupancy index: O(1)/O(pods) read side
@@ -325,6 +303,24 @@ class ClusterState:
             if bucket:
                 return base + (bucket & -bucket).bit_length() - 1
         return None
+
+    def best_fit_leaves(self, min_free: int) -> Iterator[Tuple[int, int]]:
+        """``(free, leaf)`` for every leaf of the machine with at least
+        ``min_free`` free nodes, in best-fit order: ascending free
+        count, then ascending leaf id — the order of a stable sort of
+        ``free_per_leaf``, read off the buckets lazily (free count
+        first, then pods, then bits, all ascending)."""
+        m2 = self.tree.m2
+        rows = self._leaf_buckets
+        for f in range(min_free, self.tree.m1 + 1):
+            base = 0
+            for row in rows:
+                bucket = row[f]
+                while bucket:
+                    low = bucket & -bucket
+                    yield f, base + low.bit_length() - 1
+                    bucket ^= low
+                base += m2
 
     def leaf_bucket_row(self, pod: int) -> Sequence[int]:
         """The bucket row of ``pod``: entry ``f`` is the bitmask of leaf
@@ -520,7 +516,7 @@ class ClusterState:
         leaf_ge = self._leaf_ge
         for leaf, delta in deltas.items():
             pod = leaf // m2
-            f = int(free_per_leaf[leaf])
+            f = free_per_leaf[leaf]
             nf = f + delta
             free_per_leaf[leaf] = nf
             pod_free[pod] += delta
@@ -554,11 +550,11 @@ class ClusterState:
                 raise AllocationError(f"free_per_leaf[{leaf}] out of sync")
         for pod in range(tree.num_pods):
             lo = pod * tree.m2
-            if int(self.free_per_leaf[lo : lo + tree.m2].sum()) != self.pod_free[pod]:
-                raise AllocationError(f"pod_free[{pod}] out of sync")
             counts = self.free_per_leaf[lo : lo + tree.m2]
+            if sum(counts) != self.pod_free[pod]:
+                raise AllocationError(f"pod_free[{pod}] out of sync")
             for k in range(tree.m1 + 1):
-                if int((counts >= k).sum()) != self._leaf_ge[k][pod]:
+                if sum(1 for c in counts if c >= k) != self._leaf_ge[k][pod]:
                     raise AllocationError(f"_leaf_ge[{k}][{pod}] out of sync")
             for f in range(tree.m1 + 1):
                 want = mask_of(j for j in range(tree.m2) if counts[j] == f)
@@ -607,20 +603,25 @@ class LinkCapacityState:
     need to every link it is routed over, and total usage of a link is
     capped at ``cap_fraction * peak_bandwidth`` (the paper uses an 80 %
     cap on a 5 GB/s link, above which degradation rises sharply [30]).
+
+    Usage lives in two flat lists of floats, one element per link:
+    ``leaf_bw[leaf * l2 + i]`` for the cable from ``leaf`` to its pod's
+    ``i``-th L2 switch, and ``spine_bw[(pod * l2 + i) * spines + j]``
+    for the cable from that L2 switch to spine ``j`` of its group.
     """
 
     tree: XGFT
     peak_bandwidth: float = 5.0
     cap_fraction: float = 0.8
-    leaf_bw: np.ndarray = field(init=False)
-    spine_bw: np.ndarray = field(init=False)
+    leaf_bw: List[float] = field(init=False)
+    spine_bw: List[float] = field(init=False)
 
     def __post_init__(self) -> None:
         t = self.tree
-        self.leaf_bw = np.zeros((t.num_leaves, t.l2_per_pod))
-        self.spine_bw = np.zeros((t.num_pods, t.l2_per_pod, t.spines_per_group))
-        self._pow2_leaf = 1 << np.arange(t.l2_per_pod, dtype=np.int64)
-        self._pow2_spine = 1 << np.arange(t.spines_per_group, dtype=np.int64)
+        self._l2 = t.l2_per_pod
+        self._spines = t.spines_per_group
+        self.leaf_bw = [0.0] * (t.num_leaves * self._l2)
+        self.spine_bw = [0.0] * (t.num_pods * self._l2 * self._spines)
         self._claims: Dict[int, Tuple[Tuple[LinkId, ...], Tuple[SpineLinkId, ...], float]] = {}
 
     @property
@@ -628,44 +629,39 @@ class LinkCapacityState:
         """Usable bandwidth per link under the cap."""
         return self.peak_bandwidth * self.cap_fraction
 
-    def leaf_mask(self, leaf: int, need: float) -> int:
-        """Bitmask of ``leaf``'s uplinks with at least ``need`` headroom."""
-        row = self.leaf_bw[leaf]
-        cap = self.capacity
-        m = 0
-        for i in range(self.tree.l2_per_pod):
-            if row[i] + need <= cap + 1e-9:
-                m |= 1 << i
-        return m
-
-    def spine_mask(self, pod: int, l2_index: int, need: float) -> int:
-        """Bitmask of spines reachable from ``(pod, l2_index)`` with headroom."""
-        row = self.spine_bw[pod][l2_index]
-        cap = self.capacity
-        m = 0
-        for j in range(self.tree.spines_per_group):
-            if row[j] + need <= cap + 1e-9:
-                m |= 1 << j
-        return m
+    def _headroom_masks(
+        self, bw: List[float], lo: int, rows: int, width: int, need: float
+    ) -> List[int]:
+        """Bitmasks of ``rows`` consecutive ``width``-link rows of ``bw``
+        starting at ``lo``: bit ``b`` of a row is set iff its ``b``-th
+        link has ``need`` headroom, by the IEEE-754 test
+        ``used + need <= cap + 1e-9`` that :meth:`claim` negates."""
+        limit = self.capacity + 1e-9
+        out: List[int] = []
+        for r in range(lo, lo + rows * width, width):
+            m = 0
+            bit = 1
+            for used in bw[r : r + width]:
+                if used + need <= limit:
+                    m |= bit
+                bit <<= 1
+            out.append(m)
+        return out
 
     def leaf_masks_of_pod(self, pod: int, need: float) -> List[int]:
-        """Headroom bitmasks for every leaf of ``pod`` in one pass.
-
-        Element ``j`` equals ``leaf_mask(first_leaf + j, need)`` exactly:
-        the comparison is the same IEEE-754 ``row + need <= cap + 1e-9``
-        evaluated elementwise, so columnar and scalar callers agree
-        bit-for-bit.
-        """
-        lo = pod * self.tree.m2
-        rows = self.leaf_bw[lo : lo + self.tree.m2]
-        ok = rows + need <= self.capacity + 1e-9
-        return (ok.astype(np.int64) @ self._pow2_leaf).tolist()
+        """Element ``j``: bitmask of the uplinks of ``pod``'s ``j``-th
+        leaf with at least ``need`` headroom (bit ``i`` = cable to L2
+        switch ``i``)."""
+        m2, l2 = self.tree.m2, self._l2
+        return self._headroom_masks(self.leaf_bw, pod * m2 * l2, m2, l2, need)
 
     def spine_masks_of_pod(self, pod: int, need: float) -> List[int]:
-        """Headroom bitmasks for every L2 group of ``pod`` in one pass;
-        element ``i`` equals ``spine_mask(pod, i, need)`` exactly."""
-        ok = self.spine_bw[pod] + need <= self.capacity + 1e-9
-        return (ok.astype(np.int64) @ self._pow2_spine).tolist()
+        """Element ``i``: bitmask of the spines reachable from ``pod``'s
+        ``i``-th L2 switch with at least ``need`` headroom."""
+        l2, spines = self._l2, self._spines
+        return self._headroom_masks(
+            self.spine_bw, pod * l2 * spines, l2, spines, need
+        )
 
     def claim(
         self,
@@ -684,16 +680,18 @@ class LinkCapacityState:
             raise AllocationError(f"job {job_id} already holds bandwidth")
         _check_link_ids(self.tree, leaf_links, spine_links)
         cap = self.capacity
+        l2, spines = self._l2, self._spines
+        leaf_bw, spine_bw = self.leaf_bw, self.spine_bw
         for leaf, i in leaf_links:
-            if self.leaf_bw[leaf][i] + need > cap + 1e-9:
+            if leaf_bw[leaf * l2 + i] + need > cap + 1e-9:
                 raise AllocationError(f"leaf link ({leaf}, {i}) over capacity")
         for pod, i, j in spine_links:
-            if self.spine_bw[pod][i][j] + need > cap + 1e-9:
+            if spine_bw[(pod * l2 + i) * spines + j] + need > cap + 1e-9:
                 raise AllocationError(f"spine link ({pod}, {i}, {j}) over capacity")
         for leaf, i in leaf_links:
-            self.leaf_bw[leaf][i] += need
+            leaf_bw[leaf * l2 + i] += need
         for pod, i, j in spine_links:
-            self.spine_bw[pod][i][j] += need
+            spine_bw[(pod * l2 + i) * spines + j] += need
         self._claims[job_id] = (tuple(leaf_links), tuple(spine_links), need)
 
     def claimants(
@@ -724,14 +722,18 @@ class LinkCapacityState:
         except KeyError:
             raise AllocationError(f"job {job_id} holds no bandwidth") from None
         # Clamp tiny negative residue from float accumulation — but only
-        # on the links this job touched: a whole-array clip here costs
+        # on the links this job touched: clamping every link here costs
         # O(total links) per release and would also paper over genuine
         # accounting bugs on links the job never used.
+        l2, spines = self._l2, self._spines
+        leaf_bw, spine_bw = self.leaf_bw, self.spine_bw
         for leaf, i in leaf_links:
-            self.leaf_bw[leaf][i] -= need
-            if self.leaf_bw[leaf][i] < 0.0:
-                self.leaf_bw[leaf][i] = 0.0
+            k = leaf * l2 + i
+            leaf_bw[k] -= need
+            if leaf_bw[k] < 0.0:
+                leaf_bw[k] = 0.0
         for pod, i, j in spine_links:
-            self.spine_bw[pod][i][j] -= need
-            if self.spine_bw[pod][i][j] < 0.0:
-                self.spine_bw[pod][i][j] = 0.0
+            k = (pod * l2 + i) * spines + j
+            spine_bw[k] -= need
+            if spine_bw[k] < 0.0:
+                spine_bw[k] = 0.0

@@ -1,6 +1,10 @@
 """Baseline: unconstrained node-only allocation."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baseline import BaselineAllocator
 from repro.topology.fattree import FatTree
@@ -58,3 +62,44 @@ def test_release(tree, alloc):
     assert alloc.free_nodes == 0
     alloc.release(1)
     assert alloc.free_nodes == tree.num_nodes
+
+
+def _reference(state, size):
+    """Best fit over the whole machine, from ``free_per_leaf``: the
+    fullest non-empty leaves first (fewest free nodes, then lowest leaf
+    id), lowest free node ids on each leaf."""
+    if size > state.free_nodes_total:
+        return None
+    m1 = state.tree.m1
+    nodes = []
+    for free, leaf in sorted(
+        (f, leaf) for leaf, f in enumerate(state.free_per_leaf) if f
+    ):
+        take = min(free, size - len(nodes))
+        nodes += [
+            n for n in range(leaf * m1, (leaf + 1) * m1)
+            if state.node_owner[n] == -1
+        ][:take]
+        if len(nodes) == size:
+            return tuple(nodes)
+
+
+@pytest.mark.parametrize("radix", [8, 18])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_placements_match_sorted_reference(radix, seed):
+    tree = FatTree.from_radix(radix)
+    alloc = BaselineAllocator(tree)
+    rng = random.Random(seed)
+    live = []
+    for jid in range(1, 80):
+        if live and rng.random() < 0.35:
+            alloc.release(live.pop(rng.randrange(len(live))))
+            continue
+        npod = tree.nodes_per_pod
+        size = rng.randint(1, rng.choice([tree.m1, npod, 4 * npod]))
+        want = _reference(alloc.state, size)
+        got = alloc.allocate(jid, size)
+        assert (got.nodes if got else None) == want, (radix, seed, jid, size)
+        if got is not None:
+            live.append(jid)

@@ -189,7 +189,7 @@ def test_rounds_pop_due_events_in_sorted_order(
 
 class TestEventTimesAreFloats:
     """Every event time is a float, also where the trace or a fault
-    spec holds an int: the records' ``start``/``end`` feed
+    spec holds an int: the records' ``arrival``/``start``/``end`` feed
     ``decisions_sha256``, whose JSON writes ``5`` for an int and
     ``5.0`` for a float."""
 
@@ -208,15 +208,14 @@ class TestEventTimesAreFloats:
         )
         result = _run(jobs, step_interval=step, fault_timeline=faults)
         assert result.resubmissions == 1
-        return [(r.job_id, r.start, r.end) for r in result.jobs]
+        return [(r.job_id, r.arrival, r.start, r.end) for r in result.jobs]
 
     @pytest.mark.parametrize("step", [None, 300])
     def test_int_trace_and_fault_times_replay_as_floats(self, step):
         got = self._records(int, step)
         # compare types too: 5 == 5.0
         assert all(
-            type(start) is float and type(end) is float
-            for _, start, end in got
+            type(t) is float for _, *times in got for t in times
         ), got
         assert got == self._records(float, step)
 

@@ -164,7 +164,7 @@ def _check_screen_over_every_size(scheme, seed):
     if scheme in ("jigsaw", "laas"):
         # The recount catches a screen that rejects less than its
         # definition allows, which soundness alone cannot see.
-        free = alloc.state.free_per_leaf.tolist()
+        free = list(alloc.state.free_per_leaf)
         assert screen == [
             _screen_recount(scheme, tree, free, eff) for eff in effs
         ], (scheme, seed)
@@ -307,7 +307,7 @@ class TestBucketRowScorer:
         _, (_full, _s, rem_leaf, _sr) = alloc._materialize_two_level(
             shape, 0, None
         )
-        assert alloc.state.free_nodes_on_leaf(rem_leaf) == rem_free
+        assert alloc.state.free_per_leaf[rem_leaf] == rem_free
 
     @staticmethod
     def _two_perfect_pods(busy_pod):

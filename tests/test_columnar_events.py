@@ -11,14 +11,12 @@ occupancy states (the full incremental-index state must match).
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.registry import make_allocator
 from repro.sched.job import Job
-from repro.sched.metrics import InstantHistogram
 from repro.sched.resilience import FaultTimeline
 from repro.sched.simulator import Simulator, _RunState
 from repro.topology.fattree import FatTree, LinkId
@@ -211,7 +209,7 @@ def _index_snapshot(state):
     """A copy of every occupancy index (later mutations cannot reach it)."""
     return (
         list(state.node_owner),
-        state.free_per_leaf.tolist(),
+        list(state.free_per_leaf),
         list(state.pod_free),
         list(state.full_free_leaves),
         [list(row) for row in state._leaf_ge],
@@ -284,17 +282,3 @@ def test_allocator_release_many_groups_invalidation():
     assert alloc.stats.releases == rel_before + len(ids)
     assert alloc.feasibility_cache_size == 0
     assert alloc.state.is_idle()
-
-
-def test_histogram_add_many_matches_add():
-    h1, h2 = InstantHistogram(), InstantHistogram()
-    vals = [0.0, 59.9999, 60.0, 79.9, 80.0, 90.0, 95.0, 97.9, 98.0,
-            100.0, 50.0]
-    for v in vals:
-        h1.add(v)
-    h2.add_many(np.array(vals))
-    assert h1.counts == h2.counts
-    assert h1.total == h2.total
-    for bad in (101.0, -1.0):
-        with pytest.raises(ValueError):
-            h2.add_many(np.array([bad]))

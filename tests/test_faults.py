@@ -110,10 +110,10 @@ class TestWithLinkSharing:
         injector = FaultInjector(allocator)
         injector.fail_leaf_link(LinkId(0, 0))
         # the capacity state shows no headroom on the failed link
-        assert not allocator.links.leaf_mask(0, 0.5) & 1
+        assert not allocator.links.leaf_masks_of_pod(0, 0.5)[0] & 1
         ticket = injector.active_faults[0]
         injector.repair(ticket)
-        assert allocator.links.leaf_mask(0, 0.5) & 1
+        assert allocator.links.leaf_masks_of_pod(0, 0.5)[0] & 1
 
 
 class TestInjectorBugfixes:
@@ -166,7 +166,7 @@ class TestInjectorBugfixes:
         allocator.links.release(ticket.fault_id)
         injector.repair(ticket)  # must not raise
         assert injector.active_faults == []
-        assert allocator.links.leaf_mask(0, 0.5) & 1
+        assert allocator.links.leaf_masks_of_pod(0, 0.5)[0] & 1
         assert allocator.state.is_idle()
         allocator.state.audit()
 
@@ -195,8 +195,8 @@ class TestOutOfRangeTargets:
             [(1 << tree.spines_per_group) - 1] * tree.l2_per_pod
         ] * tree.num_pods
         if scheme == "lc+s":
-            assert not allocator.links.leaf_bw.any()
-            assert not allocator.links.spine_bw.any()
+            assert not any(allocator.links.leaf_bw)
+            assert not any(allocator.links.spine_bw)
         state.audit()
 
 

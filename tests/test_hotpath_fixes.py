@@ -4,7 +4,7 @@ Covers: the waiting queue's bound (started jobs leave it, so it stays
 as small as the trace's backlog on long traces), unscheduled jobs
 being reported as ids and logged, LinkCapacityState clamping only the
 links a release touched, and ClusterState.claim rejecting out-of-range
-node ids with AllocationError instead of numpy's IndexError (or silent
+node ids with AllocationError instead of a raw IndexError (or silent
 negative-index wrap-around).
 """
 
@@ -177,7 +177,7 @@ class TestLinkReleaseClamp:
         links.claim(2, [link], [], need=0.6)
         links.release(2)
         links.release(1)
-        assert links.leaf_bw[0][0] == 0.0
+        assert links.leaf_bw[0] == 0.0
 
     def test_untouched_links_are_left_alone(self, tree):
         # The old code clamped the *entire* arrays on every release,
@@ -186,13 +186,16 @@ class TestLinkReleaseClamp:
         # elsewhere does not launder it.
         links = LinkCapacityState(tree)
         links.claim(1, [(0, 0)], [(0, 0, 0)], need=0.5)
-        links.leaf_bw[3][1] = -1e-12
-        links.spine_bw[1][0][0] = -1e-12
+        # flat indexes of leaf link (3, 1) and spine link (1, 0, 0)
+        leaf_3_1 = 3 * tree.l2_per_pod + 1
+        spine_1_0_0 = tree.l2_per_pod * tree.spines_per_group
+        links.leaf_bw[leaf_3_1] = -1e-12
+        links.spine_bw[spine_1_0_0] = -1e-12
         links.release(1)
-        assert links.leaf_bw[0][0] == 0.0
-        assert links.spine_bw[0][0][0] == 0.0
-        assert links.leaf_bw[3][1] == -1e-12
-        assert links.spine_bw[1][0][0] == -1e-12
+        assert links.leaf_bw[0] == 0.0
+        assert links.spine_bw[0] == 0.0
+        assert links.leaf_bw[leaf_3_1] == -1e-12
+        assert links.spine_bw[spine_1_0_0] == -1e-12
 
 
 class TestClaimBounds:
@@ -204,7 +207,7 @@ class TestClaimBounds:
         assert state.free_nodes_total == tree.num_nodes
 
     def test_negative_node_id(self, tree):
-        # numpy would silently wrap -1 to the last node; the claim must
+        # indexing would silently wrap -1 to the last node; the claim must
         # be rejected instead.
         state = ClusterState(tree)
         with pytest.raises(AllocationError, match="outside the cluster"):

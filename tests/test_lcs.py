@@ -33,23 +33,21 @@ class TestLinkSharing:
             if result is None:
                 break
         # every leaf link's accumulated bandwidth stays within the cap
-        assert (a.links.leaf_bw <= a.links.capacity + 1e-9).all()
-        assert (a.links.spine_bw <= a.links.capacity + 1e-9).all()
+        assert all(bw <= a.links.capacity + 1e-9 for bw in a.links.leaf_bw)
+        assert all(bw <= a.links.capacity + 1e-9 for bw in a.links.spine_bw)
 
     def test_default_bw_used_when_job_silent(self, tree):
         a = LeastConstrainedAllocator(tree, share_links=True, default_bw=2.0)
         a.allocate(1, 8)  # no bw_need given
-        import numpy as np
-
-        used = a.links.leaf_bw[a.links.leaf_bw > 0]
-        assert len(used) and np.allclose(used, 2.0)
+        used = [bw for bw in a.links.leaf_bw if bw > 0]
+        assert len(used) and used == pytest.approx([2.0] * len(used))
 
     def test_release_returns_bandwidth(self, tree):
         a = LeastConstrainedAllocator(tree, share_links=True)
         a.allocate(1, 12, bw_need=1.5)
         a.release(1)
-        assert (a.links.leaf_bw == 0).all()
-        assert (a.links.spine_bw == 0).all()
+        assert not any(a.links.leaf_bw)
+        assert not any(a.links.spine_bw)
         assert a.state.is_idle()
 
 

@@ -37,7 +37,7 @@ def assert_indexes_match_recomputed(state: ClusterState) -> None:
         state.node_owner[leaf * m1 : (leaf + 1) * m1].count(-1)
         for leaf in range(tree.num_leaves)
     ]
-    assert per_leaf == state.free_per_leaf.tolist()
+    assert per_leaf == state.free_per_leaf
     busy_up = [
         tree.l2_per_pod - mask.bit_count() for mask in state.leaf_up_mask
     ]
@@ -223,19 +223,13 @@ class TestIndexConsistency:
 
 
 class TestReadOnlyView:
-    def test_free_leaf_counts_mutation_raises(self):
-        state = ClusterState(FatTree.from_radix(8))
-        view = state.free_leaf_counts_in_pod(0)
-        with pytest.raises(ValueError):
-            view[0] = 0
-        with pytest.raises(ValueError):
-            view += 1
+    """Readers index ``free_per_leaf`` itself, the one per-leaf count."""
 
     def test_values_still_track_state(self):
         tree = FatTree.from_radix(8)
         state = ClusterState(tree)
         state.claim(1, [0, 1])
-        assert int(state.free_leaf_counts_in_pod(0)[0]) == tree.m1 - 2
+        assert state.free_per_leaf[0] == tree.m1 - 2
 
 
 def partly_occupied(radix: int, seed: int) -> ClusterState:
@@ -267,20 +261,20 @@ class TestReadHelperEquivalence:
     def test_leaf_candidates_is_best_fit_order(self, state):
         tree = state.tree
         for pod in range(tree.num_pods):
-            free = state.free_leaf_counts_in_pod(pod)
             base = tree.first_leaf_of_pod(pod)
+            free = state.free_per_leaf[base : base + tree.m2]
             for min_free in range(tree.m1 + 1):
                 want = sorted(
                     (base + k for k in range(tree.m2) if free[k] >= min_free),
-                    key=lambda leaf: (int(free[leaf - base]), leaf),
+                    key=lambda leaf: (free[leaf - base], leaf),
                 )
                 assert state.leaf_candidates(pod, min_free) == want
 
     def test_leaf_candidates_by_id_order(self, state):
         tree = state.tree
         for pod in range(tree.num_pods):
-            free = state.free_leaf_counts_in_pod(pod)
             base = tree.first_leaf_of_pod(pod)
+            free = state.free_per_leaf[base : base + tree.m2]
             for min_free in range(tree.m1 + 1):
                 want = [
                     base + k for k in range(tree.m2) if free[k] >= min_free
@@ -311,8 +305,9 @@ class TestReadHelperEquivalence:
             got = state.feasible_pods(min_free, k, min_leaves, min_full)
             want = []
             for pod in range(tree.num_pods):
-                free = state.free_leaf_counts_in_pod(pod)
-                if int(free.sum()) < min_free:
+                lo = tree.first_leaf_of_pod(pod)
+                free = state.free_per_leaf[lo : lo + tree.m2]
+                if sum(free) < min_free:
                     continue
                 if min_leaves and sum(1 for f in free if f >= k) < min_leaves:
                     continue

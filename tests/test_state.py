@@ -1,5 +1,7 @@
 """ClusterState: isolation invariant, summaries, bitmask helpers."""
 
+import random
+
 import pytest
 
 from repro.topology.fattree import FatTree, LinkId, SpineLinkId
@@ -45,14 +47,14 @@ class TestClaimRelease:
     def test_initially_idle_and_free(self, state, tree):
         assert state.is_idle()
         assert state.free_nodes_total == tree.num_nodes
-        assert all(state.leaf_is_fully_free(l) for l in range(tree.num_leaves))
+        assert state.free_per_leaf == [tree.m1] * tree.num_leaves
         state.audit()
 
     def test_claim_updates_summaries(self, state, tree):
         state.claim(1, nodes=[0, 1], leaf_links=[LinkId(0, 0), LinkId(0, 1)])
         assert state.free_nodes_total == tree.num_nodes - 2
-        assert state.free_nodes_on_leaf(0) == tree.m1 - 2
-        assert not state.leaf_is_fully_free(0)
+        assert state.free_per_leaf[0] == tree.m1 - 2
+        assert not state.fully_free_leaf_mask(0) & 1
         assert state.full_free_leaves[0] == tree.m2 - 1
         assert not state.leaf_up_mask[0] & 0b11
         state.audit()
@@ -211,7 +213,7 @@ class TestLinkIdBounds:
         links = LinkCapacityState(tree)
         with pytest.raises(AllocationError, match="outside the cluster"):
             links.claim(1, leaf_links, spine_links, 1.0)
-        assert not links.leaf_bw.any() and not links.spine_bw.any()
+        assert not any(links.leaf_bw) and not any(links.spine_bw)
         with pytest.raises(AllocationError):
             links.release(1)  # nothing was recorded either
 
@@ -238,10 +240,10 @@ class TestLinkCapacityState:
     def test_masks_reflect_headroom(self, tree):
         links = LinkCapacityState(tree)
         full = (1 << tree.l2_per_pod) - 1
-        assert links.leaf_mask(0, 1.0) == full
+        assert links.leaf_masks_of_pod(0, 1.0) == [full] * tree.m2
         links.claim(1, [LinkId(0, 0)], [], need=3.5)
-        assert not links.leaf_mask(0, 1.0) & 1  # link 0 lacks headroom
-        assert links.leaf_mask(0, 0.5) & 1  # but 0.5 still fits
+        assert not links.leaf_masks_of_pod(0, 1.0)[0] & 1  # link 0 lacks headroom
+        assert links.leaf_masks_of_pod(0, 0.5)[0] & 1  # but 0.5 still fits
 
     def test_sharing_up_to_cap(self, tree):
         links = LinkCapacityState(tree)
@@ -255,10 +257,51 @@ class TestLinkCapacityState:
     def test_spine_masks(self, tree):
         links = LinkCapacityState(tree)
         links.claim(1, [], [SpineLinkId(0, 0, 1)], need=4.0)
-        assert not links.spine_mask(0, 0, 1.0) & 0b10
-        assert links.spine_mask(0, 0, 1.0) & 0b01
+        assert not links.spine_masks_of_pod(0, 1.0)[0] & 0b10
+        assert links.spine_masks_of_pod(0, 1.0)[0] & 0b01
 
     def test_release_unknown_rejected(self, tree):
         links = LinkCapacityState(tree)
         with pytest.raises(Exception):
             links.release(7)
+
+    @pytest.mark.parametrize("radix", [8, 18])
+    def test_pod_masks_match_per_link_reference(self, radix):
+        """Every row and bit of the per-pod masks against usage summed
+        per link from the claims themselves."""
+        tree = FatTree.from_radix(radix)
+        l2, spines = tree.l2_per_pod, tree.spines_per_group
+        links = LinkCapacityState(tree)
+        rng = random.Random(radix)
+        used = {}
+        for job in range(40 * tree.num_pods):
+            leaf = LinkId(rng.randrange(tree.num_leaves), rng.randrange(l2))
+            spine = SpineLinkId(
+                rng.randrange(tree.num_pods), rng.randrange(l2),
+                rng.randrange(spines),
+            )
+            need = rng.choice([0.5, 1.0, 1.5, 2.0])
+            try:
+                links.claim(job, [leaf], [spine], need)
+            except AllocationError:
+                continue
+            for link in (leaf, spine):
+                used[link] = used.get(link, 0.0) + need
+        limit = links.capacity + 1e-9
+        for need in (0.5, 1.0, 2.0):
+            for pod in range(tree.num_pods):
+                first = tree.first_leaf_of_pod(pod)
+                assert links.leaf_masks_of_pod(pod, need) == [
+                    mask_of(
+                        i for i in range(l2)
+                        if used.get((first + j, i), 0.0) + need <= limit
+                    )
+                    for j in range(tree.m2)
+                ]
+                assert links.spine_masks_of_pod(pod, need) == [
+                    mask_of(
+                        k for k in range(spines)
+                        if used.get((pod, i, k), 0.0) + need <= limit
+                    )
+                    for i in range(l2)
+                ]

@@ -1,6 +1,10 @@
 """TA: containment rules, implicit reservation, Figure 2 scenarios."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ta import TopologyAwareAllocator
 from repro.topology.fattree import FatTree
@@ -48,27 +52,14 @@ class TestT1Rules:
         # best-fit packs the second small job onto the same leaf
         assert {n // tree.m1 for n in a1.nodes} == {n // tree.m1 for n in a2.nodes}
 
-    def test_t1_excluded_from_reserved_leaf_when_strict(self, tree):
-        strict = TopologyAwareAllocator(tree, t1_shares_multi_leaf=False)
-        t2 = strict.allocate(1, 6)  # spans 2 leaves, reserves both
+    def test_t1_excluded_from_reserved_leaf_when_strict(self, tree, alloc):
+        t2 = alloc.allocate(1, 6)  # spans 2 leaves, reserves both
         t2_leaves = {n // tree.m1 for n in t2.nodes}
         for jid in range(2, 40):
-            a = strict.allocate(jid, 2)
+            a = alloc.allocate(jid, 2)
             if a is None:
                 break
             assert not ({n // tree.m1 for n in a.nodes} & t2_leaves)
-
-    def test_t1_may_share_reserved_leaf_when_permissive(self, tree):
-        perm = TopologyAwareAllocator(tree, t1_shares_multi_leaf=True)
-        t2 = perm.allocate(1, 6)
-        t2_leaves = {n // perm.tree.m1 for n in t2.nodes}
-        placements = set()
-        for jid in range(2, 70):
-            a = perm.allocate(jid, 1)
-            if a is None:
-                break
-            placements |= {n // perm.tree.m1 for n in a.nodes}
-        assert placements & t2_leaves  # eventually lands on a reserved leaf
 
 
 class TestT2Rules:
@@ -143,3 +134,92 @@ class TestT3Rules:
         used_pods = set(p for p, o in enumerate(alloc._t3_owner) if o != -1)
         if len(used_pods) == tree.num_pods:
             assert alloc.allocate(3, tree.nodes_per_pod + 1) is None
+
+
+# ----------------------------------------------------------------------
+# Placement order against a written-out reference
+# ----------------------------------------------------------------------
+def _lowest_free(state, leaf, k):
+    m1 = state.tree.m1
+    return [
+        n for n in range(leaf * m1, (leaf + 1) * m1) if state.node_owner[n] == -1
+    ][:k]
+
+
+def _emptiest_first(state, leaves, usable, size):
+    """Take ``size`` nodes from ``leaves``: most free first, then lowest
+    leaf id, lowest node ids on each leaf."""
+    nodes = []
+    for free, leaf in sorted(
+        ((usable[leaf], leaf) for leaf in leaves if usable[leaf]),
+        key=lambda fl: (-fl[0], fl[1]),
+    ):
+        nodes += _lowest_free(state, leaf, min(free, size - len(nodes)))
+        if len(nodes) == size:
+            return tuple(nodes)
+    return None
+
+
+def _reference(state, size, reserved, t3_pods):
+    """TA's placement, recomputed from ``free_per_leaf`` and the
+    test's own record of reserved leaves and T3-held pods."""
+    tree = state.tree
+    m1, m2 = tree.m1, tree.m2
+    usable = [
+        0 if leaf in reserved else f for leaf, f in enumerate(state.free_per_leaf)
+    ]
+    if size <= m1:  # T1: fewest free nodes, then lowest leaf id
+        fits = sorted((f, leaf) for leaf, f in enumerate(usable) if f >= size)
+        return tuple(_lowest_free(state, fits[0][1], size)) if fits else None
+    pods = range(tree.num_pods)
+    if size <= tree.nodes_per_pod:  # T2: the first pod that can host it
+        for pod in pods:
+            leaves = range(pod * m2, (pod + 1) * m2)
+            if sum(usable[leaf] for leaf in leaves) >= size:
+                return _emptiest_first(state, leaves, usable, size)
+        return None
+    # T3: free pods in order until their usable total covers the job
+    leaves = []
+    for pod in pods:
+        if pod not in t3_pods:
+            leaves += range(pod * m2, (pod + 1) * m2)
+            if sum(usable[leaf] for leaf in leaves) >= size:
+                return _emptiest_first(state, leaves, usable, size)
+    return None
+
+
+@pytest.mark.parametrize("radix", [8, 18])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_placements_match_sorted_reference(radix, seed):
+    tree = FatTree.from_radix(radix)
+    alloc = TopologyAwareAllocator(tree)
+    rng = random.Random(seed)
+    npod = tree.nodes_per_pod
+    reserved = {}  # leaf -> multi-leaf job id
+    t3_pods = {}  # pod -> T3 job id
+    live = []
+    for jid in range(1, 80):
+        if live and rng.random() < 0.35:
+            victim = live.pop(rng.randrange(len(live)))
+            alloc.release(victim)
+            reserved = {l: j for l, j in reserved.items() if j != victim}
+            t3_pods = {p: j for p, j in t3_pods.items() if j != victim}
+            continue
+        size = rng.choice([
+            rng.randint(1, tree.m1),
+            rng.randint(tree.m1 + 1, npod),
+            rng.randint(npod + 1, 3 * npod),
+        ])
+        want = _reference(alloc.state, size, reserved, t3_pods)
+        got = alloc.allocate(jid, size)
+        assert (got.nodes if got else None) == want, (radix, seed, jid, size)
+        if got is None:
+            continue
+        live.append(jid)
+        if size > tree.m1:
+            for n in got.nodes:
+                reserved[n // tree.m1] = jid
+        if size > npod:
+            for n in got.nodes:
+                t3_pods[tree.pod_of_node(n)] = jid
