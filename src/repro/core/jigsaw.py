@@ -126,6 +126,14 @@ class JigsawAllocator(Allocator):
         self.strategy = strategy
         self._steps_left = self.step_budget
         self._budget_exhausted = False
+        state = self.state
+        #: the link masks every search reads: free uplinks per leaf,
+        #: free spine links per (pod, L2 index), and per pod the leaf
+        #: offsets with a taken uplink.  ``ClusterState``'s own lists;
+        #: LC+S points them at its headroom view for each job's need.
+        self._leaf_masks: Sequence[int] = state.leaf_up_mask
+        self._spine_masks: Sequence[Sequence[int]] = state.spine_free_mask
+        self._busy_leaf_masks: Sequence[int] = state.busy_uplink_row()
 
     class BudgetExhausted(Exception):
         """Raised internally when a search exceeds its step budget."""
@@ -136,6 +144,17 @@ class JigsawAllocator(Allocator):
         self._steps_left -= 1
         if self._steps_left <= 0:
             raise self.BudgetExhausted()
+
+    def _charge(self, n: int) -> None:
+        """Account ``n`` steps at once: the counters and the abort of
+        ``n`` calls of :meth:`_tick`, which stop at the call that
+        spends the budget."""
+        k = min(n, max(self._steps_left, 1))
+        if k > 0:
+            self.stats.backtrack_steps += k
+            self._steps_left -= k
+            if self._steps_left <= 0:
+                raise self.BudgetExhausted()
 
     # ------------------------------------------------------------------
     # Shape enumeration hooks (overridden by LaaS)
@@ -300,8 +319,9 @@ class JigsawAllocator(Allocator):
 
         In a pod without claimed uplinks every leaf mask is full, so the
         backtracking of :meth:`_find_two_level_in_pod` never
-        prunes: it takes the first ``LT`` leaves in best-fit order, and
-        the first further leaf with ``>= nrL`` free nodes as remainder.
+        prunes: it takes the first ``LT`` leaves in best-fit order after
+        one step each, and the first further leaf with ``>= nrL`` free
+        nodes as remainder.
         Feasibility and the :meth:`_score_two_level` score are then
         functions of the pod's free-count bucket row alone
         (:func:`_bucket_row_score`).  Single-leaf shapes touch no link,
@@ -325,6 +345,7 @@ class JigsawAllocator(Allocator):
         m1 = self.tree.m1
         LT, nL, nrL = shape.LT, shape.nL, shape.nrL
         links = not shape.single_leaf
+        busy = self._busy_leaf_masks
         ge = state.leaf_ge_row(nL) if nL < m1 else None
         full_free = state.full_free_leaves
         best = None  # (score, pod, found)
@@ -341,7 +362,7 @@ class JigsawAllocator(Allocator):
             if score is None or (incumbent is not None and score >= incumbent):
                 continue
             found = None
-            if links and state.busy_uplink_leaf_mask(pod):
+            if links and busy[pod]:
                 found = self._find_two_level_in_pod(pod, shape)
                 if found is None:
                     continue
@@ -355,14 +376,28 @@ class JigsawAllocator(Allocator):
         return best
 
     def _materialize_two_level(self, shape: TwoLevelShape, pod: int, found):
-        """Turn a winning (shape, pod) back into a concrete solution."""
-        if found is None:
-            found = self._find_two_level_in_pod(pod, shape)
-            if found is None:
-                raise RuntimeError(
-                    "two-level bucket-row score disagreed with the per-pod fit"
-                )
-        return shape, found
+        """Turn a winning (shape, pod) back into a concrete solution.
+
+        ``found`` is ``None`` for a pod scored from its bucket row.
+        Such a pod's leaf masks are all full (or the shape touches no
+        link), so the per-pod fit would take the first ``LT`` leaves in
+        best-fit order and finish them with the full mask: this builds
+        that solution without spending a step.
+        """
+        if found is not None:
+            return shape, found
+        state = self.state
+        if shape.single_leaf:
+            return shape, ([state.best_fit_leaf(pod, shape.nL)], 0, None, 0)
+        chosen = state.leaf_candidates(pod, shape.nL)[: shape.LT]
+        rest = self._finish_two_level(
+            pod, shape, chosen, (1 << self.tree.l2_per_pod) - 1
+        )
+        if rest is None:
+            raise RuntimeError(
+                "two-level bucket-row score disagreed with the per-pod fit"
+            )
+        return shape, (chosen, *rest)
 
     def _score_two_level(self, shape: TwoLevelShape, found) -> tuple:
         """Fragmentation cost of one candidate placement (lower is better):
@@ -413,14 +448,6 @@ class JigsawAllocator(Allocator):
     # ------------------------------------------------------------------
     # find_L2: search one pod for a two-level allocation
     # ------------------------------------------------------------------
-    def _leaf_mask(self, leaf: int) -> int:
-        """Bitmask of this leaf's free uplinks (hook for LC variants)."""
-        return self.state.leaf_up_mask[leaf]
-
-    def _spine_mask(self, pod: int, i: int) -> int:
-        """Bitmask of free spine links at (pod, L2 i) (hook for LC)."""
-        return self.state.spine_free_mask[pod][i]
-
     def _find_two_level_in_pod(
         self, pod: int, shape: TwoLevelShape
     ) -> Optional[Tuple[List[int], int, Optional[int], int]]:
@@ -450,6 +477,7 @@ class JigsawAllocator(Allocator):
             return None
 
         chosen: List[int] = []
+        leaf_masks = self._leaf_masks
 
         def backtrack(start: int, inter: int) -> Optional[Tuple[int, Optional[int], int]]:
             if len(chosen) == shape.LT:
@@ -458,7 +486,7 @@ class JigsawAllocator(Allocator):
             for idx in range(start, len(candidates) - (shape.LT - len(chosen)) + 1):
                 self._tick()
                 leaf = candidates[idx]
-                ni = inter & self._leaf_mask(leaf)
+                ni = inter & leaf_masks[leaf]
                 if ni.bit_count() < shape.nL:
                     continue
                 chosen.append(leaf)
@@ -489,10 +517,11 @@ class JigsawAllocator(Allocator):
         # fewest free nodes, ties broken toward the lowest leaf id.
         rem_leaf: Optional[int] = None
         avail = 0
+        leaf_masks = self._leaf_masks
         for leaf in self._pod_candidates(pod, shape.nrL):
             if leaf in taken:
                 continue
-            a = self._leaf_mask(leaf) & inter
+            a = leaf_masks[leaf] & inter
             if a.bit_count() < shape.nrL:
                 continue
             rem_leaf, avail = leaf, a
@@ -541,9 +570,10 @@ class JigsawAllocator(Allocator):
 
         n_i = tree.l2_per_pod
         chosen: List[int] = []
+        spine_masks = self._spine_masks
 
         def addable(pod: int, inter: List[int]) -> Optional[List[int]]:
-            ni = [inter[i] & self._spine_mask(pod, i) for i in range(n_i)]
+            ni = [a & b for a, b in zip(inter, spine_masks[pod])]
             for m in ni:
                 if m.bit_count() < shape.LT:
                     return None
@@ -621,7 +651,7 @@ class JigsawAllocator(Allocator):
         # Spine availability seen from the remainder pod, restricted to
         # the running common sets: the remainder subtree must use subsets
         # S*r_i of the full pods' spine sets S*_i (condition 6).
-        avail = [inter[i] & self._spine_mask(rp, i) for i in range(n_i)]
+        avail = [a & b for a, b in zip(inter, self._spine_masks[rp])]
 
         rem_leaf: Optional[int] = None
         sr_mask = 0
@@ -670,10 +700,11 @@ class JigsawAllocator(Allocator):
         # eligible leaf in best-fit order == the old min-scan's pick.
         usable = self.state.usable_full_leaf_mask(rp)
         usable_count = usable.bit_count()
+        leaf_masks = self._leaf_masks
         for leaf in self._pod_candidates(rp, shape.nrL):
             if (usable >> (leaf - base)) & 1 and usable_count <= shape.LrT:
                 continue  # would consume a full leaf the shape still needs
-            ok = self._leaf_mask(leaf) & eligible
+            ok = leaf_masks[leaf] & eligible
             if ok.bit_count() < shape.nrL:
                 continue
             return leaf, lowest_bits(ok, shape.nrL)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.allocator import Allocation
-from repro.core.jigsaw import JigsawAllocator
+from repro.core.jigsaw import JigsawAllocator, _bucket_row_score
 from repro.core.shapes import (
     Order,
     ThreeLevelShape,
@@ -103,70 +103,72 @@ class LeastConstrainedAllocator(JigsawAllocator):
         )
         self.step_budget = step_budget
         self.max_solutions_per_pod = max_solutions_per_pod
-        self._bw = default_bw
-        self._bw_by_job: Dict[int, float] = {}
-        # Per-_search mask caches (pod -> per-leaf / per-L2 bitmask
-        # rows at the current bandwidth need); reset by _search.
-        self._leaf_mask_cache: Dict[int, List[int]] = {}
-        self._spine_mask_cache: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
     # Link availability: bandwidth headroom instead of exclusive ownership
     # ------------------------------------------------------------------
-    def _leaf_mask(self, leaf: int) -> int:
-        if self.share_links:
-            # Bandwidth and link state are fixed for the duration of
-            # one _search, so all of a pod's leaf masks are built in one
-            # pass (:meth:`LinkCapacityState.leaf_masks_of_pod`) on
-            # first touch instead of once per leaf per probe.
-            pod = leaf // self.tree.m2
-            row = self._leaf_mask_cache.get(pod)
-            if row is None:
-                row = self.links.leaf_masks_of_pod(pod, self._bw)
-                self._leaf_mask_cache[pod] = row
-            return row[leaf - pod * self.tree.m2]
-        return self.state.leaf_up_mask[leaf]
-
-    def _spine_mask(self, pod: int, i: int) -> int:
-        if self.share_links:
-            row = self._spine_mask_cache.get(pod)
-            if row is None:
-                row = self.links.spine_masks_of_pod(pod, self._bw)
-                self._spine_mask_cache[pod] = row
-            return row[i]
-        return self.state.spine_free_mask[pod][i]
-
     def _search(self, job_id: int, size: int, bw_need: Optional[float]):
-        self._bw = bw_need if bw_need is not None else self.default_bw
-        self._leaf_mask_cache = {}
-        self._spine_mask_cache = {}
+        if self.share_links:
+            # The headroom view of this job's need, kept current by
+            # every claim and release of the link state.
+            need = bw_need if bw_need is not None else self.default_bw
+            (
+                self._leaf_masks,
+                self._spine_masks,
+                self._busy_leaf_masks,
+            ) = self.links.masks(need)
         return super()._search(job_id, size, bw_need)
 
     def _search_two_level(self, alloc_size: int):
-        """Scored two-level search as a per-pod walk.
+        """Scored two-level search as an exhaustive per-pod walk.
 
-        The LC family fits every (shape, pod) pair with the per-pod
-        backtracking instead of Jigsaw's bucket-row scorer: its 50k step
-        budget *binds* (the paper's scheduling timeout), so every tick
-        is decision-relevant, and the LC+S leaf masks are bandwidth
-        headroom, which the occupancy buckets cannot see.  The selection
+        The LC family's step budget *binds* (the paper's scheduling
+        timeout), so every step is decision-relevant: the walk visits
+        every prefiltered (shape, pod) pair in order, with none of
+        Jigsaw's incumbent pruning, and charges each pair exactly the
+        steps its per-pod fit spends.
+
+        In a pod whose leaf masks are all full (no bit of its busy
+        mask; every pod, for a single-leaf shape) the fit takes the
+        first ``LT`` leaves in best-fit order after one step each, so
+        such a pod is scored from its bucket row
+        (:func:`_bucket_row_score`) and charged ``LT`` steps (none for
+        a single-leaf shape).  When the row says the pod cannot host
+        the shape, the fit runs, fails and spends its exact steps; so
+        does every pod with a link short of headroom.  The selection
         rule is Jigsaw's: first ``(0, 0)`` score, else the strict-``<``
-        minimum.
+        minimum, the earliest pair on ties.
         """
-        best = None  # (score, shape, solution)
+        state = self.state
+        m1, l2 = self.tree.m1, self.tree.l2_per_pod
+        busy = self._busy_leaf_masks
+        best = None  # (score, shape, pod, found)
         for shape in self._two_level_shape_iter(alloc_size):
+            LT, nL, nrL = shape.LT, shape.nL, shape.nrL
+            # Steps the fit spends in a pod with every leaf mask full.
+            steps = 0 if shape.single_leaf else LT
+            # More common uplinks than a leaf has: every fit fails.
+            scored = steps == 0 or nL <= l2
             for pod in self._two_level_pods(alloc_size, shape):
-                found = self._find_two_level_in_pod(pod, shape)
-                if found is None:
-                    continue
-                score = self._score_two_level(shape, found)
+                found = score = None
+                if scored and not (steps and busy[pod]):
+                    score = _bucket_row_score(
+                        state.leaf_bucket_row(pod), LT, nL, nrL, m1
+                    )
+                if score is None:
+                    found = self._find_two_level_in_pod(pod, shape)
+                    if found is None:
+                        continue
+                    score = self._score_two_level(shape, found)
+                elif steps:
+                    self._charge(steps)
                 if best is None or score < best[0]:
-                    best = (score, shape, found)
-                    if score[:2] == (0, 0):
-                        return shape, found  # perfect fit, stop searching
+                    if score[:2] == (0, 0):  # perfect fit, stop searching
+                        return self._materialize_two_level(shape, pod, found)
+                    best = (score, shape, pod, found)
         if best is None:
             return None
-        return best[1], best[2]
+        return self._materialize_two_level(*best[1:])
 
     def _trace_attrs(self, size):
         attrs = super()._trace_attrs(size)
@@ -193,7 +195,6 @@ class LeastConstrainedAllocator(JigsawAllocator):
             # Nodes stay exclusive; links are accounted as bandwidth.
             self.state.claim(alloc.job_id, alloc.nodes)
             self.links.claim(alloc.job_id, alloc.leaf_links, alloc.spine_links, bw)
-            self._bw_by_job[alloc.job_id] = bw
         else:
             super()._claim(alloc, bw_need)
 
@@ -201,7 +202,6 @@ class LeastConstrainedAllocator(JigsawAllocator):
         if self.share_links:
             self.state.release(job_id)
             self.links.release(job_id)
-            self._bw_by_job.pop(job_id, None)
         else:
             super()._release(job_id)
 
@@ -210,7 +210,6 @@ class LeastConstrainedAllocator(JigsawAllocator):
         if self.share_links:
             for job_id in job_ids:
                 self.links.release(job_id)
-                self._bw_by_job.pop(job_id, None)
 
     # ------------------------------------------------------------------
     # Shapes: the full least-constrained space
@@ -246,6 +245,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
         solutions: List[_PodSolution] = []
         chosen: List[int] = []
         full_mask = (1 << tree.l2_per_pod) - 1
+        leaf_masks = self._leaf_masks
 
         def attach_remainder(inter: int) -> Optional[Tuple[Optional[int], int]]:
             if nrL == 0:
@@ -256,7 +256,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
             for leaf in self._pod_candidates(pod, nrL):
                 if leaf in taken:
                     continue
-                avail = self._leaf_mask(leaf) & inter
+                avail = leaf_masks[leaf] & inter
                 if avail.bit_count() < nrL:
                     continue
                 return leaf, avail
@@ -276,7 +276,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
                 return
             for idx in range(start, len(candidates) - (LT - len(chosen)) + 1):
                 leaf = candidates[idx]
-                ni = inter & self._leaf_mask(leaf)
+                ni = inter & leaf_masks[leaf]
                 if ni.bit_count() < nL:
                     continue
                 chosen.append(leaf)
@@ -294,14 +294,15 @@ class LeastConstrainedAllocator(JigsawAllocator):
     def _find_three_level(self, shape: ThreeLevelShape):
         tree = self.tree
         n_i = tree.l2_per_pod
+        LT, nL = shape.LT, shape.nL
         # Replica of _find_all_in_pod's tick-free rejections (pod_free
         # and candidate-count): pruned pods would have returned []
         # without spending budget.
-        scan = self.state.feasible_pods(shape.LT * shape.nL, shape.nL, shape.LT)
+        scan = self.state.feasible_pods(LT * nL, nL, LT)
         self.stats.pods_pruned += tree.num_pods - len(scan)
         sols: Dict[int, List[_PodSolution]] = {}
         for pod in scan:
-            s = self._find_all_in_pod(pod, shape.LT, shape.nL, 0)
+            s = self._find_all_in_pod(pod, LT, nL, 0)
             if s:
                 sols[pod] = s
         if len(sols) < shape.T:
@@ -309,31 +310,31 @@ class LeastConstrainedAllocator(JigsawAllocator):
 
         pods = sorted(sols)
         chosen: List[Tuple[int, _PodSolution]] = []
-
-        def spine_ok(pod: int, spine_inter: List[int]) -> Optional[List[int]]:
-            """AND in this pod's spine masks; viable if enough L2 indices
-            could still support LT common spine links."""
-            ni = [spine_inter[i] & self._spine_mask(pod, i) for i in range(n_i)]
-            return ni
-
-        def viable(leaf_inter: int, spine_inter: List[int]) -> bool:
-            good = 0
-            for i in range(n_i):
-                if leaf_inter & (1 << i) and spine_inter[i].bit_count() >= shape.LT:
-                    good += 1
-            return good >= shape.nL
+        spine_masks = self._spine_masks
+        # The remainder pods depend only on the shape and on state that
+        # a search does not change.
+        rps = self._remainder_pods(shape) if shape.has_remainder_pod else []
 
         def backtrack(start: int, leaf_inter: int, spine_inter: List[int]):
             self._tick()
             if len(chosen) == shape.T:
-                return self._finish_general(shape, chosen, leaf_inter, spine_inter)
+                return self._finish_general(
+                    shape, chosen, leaf_inter, spine_inter, rps
+                )
             for idx in range(start, len(pods) - (shape.T - len(chosen)) + 1):
                 pod = pods[idx]
-                spine_i = spine_ok(pod, spine_inter)
+                spine_i = [a & b for a, b in zip(spine_inter, spine_masks[pod])]
+                # L2 indices that can still carry LT common spine links:
+                # a solution is viable iff nL of its common L2 indices
+                # are among them.
+                good = 0
+                for i, m in enumerate(spine_i):
+                    if m.bit_count() >= LT:
+                        good |= 1 << i
                 for sol in sols[pod]:
                     self._tick()
                     ni = leaf_inter & sol.inter
-                    if ni.bit_count() < shape.nL or not viable(ni, spine_i):
+                    if (ni & good).bit_count() < nL:
                         continue
                     chosen.append((pod, sol))
                     result = backtrack(idx + 1, ni, spine_i)
@@ -346,32 +347,35 @@ class LeastConstrainedAllocator(JigsawAllocator):
         full_spine = (1 << tree.spines_per_group) - 1
         return backtrack(0, full_leaf, [full_spine] * n_i)
 
+    def _remainder_pods(self, shape: ThreeLevelShape) -> List[int]:
+        """Pods passing the necessary, tick-free conditions for the
+        per-rp probes of :meth:`_finish_general` to yield any solution:
+        LrT leaves with >= nL free plus the node total (the
+        _find_all_in_pod early-outs), or — for a bare remainder leaf —
+        one leaf with >= nrL free."""
+        if shape.LrT:
+            return self.state.feasible_pods(
+                shape.LrT * shape.nL + shape.nrL, shape.nL, shape.LrT
+            )
+        return self.state.feasible_pods(shape.nrL, shape.nrL, 1)
+
     def _finish_general(
         self,
         shape: ThreeLevelShape,
         chosen: Sequence[Tuple[int, _PodSolution]],
         leaf_inter: int,
         spine_inter: List[int],
+        rps: Sequence[int],
     ):
-        """Pick the remainder pod and the final S / S*_i sets."""
-        tree = self.tree
-        taken = {pod for pod, _ in chosen}
+        """Pick the remainder pod (from ``rps``, the shape's
+        :meth:`_remainder_pods`) and the final S / S*_i sets."""
         if not shape.has_remainder_pod:
             picked = self._choose_s(shape, leaf_inter, spine_inter, None, None)
             if picked is None:
                 return None
             return list(chosen), None, picked
-        # Necessary, tick-free conditions for the per-rp probes to yield
-        # any solution: LrT leaves with >= nL free plus the node total
-        # (the _find_all_in_pod early-outs), or — for a bare remainder
-        # leaf — one leaf with >= nrL free.
-        if shape.LrT:
-            rps = self.state.feasible_pods(
-                shape.LrT * shape.nL + shape.nrL, shape.nL, shape.LrT
-            )
-        else:
-            rps = self.state.feasible_pods(shape.nrL, shape.nrL, 1)
-        self.stats.pods_pruned += tree.num_pods - len(rps)
+        self.stats.pods_pruned += self.tree.num_pods - len(rps)
+        taken = {pod for pod, _ in chosen}
         for rp in rps:
             if rp in taken:
                 continue
@@ -397,7 +401,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
         # sorted((free, leaf)) ranking.
         ranked = self._pod_candidates(rp, shape.nrL)
         for leaf in ranked[:4]:  # a few best-fit candidates suffice
-            avail = self._leaf_mask(leaf)
+            avail = self._leaf_masks[leaf]
             if avail.bit_count() >= shape.nrL:
                 out.append(_PodSolution((), (1 << tree.l2_per_pod) - 1, leaf, avail))
         return out
@@ -413,6 +417,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
         """Select S (L2 indices), Sr, and per-index spine sets S*_i, S*r_i."""
         tree = self.tree
         n_i = tree.l2_per_pod
+        rp_spine = None if rp is None else self._spine_masks[rp]
         base_ok: List[int] = []
         plus_ok: List[int] = []
         for i in range(n_i):
@@ -423,7 +428,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
             if rp is None:
                 base_ok.append(i)
                 continue
-            rp_avail = spine_inter[i] & self._spine_mask(rp, i)
+            rp_avail = spine_inter[i] & rp_spine[i]
             if rp_avail.bit_count() < shape.LrT:
                 continue
             base_ok.append(i)
@@ -448,7 +453,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
                 s_star[i] = lowest_bits(spine_inter[i], shape.LT)
                 continue
             need_r = shape.LrT + (1 if i in sr else 0)
-            rp_avail = spine_inter[i] & self._spine_mask(rp, i)
+            rp_avail = spine_inter[i] & rp_spine[i]
             sr_i = lowest_bits(rp_avail, need_r) if need_r else 0
             rest = spine_inter[i] & ~sr_i
             s_star[i] = sr_i | (

@@ -331,6 +331,15 @@ class ClusterState:
         only read."""
         return self._leaf_buckets[pod]
 
+    def busy_uplink_row(self) -> Sequence[int]:
+        """Per-pod bitmasks of leaf offsets with at least one claimed
+        uplink: entry ``pod`` is :meth:`busy_uplink_leaf_mask` ``(pod)``.
+
+        The maintained list itself, handed out without a copy for the
+        searches' per-pod reads: index-owned state that callers only
+        read."""
+        return self._busy_leaf_mask
+
     def leaf_ge_row(self, k: int) -> Sequence[int]:
         """Per-pod counts of leaves with at least ``k`` free nodes: entry
         ``pod`` is :meth:`leaves_with_at_least` ``(pod, k)``.
@@ -595,6 +604,19 @@ class ClusterState:
                     raise AllocationError(f"spine link {link} marked free")
 
 
+#: most headroom views a :class:`LinkCapacityState` keeps at once.  The
+#: shipped traces ask for at most five bandwidth needs (the paper's four
+#: classes plus LC+S's default), but a need is a free float and every
+#: claim and release refreshes every view, so the set stays small and
+#: the view least recently returned by :meth:`LinkCapacityState.masks`
+#: is dropped first.
+MAX_HEADROOM_VIEWS = 8
+
+#: one headroom view: per-leaf uplink masks, per-(pod, L2 index) spine
+#: masks, and per pod the leaf offsets with an uplink short of headroom
+HeadroomView = Tuple[List[int], List[List[int]], List[int]]
+
+
 @dataclass
 class LinkCapacityState:
     """Fractional link-bandwidth state for the LC+S scheme (section 5.2.3).
@@ -608,6 +630,11 @@ class LinkCapacityState:
     ``leaf_bw[leaf * l2 + i]`` for the cable from ``leaf`` to its pod's
     ``i``-th L2 switch, and ``spine_bw[(pod * l2 + i) * spines + j]``
     for the cable from that L2 switch to spine ``j`` of its group.
+
+    The searches read link availability as bitmasks, one set per
+    bandwidth need (:meth:`masks`).  Each set is built on first request
+    and then kept current by :meth:`claim` and :meth:`release`, which
+    re-test only the links they touch, in every kept set.
     """
 
     tree: XGFT
@@ -620,48 +647,111 @@ class LinkCapacityState:
         t = self.tree
         self._l2 = t.l2_per_pod
         self._spines = t.spines_per_group
+        self._full_leaf = (1 << self._l2) - 1
         self.leaf_bw = [0.0] * (t.num_leaves * self._l2)
         self.spine_bw = [0.0] * (t.num_pods * self._l2 * self._spines)
         self._claims: Dict[int, Tuple[Tuple[LinkId, ...], Tuple[SpineLinkId, ...], float]] = {}
+        #: need -> its headroom view, least recently returned first
+        self._views: Dict[float, HeadroomView] = {}
 
     @property
     def capacity(self) -> float:
         """Usable bandwidth per link under the cap."""
         return self.peak_bandwidth * self.cap_fraction
 
-    def _headroom_masks(
-        self, bw: List[float], lo: int, rows: int, width: int, need: float
-    ) -> List[int]:
-        """Bitmasks of ``rows`` consecutive ``width``-link rows of ``bw``
-        starting at ``lo``: bit ``b`` of a row is set iff its ``b``-th
-        link has ``need`` headroom, by the IEEE-754 test
-        ``used + need <= cap + 1e-9`` that :meth:`claim` negates."""
+    def masks(self, need: float) -> HeadroomView:
+        """Headroom bitmasks for a job needing ``need`` GB/s per link:
+        ``(leaf, spine, busy)``.
+
+        * ``leaf[leaf_id]`` has bit ``i`` set iff the cable from that
+          leaf to its pod's ``i``-th L2 switch has ``need`` headroom
+          (shaped like :attr:`ClusterState.leaf_up_mask`);
+        * ``spine[pod][i]`` has bit ``j`` set iff the cable from
+          ``pod``'s ``i``-th L2 switch to spine ``j`` has the headroom
+          (shaped like :attr:`ClusterState.spine_free_mask`);
+        * ``busy[pod]`` has bit ``j`` set iff the ``j``-th leaf of
+          ``pod`` has an uplink short of headroom (shaped like
+          :meth:`ClusterState.busy_uplink_row`).
+
+        A link has headroom by the IEEE-754 test ``used + need <= cap +
+        1e-9`` that :meth:`claim` negates.  The lists are maintained
+        state, handed out without a copy: callers only read them, and
+        they stay current across later claims and releases for as long
+        as the view is kept (at most :data:`MAX_HEADROOM_VIEWS` needs).
+        """
+        views = self._views
+        view = views.pop(need, None)
+        if view is None:
+            view = self._build_view(need)
+            if len(views) >= MAX_HEADROOM_VIEWS:
+                del views[next(iter(views))]
+        views[need] = view
+        return view
+
+    def _build_view(self, need: float) -> HeadroomView:
+        """The headroom view of ``need`` built from the usage lists."""
         limit = self.capacity + 1e-9
-        out: List[int] = []
-        for r in range(lo, lo + rows * width, width):
-            m = 0
-            bit = 1
-            for used in bw[r : r + width]:
+        l2, m2 = self._l2, self.tree.m2
+
+        def rows(bw: List[float], width: int) -> List[int]:
+            out: List[int] = []
+            for r in range(0, len(bw), width):
+                m = 0
+                bit = 1
+                for used in bw[r : r + width]:
+                    if used + need <= limit:
+                        m |= bit
+                    bit <<= 1
+                out.append(m)
+            return out
+
+        leaf = rows(self.leaf_bw, l2)
+        flat = rows(self.spine_bw, self._spines)
+        spine = [flat[r : r + l2] for r in range(0, len(flat), l2)]
+        full = self._full_leaf
+        busy = [
+            mask_of(j for j in range(m2) if leaf[lo + j] != full)
+            for lo in range(0, len(leaf), m2)
+        ]
+        return leaf, spine, busy
+
+    def _refresh(
+        self, leaf_links: Sequence[LinkId], spine_links: Sequence[SpineLinkId]
+    ) -> None:
+        """Re-test the given links, whose usage just moved, in every
+        kept view."""
+        if not self._views:
+            return
+        limit = self.capacity + 1e-9
+        l2, spines, m2 = self._l2, self._spines, self.tree.m2
+        leaf_bw, spine_bw = self.leaf_bw, self.spine_bw
+        ups = [(leaf, 1 << i, leaf_bw[leaf * l2 + i]) for leaf, i in leaf_links]
+        downs = [
+            (pod, i, 1 << j, spine_bw[(pod * l2 + i) * spines + j])
+            for pod, i, j in spine_links
+        ]
+        leaves = [
+            (leaf, leaf // m2, 1 << leaf % m2)
+            for leaf in {leaf for leaf, _i in leaf_links}
+        ]
+        full = self._full_leaf
+        for need, (leaf_m, spine_m, busy) in self._views.items():
+            for leaf, bit, used in ups:
                 if used + need <= limit:
-                    m |= bit
-                bit <<= 1
-            out.append(m)
-        return out
-
-    def leaf_masks_of_pod(self, pod: int, need: float) -> List[int]:
-        """Element ``j``: bitmask of the uplinks of ``pod``'s ``j``-th
-        leaf with at least ``need`` headroom (bit ``i`` = cable to L2
-        switch ``i``)."""
-        m2, l2 = self.tree.m2, self._l2
-        return self._headroom_masks(self.leaf_bw, pod * m2 * l2, m2, l2, need)
-
-    def spine_masks_of_pod(self, pod: int, need: float) -> List[int]:
-        """Element ``i``: bitmask of the spines reachable from ``pod``'s
-        ``i``-th L2 switch with at least ``need`` headroom."""
-        l2, spines = self._l2, self._spines
-        return self._headroom_masks(
-            self.spine_bw, pod * l2 * spines, l2, spines, need
-        )
+                    leaf_m[leaf] |= bit
+                else:
+                    leaf_m[leaf] &= ~bit
+            for leaf, pod, bit in leaves:
+                if leaf_m[leaf] == full:
+                    busy[pod] &= ~bit
+                else:
+                    busy[pod] |= bit
+            for pod, i, bit, used in downs:
+                row = spine_m[pod]
+                if used + need <= limit:
+                    row[i] |= bit
+                else:
+                    row[i] &= ~bit
 
     def claim(
         self,
@@ -693,6 +783,7 @@ class LinkCapacityState:
         for pod, i, j in spine_links:
             spine_bw[(pod * l2 + i) * spines + j] += need
         self._claims[job_id] = (tuple(leaf_links), tuple(spine_links), need)
+        self._refresh(leaf_links, spine_links)
 
     def claimants(
         self,
@@ -737,3 +828,4 @@ class LinkCapacityState:
             spine_bw[k] -= need
             if spine_bw[k] < 0.0:
                 spine_bw[k] = 0.0
+        self._refresh(leaf_links, spine_links)

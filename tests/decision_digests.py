@@ -145,7 +145,7 @@ def search_configs():
     # A budget small enough that LC+S searches genuinely time out.
     out["lcs_tight_budget"] = dict(
         scheme="lc+s", seed=13, steps=100,
-        max_size=tree.nodes_per_pod + 2 * tree.m1, step_budget=150)
+        max_size=tree.nodes_per_pod + 2 * tree.m1, step_budget=40)
     out["effort_counters"] = dict(
         scheme="jigsaw", seed=14, steps=100, max_size=20)
     return out
@@ -166,8 +166,10 @@ def drive_placements(scheme, seed, steps, max_size, **kwargs):
     """One random allocate/release stream against a fresh allocator.
 
     Every jigsaw/laas placement must satisfy the formal conditions and
-    the occupancy indexes must audit clean at the end.  Returns
-    ``(allocator, digest)``.
+    the occupancy indexes must audit clean at the end.  The LC family's
+    digest also pins its step count and budget aborts: its step budget
+    binds, so the step at which a search times out is a decision.
+    Returns ``(allocator, digest)``.
     """
     tree = FatTree.from_radix(8)
     alloc = make_allocator(scheme, tree, **kwargs)
@@ -192,11 +194,15 @@ def drive_placements(scheme, seed, steps, max_size, **kwargs):
         placed += 1
     assert placed, "workload never placed a job — not a meaningful test"
     alloc.state.audit()
-    return alloc, {
+    digest = {
         "placements_sha256": _sha(stream),
         "placed": placed,
         "failed": failed,
     }
+    if scheme in ("lc+s", "lc"):
+        digest["backtrack_steps"] = alloc.stats.backtrack_steps
+        digest["budget_aborts"] = alloc.stats.budget_aborts
+    return alloc, digest
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,12 @@ The invariants, as regression and property tests:
   pod with a claimed uplink the per-pod fit never scores below the
   pod's bucket row and never succeeds where the row fails, the
   broken-leaf floor never exceeds the row's ``broken``, and a pod whose
-  bound does not beat the incumbent is neither fitted nor returned.
+  bound does not beat the incumbent is neither fitted nor returned;
+* LC+S's bucket-row path is the per-pod fit, step for step: in a pod
+  whose headroom masks are all full, the fit succeeds exactly when the
+  row scores the pod, spends exactly ``LT`` steps, scores what the row
+  scores and returns the step-free materializer's solution, and the
+  two-level walk places and spends as one that fits every pair.
 """
 
 import random
@@ -508,3 +513,110 @@ class TestBranchAndBound:
         leaves = sorted({n // tree.m1 for n in placed.nodes})
         assert leaves == [8, 9, 10]
         assert sorted(placed.nodes) == sorted(expected.nodes)
+
+
+# ----------------------------------------------------------------------
+# LC+S: the bucket-row path against the per-pod fit, step for step
+# ----------------------------------------------------------------------
+#: the paper's four bandwidth classes (GB/s per link)
+BW_CLASSES = (0.5, 1.0, 1.5, 2.0)
+
+
+def _use_view(alloc, need):
+    """Point the LC+S search at the headroom view of ``need``, as
+    ``_search`` does, with a fresh step budget."""
+    (
+        alloc._leaf_masks, alloc._spine_masks, alloc._busy_leaf_masks
+    ) = alloc.links.masks(need)
+    alloc._steps_left = alloc.step_budget
+
+
+def _check_lc_rows(alloc, need):
+    """Every two-level shape in every pod whose leaf masks are all full
+    (every pod, for a single-leaf shape): the per-pod fit succeeds
+    exactly when the bucket row scores the pod, spends exactly ``LT``
+    steps (none for a single-leaf shape), scores what the row scores,
+    and returns the step-free materializer's solution."""
+    state, tree = alloc.state, alloc.tree
+    _use_view(alloc, need)
+    busy = alloc._busy_leaf_masks
+    for size in range(1, tree.nodes_per_pod + 1):
+        for shape in alloc._two_level_shape_iter(size):
+            for pod in range(tree.num_pods):
+                if not shape.single_leaf and (
+                    busy[pod] or shape.nL > tree.l2_per_pod
+                ):
+                    continue
+                row = state.leaf_bucket_row(pod)
+                score = _bucket_row_score(
+                    row, shape.LT, shape.nL, shape.nrL, tree.m1
+                )
+                where = (need, shape, pod, [r.bit_count() for r in row])
+                steps = alloc.stats.backtrack_steps
+                found = alloc._find_two_level_in_pod(pod, shape)
+                spent = alloc.stats.backtrack_steps - steps
+                assert (found is None) == (score is None), where
+                if found is None:
+                    continue
+                assert spent == (0 if shape.single_leaf else shape.LT), where
+                assert alloc._score_two_level(shape, found) == score, where
+                steps = alloc.stats.backtrack_steps
+                assert alloc._materialize_two_level(shape, pod, None) == (
+                    shape, found
+                ), where
+                assert alloc.stats.backtrack_steps == steps, where
+
+
+def _check_lc_walk(alloc, need):
+    """``_search_two_level`` returns the placement of, and spends the
+    steps of, the walk that fits every prefiltered pair."""
+    stats = alloc.stats
+    for size in range(1, alloc.tree.nodes_per_pod + 1):
+        _use_view(alloc, need)
+        before = stats.backtrack_steps
+        got = alloc._search_two_level(size)
+        between = stats.backtrack_steps
+        _use_view(alloc, need)
+        want = _walk_two_level(alloc, size)
+        assert got == want, (need, size)
+        assert between - before == stats.backtrack_steps - between, (
+            need, size
+        )
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    tree=st.sampled_from([TREE8, TREE16]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_lcs_bucket_rows_match_the_fit(tree, seed):
+    rng = random.Random(seed)
+    alloc = make_allocator("lc+s", tree)
+    inj = FaultInjector(alloc)
+    jid = 0
+    live = []
+    for step in range(60):
+        r = rng.random()
+        if r < 0.55:
+            size = rng.randint(1, tree.nodes_per_pod)
+            if alloc.allocate(jid, size, bw_need=rng.choice(BW_CLASSES)):
+                live.append(jid)
+            jid += 1
+        elif r < 0.85 and live:
+            alloc.release(live.pop(rng.randrange(len(live))))
+        else:
+            # A fault takes a link's whole capacity; it fails while a
+            # job still carries traffic there.
+            link = LinkId(
+                rng.randrange(tree.num_leaves), rng.randrange(tree.l2_per_pod)
+            )
+            try:
+                inj.fail_leaf_link(link)
+            except Exception:
+                pass
+        if step % 30 == 29:
+            for need in BW_CLASSES:
+                _check_lc_rows(alloc, need)
+                _check_lc_walk(alloc, need)
+    alloc.state.audit()

@@ -108,12 +108,16 @@ class TestWithLinkSharing:
     def test_lcs_bandwidth_blocked_by_fault(self, tree):
         allocator = make_allocator("lc+s", tree)
         injector = FaultInjector(allocator)
+        leaf, _spine, busy = allocator.links.masks(0.5)
         injector.fail_leaf_link(LinkId(0, 0))
-        # the capacity state shows no headroom on the failed link
-        assert not allocator.links.leaf_masks_of_pod(0, 0.5)[0] & 1
+        # the capacity state shows no headroom on the failed link, in a
+        # view kept across the fault and in one built after it
+        assert not leaf[0] & 1 and busy[0] & 1
+        assert not allocator.links.masks(1.0)[0][0] & 1
         ticket = injector.active_faults[0]
         injector.repair(ticket)
-        assert allocator.links.leaf_masks_of_pod(0, 0.5)[0] & 1
+        assert leaf[0] & 1 and not busy[0]
+        assert allocator.links.masks(1.0)[0][0] & 1
 
 
 class TestInjectorBugfixes:
@@ -166,7 +170,7 @@ class TestInjectorBugfixes:
         allocator.links.release(ticket.fault_id)
         injector.repair(ticket)  # must not raise
         assert injector.active_faults == []
-        assert allocator.links.leaf_masks_of_pod(0, 0.5)[0] & 1
+        assert allocator.links.masks(0.5)[0][0] & 1
         assert allocator.state.is_idle()
         allocator.state.audit()
 

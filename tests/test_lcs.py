@@ -108,3 +108,37 @@ class TestBudget:
         a = LeastConstrainedAllocator(tree, max_solutions_per_pod=2)
         sols = a._find_all_in_pod(0, LT=2, nL=2, nrL=0)
         assert len(sols) <= 2
+
+
+class TestCharge:
+    """``_charge(n)`` is ``n`` calls of ``_tick`` in one: the same
+    ``backtrack_steps``, ``_steps_left`` and abort, also when the budget
+    runs out before the ``n``-th step."""
+
+    @staticmethod
+    def _run(tree, left, spend):
+        a = LeastConstrainedAllocator(tree)
+        a._steps_left = left
+        try:
+            spend(a)
+        except a.BudgetExhausted:
+            aborted = True
+        else:
+            aborted = False
+        return a.stats.backtrack_steps, a._steps_left, aborted
+
+    @pytest.mark.parametrize("left, n", [
+        (5, 0), (5, 3), (5, 4),  # below the steps left
+        (5, 5), (1, 1),          # at
+        (5, 6), (5, 40), (1, 3), # above
+        (0, 0), (0, 2), (-2, 1), # a budget already spent
+    ])
+    def test_charge_equals_ticks(self, tree, left, n):
+        def ticks(a):
+            for _ in range(n):
+                a._tick()
+
+        charged = self._run(tree, left, lambda a: a._charge(n))
+        assert charged == self._run(tree, left, ticks)
+        if 0 < n and left <= n:
+            assert charged[2]  # the abort fired

@@ -5,7 +5,7 @@ import pytest
 from repro.core.conditions import check_allocation
 from repro.core.lcs import LeastConstrainedAllocator
 from repro.core.shapes import ThreeLevelShape
-from repro.topology.fattree import FatTree, LinkId
+from repro.topology.fattree import FatTree, LinkId, SpineLinkId
 
 
 @pytest.fixture
@@ -82,6 +82,35 @@ class TestGeneralThreeLevel:
         if result is not None:
             counts = result.leaf_node_counts(tree)
             assert counts.get(0, 0) < 4 or LinkId(0, 0) not in result.leaf_links
+
+    @pytest.mark.parametrize("burnt, viable", [(2, True), (3, False)])
+    def test_spine_viability_prunes_a_pod_set(self, tree, burnt, viable):
+        """A pod joins the candidate set only if ``nL`` of the set's
+        common L2 indices can still carry ``LT`` common spine links;
+        otherwise the search does not descend to the remainder step."""
+        a = LeastConstrainedAllocator(tree, share_links=False)
+        leave_free(a, {0: {0: 2, 1: 2}, 1: {0: 2, 1: 2}})
+        # Pod 1 keeps one free spine link at each of its first `burnt`
+        # L2 indices: too few for LT = 2 common links there.
+        a.state.claim(900, [], [], [
+            SpineLinkId(1, i, j)
+            for i in range(burnt) for j in range(1, tree.spines_per_group)
+        ])
+        finishes = []
+        finish = a._finish_general
+
+        def spy(*args):
+            finishes.append(args)
+            return finish(*args)
+
+        a._finish_general = spy
+        shape = ThreeLevelShape(T=2, LT=2, nL=2, LrT=0, nrL=0)
+        found = a._find_three_level(shape)
+        assert (found is not None) == viable
+        assert bool(finishes) == viable
+        if viable:
+            _full, _rem, (s, _sr, _s_star, _s_star_r) = found
+            assert s == [2, 3]
 
     def test_solutions_per_pod_capped(self, tree):
         a = LeastConstrainedAllocator(tree, max_solutions_per_pod=3)

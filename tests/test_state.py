@@ -1,11 +1,16 @@
-"""ClusterState: isolation invariant, summaries, bitmask helpers."""
+"""ClusterState: isolation invariant, summaries, bitmask helpers;
+LinkCapacityState: bandwidth sharing and its headroom views."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.registry import make_allocator
 from repro.topology.fattree import FatTree, LinkId, SpineLinkId
 from repro.topology.state import (
+    MAX_HEADROOM_VIEWS,
     AllocationError,
     ClusterState,
     LinkCapacityState,
@@ -240,10 +245,17 @@ class TestLinkCapacityState:
     def test_masks_reflect_headroom(self, tree):
         links = LinkCapacityState(tree)
         full = (1 << tree.l2_per_pod) - 1
-        assert links.leaf_masks_of_pod(0, 1.0) == [full] * tree.m2
+        leaf, _spine, busy = links.masks(1.0)
+        assert leaf == [full] * tree.num_leaves
+        assert busy == [0] * tree.num_pods
         links.claim(1, [LinkId(0, 0)], [], need=3.5)
-        assert not links.leaf_masks_of_pod(0, 1.0)[0] & 1  # link 0 lacks headroom
-        assert links.leaf_masks_of_pod(0, 0.5)[0] & 1  # but 0.5 still fits
+        # the kept 1.0 view follows the claim ...
+        assert not leaf[0] & 1  # link 0 lacks headroom
+        assert busy[0] == 1
+        # ... and a view first built after it sees it too
+        leaf, _spine, busy = links.masks(0.5)
+        assert leaf[0] & 1  # but 0.5 still fits
+        assert busy == [0] * tree.num_pods
 
     def test_sharing_up_to_cap(self, tree):
         links = LinkCapacityState(tree)
@@ -257,8 +269,12 @@ class TestLinkCapacityState:
     def test_spine_masks(self, tree):
         links = LinkCapacityState(tree)
         links.claim(1, [], [SpineLinkId(0, 0, 1)], need=4.0)
-        assert not links.spine_masks_of_pod(0, 1.0)[0] & 0b10
-        assert links.spine_masks_of_pod(0, 1.0)[0] & 0b01
+        _leaf, spine, busy = links.masks(1.0)
+        assert not spine[0][0] & 0b10
+        assert spine[0][0] & 0b01
+        assert busy == [0] * tree.num_pods  # spine links make no leaf busy
+        links.release(1)
+        assert spine[0][0] & 0b10
 
     def test_release_unknown_rejected(self, tree):
         links = LinkCapacityState(tree)
@@ -272,6 +288,9 @@ class TestLinkCapacityState:
         tree = FatTree.from_radix(radix)
         l2, spines = tree.l2_per_pod, tree.spines_per_group
         links = LinkCapacityState(tree)
+        # 0.5 and 2.0 are kept through every claim; 1.0 is built after
+        links.masks(0.5)
+        links.masks(2.0)
         rng = random.Random(radix)
         used = {}
         for job in range(40 * tree.num_pods):
@@ -289,19 +308,167 @@ class TestLinkCapacityState:
                 used[link] = used.get(link, 0.0) + need
         limit = links.capacity + 1e-9
         for need in (0.5, 1.0, 2.0):
+            leaf, spine, _busy = links.masks(need)
             for pod in range(tree.num_pods):
                 first = tree.first_leaf_of_pod(pod)
-                assert links.leaf_masks_of_pod(pod, need) == [
+                assert leaf[first : first + tree.m2] == [
                     mask_of(
                         i for i in range(l2)
                         if used.get((first + j, i), 0.0) + need <= limit
                     )
                     for j in range(tree.m2)
                 ]
-                assert links.spine_masks_of_pod(pod, need) == [
+                assert spine[pod] == [
                     mask_of(
                         k for k in range(spines)
                         if used.get((pod, i, k), 0.0) + need <= limit
                     )
                     for i in range(l2)
                 ]
+
+
+# ----------------------------------------------------------------------
+# Headroom views: kept current by claim and release
+# ----------------------------------------------------------------------
+#: the paper's four bandwidth classes (GB/s per link)
+CLASS_NEEDS = (0.5, 1.0, 1.5, 2.0)
+#: needs whose sums round: releasing 0.7 and then 0.1 from a link
+#: holding both leaves about -1.4e-16, which release clamps to 0.0
+CLAMP_NEEDS = (0.7, 0.1)
+
+
+def _view_from_usage(links, need):
+    """A headroom view recounted link by link from the usage lists."""
+    tree = links.tree
+    l2, spines, m2 = tree.l2_per_pod, tree.spines_per_group, tree.m2
+    limit = links.capacity + 1e-9
+    leaf = [
+        mask_of(
+            i for i in range(l2) if links.leaf_bw[lf * l2 + i] + need <= limit
+        )
+        for lf in range(tree.num_leaves)
+    ]
+    spine = [
+        [
+            mask_of(
+                j for j in range(spines)
+                if links.spine_bw[(pod * l2 + i) * spines + j] + need <= limit
+            )
+            for i in range(l2)
+        ]
+        for pod in range(tree.num_pods)
+    ]
+    full = (1 << l2) - 1
+    busy = [
+        mask_of(j for j in range(m2) if leaf[pod * m2 + j] != full)
+        for pod in range(tree.num_pods)
+    ]
+    return leaf, spine, busy
+
+
+def _random_links(rng, tree):
+    """A few leaf and spine links of pods 0-1, so that usage piles up
+    on a small set of cables and reaches the cap."""
+    m2, l2 = tree.m2, tree.l2_per_pod
+    leaf_links = {
+        LinkId(rng.randrange(2 * m2), rng.randrange(l2))
+        for _ in range(rng.randint(0, 5))
+    }
+    spine_links = {
+        SpineLinkId(rng.randrange(2), rng.randrange(l2),
+                    rng.randrange(tree.spines_per_group))
+        for _ in range(rng.randint(0, 3))
+    }
+    return sorted(leaf_links), sorted(spine_links)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    late=st.integers(min_value=0, max_value=60),
+)
+def test_views_track_claims_and_releases(seed, late):
+    """Random claim/release sequences (class needs, the rounding needs
+    whose releases hit the clamp, fault-style claims at ``capacity``):
+    after every step each kept view equals a recount from the usage
+    lists, and a view first requested mid-sequence, on a twin fed the
+    same steps, equals the one kept since the start."""
+    tree = FatTree.from_radix(8)
+    needs = CLASS_NEEDS + CLAMP_NEEDS
+    kept, twin = LinkCapacityState(tree), LinkCapacityState(tree)
+    views = {need: kept.masks(need) for need in needs}
+    rng = random.Random(seed)
+    live = []
+    for step in range(60):
+        if live and rng.random() < 0.35:
+            job = live.pop(rng.randrange(len(live)))
+            kept.release(job)
+            twin.release(job)
+        else:
+            leaf_links, spine_links = _random_links(rng, tree)
+            need = rng.choice(needs + (kept.capacity,))
+            try:
+                kept.claim(step, leaf_links, spine_links, need)
+            except AllocationError:
+                with pytest.raises(AllocationError):
+                    twin.claim(step, leaf_links, spine_links, need)
+            else:
+                twin.claim(step, leaf_links, spine_links, need)
+                live.append(step)
+        full = (1 << tree.l2_per_pod) - 1
+        for need, view in views.items():
+            assert view == _view_from_usage(kept, need), (step, need)
+            leaf, _spine, busy = view
+            for pod in range(tree.num_pods):
+                lo = pod * tree.m2
+                assert busy[pod] == mask_of(
+                    j for j in range(tree.m2) if leaf[lo + j] != full
+                )
+            if step >= late:
+                assert twin.masks(need) == view, (step, need)
+
+
+def test_release_clamp_keeps_views_exact(tree):
+    links = LinkCapacityState(tree)
+    leaf, _spine, busy = links.masks(4.0)
+    link = LinkId(0, 0)
+    links.claim(1, [link], [], 0.7)
+    links.claim(2, [link], [], 0.1)
+    assert not leaf[0] & 1 and busy[0] == 1
+    links.release(1)
+    links.release(2)
+    # 0.7 + 0.1 - 0.7 - 0.1 is negative in IEEE-754; the clamp makes
+    # it 0.0, so the whole capacity fits again
+    assert 0.7 + 0.1 - 0.7 - 0.1 < 0.0
+    assert links.leaf_bw[0] == 0.0
+    assert leaf[0] & 1 and busy[0] == 0
+    assert (leaf, _spine, busy) == _view_from_usage(links, 4.0)
+
+
+def test_many_needs_keep_views_bounded(tree):
+    """Fifty distinct needs: the view set stays within its bound, and
+    placements, steps and aborts equal those of an allocator that
+    rebuilds its view for every search."""
+    alloc = make_allocator("lc+s", tree)
+    ref = make_allocator("lc+s", tree)
+    ref.links.masks = ref.links._build_view  # a fresh view per search
+    rng = random.Random(3)
+    needs = [0.04 * k for k in range(1, 51)]
+    live = []
+    for job in range(300):
+        if live and rng.random() < 0.4:
+            victim = live.pop(rng.randrange(len(live)))
+            alloc.release(victim)
+            ref.release(victim)
+            continue
+        size, need = rng.randint(1, 40), rng.choice(needs)
+        got = alloc.allocate(job, size, bw_need=need)
+        want = ref.allocate(job, size, bw_need=need)
+        assert got == want, job
+        if got is not None:
+            live.append(job)
+        assert len(alloc.links._views) <= MAX_HEADROOM_VIEWS
+    assert len(alloc.links._views) == MAX_HEADROOM_VIEWS
+    assert not ref.links._views
+    assert alloc.stats.backtrack_steps == ref.stats.backtrack_steps
+    assert alloc.stats.budget_aborts == ref.stats.budget_aborts
