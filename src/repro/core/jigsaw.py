@@ -26,6 +26,7 @@ reduction-to-two-levels described in section 5.2.1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.allocator import Allocation, Allocator
@@ -159,7 +160,7 @@ class JigsawAllocator(Allocator):
     # ------------------------------------------------------------------
     # Shape enumeration hooks (overridden by LaaS)
     # ------------------------------------------------------------------
-    def _two_level_shape_iter(self, size: int) -> Iterator[TwoLevelShape]:
+    def _two_level_shape_iter(self, size: int) -> Sequence[TwoLevelShape]:
         return two_level_shapes_cached(
             size, self.tree.m1, self.tree.m2, self.order
         )
@@ -192,10 +193,10 @@ class JigsawAllocator(Allocator):
                 shape, solution = found
                 return self._build_two_level(job_id, size, shape, *solution)
             # Look for a three-level allocation if two-level failed.
-            for shape in self._three_level_shape_iter(alloc_size):
-                found3 = self._find_three_level(shape)
-                if found3 is not None:
-                    return self._build_three_level(job_id, size, shape, *found3)
+            found = self._search_three_level(alloc_size)
+            if found is not None:
+                shape, solution = found
+                return self._build_three_level(job_id, size, shape, *solution)
         except self.BudgetExhausted:
             self._budget_exhausted = True
             self.stats.budget_aborts += 1
@@ -228,7 +229,6 @@ class JigsawAllocator(Allocator):
         """
         state = self.state
         m1 = self.tree.m1
-        pods = range(self.tree.m3)
         pod_max = max(state.pod_free)
         full_total = sum(state.full_free_leaves)
         leaves_ge: Dict[int, int] = {}
@@ -242,9 +242,7 @@ class JigsawAllocator(Allocator):
                 out.append(full > full_total)
                 continue
             if rem not in leaves_ge:
-                leaves_ge[rem] = sum(
-                    state.leaves_with_at_least(pod, rem) for pod in pods
-                )
+                leaves_ge[rem] = sum(state.leaf_ge_row(rem))
             out.append(leaves_ge[rem] < full + 1)
         return out
 
@@ -269,22 +267,28 @@ class JigsawAllocator(Allocator):
         whose lower bounds still beat it.  A pruned pair could neither
         replace the incumbent nor stop the walk, so the chosen
         placement is the exhaustive walk's.
+
+        The pods a shape may use are read once per search: the host
+        pods (:meth:`_host_pods`), which each shape then filters by its
+        leaf demand (:meth:`_two_level_pods`).  With no host pod no
+        shape is walked at all.
         """
+        shapes = self._two_level_shape_iter(alloc_size)
+        if not shapes:  # a job larger than a pod
+            return None
+        hosts = self._host_pods(alloc_size, len(shapes))
+        if not hosts:
+            return None
         if self.strategy == "first":
-            for shape in self._two_level_shape_iter(alloc_size):
-                for pod in self._two_level_pods(alloc_size, shape):
+            for shape in shapes:
+                for pod in self._two_level_pods(hosts, shape):
                     found = self._find_two_level_in_pod(pod, shape)
                     if found is not None:
                         return shape, found
             return None
-        l2_per_pod = self.tree.l2_per_pod
         best = None  # (score, shape, pod, found)
-        for shape in self._two_level_shape_iter(alloc_size):
-            if not shape.single_leaf and shape.nL > l2_per_pod:
-                # No leaf can offer nL common uplinks; the per-pod fit
-                # rejects every candidate set in every pod.
-                continue
-            pods = self._two_level_pods(alloc_size, shape)
+        for shape in shapes:
+            pods = self._two_level_pods(hosts, shape)
             if not pods:
                 continue
             ranked = self._score_shape_pods(
@@ -424,17 +428,40 @@ class JigsawAllocator(Allocator):
             residue += f - shape.nrL
         return (broken, residue, consumed)
 
-    def _two_level_pods(self, alloc_size: int, shape: TwoLevelShape) -> List[int]:
+    def _host_pods(self, alloc_size: int, shapes_walked: int) -> List[int]:
+        """Pods with at least ``alloc_size`` free nodes, ascending: the
+        only pods a two-level shape of this search can use, since
+        ``pod_free >= size`` is the first tick-free rejection of
+        :meth:`_find_two_level_in_pod`.
+
+        Read once per search; each shape then filters these pods alone
+        (:meth:`_two_level_pods`).  When there is none the walk visits
+        no shape, so this charges ``pods_pruned`` with what the
+        ``shapes_walked`` per-shape prefilters would each have added:
+        every pod.
+        """
+        pod_free = self.state.pod_free
+        hosts = [p for p in range(len(pod_free)) if pod_free[p] >= alloc_size]
+        if not hosts:
+            self.stats.pods_pruned += len(pod_free) * shapes_walked
+        return hosts
+
+    def _two_level_pods(
+        self, hosts: Sequence[int], shape: TwoLevelShape
+    ) -> List[int]:
         """Pods worth searching for ``shape``, in ascending pod order.
 
-        One plain-int walk over the per-pod occupancy counters
-        (:meth:`ClusterState.feasible_pods`): ``pod_free >= size`` and
-        ``LT`` leaves with ``>= nL`` free nodes.  Both are exactly the
-        *tick-free* rejections :meth:`_find_two_level_in_pod` (and, for
+        The search's host pods (:meth:`_host_pods`) holding ``LT``
+        leaves with ``>= nL`` free nodes, read off the maintained
+        per-pod counters: exactly
+        ``ClusterState.feasible_pods(size, nL, LT)``, the *tick-free*
+        rejections :meth:`_find_two_level_in_pod` (and, for
         single-leaf shapes, its best-fit leaf pick) would perform —
         skipping those pods costs no budget and changes no decision.
         """
-        pods = self.state.feasible_pods(alloc_size, shape.nL, shape.LT)
+        ge = self.state.leaf_ge_row(shape.nL)
+        LT = shape.LT
+        pods = [p for p in hosts if ge[p] >= LT]
         self.stats.pods_pruned += self.tree.num_pods - len(pods)
         return pods
 
@@ -538,6 +565,28 @@ class JigsawAllocator(Allocator):
     # ------------------------------------------------------------------
     # find_L3: cross-pod search
     # ------------------------------------------------------------------
+    def _search_three_level(self, alloc_size: int):
+        """First three-level shape with a placement, as ``(shape,
+        solution)``, or ``None``.
+
+        A shape needs ``T`` pods holding ``LT`` fully-free leaves, and
+        most shapes tried lack them (12.4 k of the 12.9 k tried in a
+        seed-0 ``synth28-event`` round).  The per-pod counts are sorted
+        once per search, so such a shape is rejected by bisection
+        before any pod walk, charging ``pods_pruned`` with what the
+        prefilter of :meth:`_find_three_level` would have left out.
+        """
+        full = sorted(self.state.full_free_leaves)
+        for shape in self._three_level_shape_iter(alloc_size):
+            short = bisect_left(full, shape.LT)
+            if len(full) - short < shape.T:
+                self.stats.pods_pruned += short
+                continue
+            found = self._find_three_level(shape)
+            if found is not None:
+                return shape, found
+        return None
+
     def _find_three_level(
         self, shape: ThreeLevelShape
     ) -> Optional[

@@ -137,21 +137,26 @@ class LeastConstrainedAllocator(JigsawAllocator):
         the shape, the fit runs, fails and spends its exact steps; so
         does every pod with a link short of headroom.  The selection
         rule is Jigsaw's: first ``(0, 0)`` score, else the strict-``<``
-        minimum, the earliest pair on ties.
+        minimum, the earliest pair on ties.  The pods come from Jigsaw's
+        per-search host list (:meth:`_host_pods`), filtered per shape.
         """
+        shapes = self._two_level_shape_iter(alloc_size)
+        if not shapes:  # a job larger than a pod
+            return None
+        hosts = self._host_pods(alloc_size, len(shapes))
+        if not hosts:
+            return None
         state = self.state
-        m1, l2 = self.tree.m1, self.tree.l2_per_pod
+        m1 = self.tree.m1
         busy = self._busy_leaf_masks
         best = None  # (score, shape, pod, found)
-        for shape in self._two_level_shape_iter(alloc_size):
+        for shape in shapes:
             LT, nL, nrL = shape.LT, shape.nL, shape.nrL
             # Steps the fit spends in a pod with every leaf mask full.
             steps = 0 if shape.single_leaf else LT
-            # More common uplinks than a leaf has: every fit fails.
-            scored = steps == 0 or nL <= l2
-            for pod in self._two_level_pods(alloc_size, shape):
+            for pod in self._two_level_pods(hosts, shape):
                 found = score = None
-                if scored and not (steps and busy[pod]):
+                if not (steps and busy[pod]):
                     score = _bucket_row_score(
                         state.leaf_bucket_row(pod), LT, nL, nrL, m1
                     )
@@ -169,6 +174,15 @@ class LeastConstrainedAllocator(JigsawAllocator):
         if best is None:
             return None
         return self._materialize_two_level(*best[1:])
+
+    def _search_three_level(self, alloc_size: int):
+        """Every shape in order: LC's shapes use partial leaves, so
+        Jigsaw's fully-free leaf count does not bound them."""
+        for shape in self._three_level_shape_iter(alloc_size):
+            found = self._find_three_level(shape)
+            if found is not None:
+                return shape, found
+        return None
 
     def _trace_attrs(self, size):
         attrs = super()._trace_attrs(size)

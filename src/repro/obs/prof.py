@@ -52,7 +52,8 @@ _BASE_STAGES = {
 _JIGSAW_STAGES = {
     **_BASE_STAGES,
     "_search_two_level": "two_level",
-    "_find_three_level": "three_level",
+    "_search_three_level": "three_level",
+    "_host_pods": "prefilter",
     "_two_level_pods": "prefilter",
     "_score_shape_pods": "pod_fit",
     "_find_two_level_in_pod": "pod_fit",

@@ -763,11 +763,19 @@ class LinkCapacityState:
         """Add ``need`` GB/s of usage on every given link for ``job_id``.
 
         Raises :class:`AllocationError` (leaving state untouched) if the
-        job id already holds bandwidth, any link id lies outside the
-        cluster, or any link lacks the headroom.
+        job id already holds bandwidth, a link appears twice, any link
+        id lies outside the cluster, or any link lacks the headroom.
         """
         if job_id in self._claims:
             raise AllocationError(f"job {job_id} already holds bandwidth")
+        leaf_links = tuple(leaf_links)
+        spine_links = tuple(spine_links)
+        # A repeated link would be charged once per mention, past the
+        # headroom test that reads its usage before either charge.
+        if len(set(leaf_links)) != len(leaf_links):
+            raise AllocationError("duplicate leaf links in claim")
+        if len(set(spine_links)) != len(spine_links):
+            raise AllocationError("duplicate spine links in claim")
         _check_link_ids(self.tree, leaf_links, spine_links)
         cap = self.capacity
         l2, spines = self._l2, self._spines
@@ -782,7 +790,7 @@ class LinkCapacityState:
             leaf_bw[leaf * l2 + i] += need
         for pod, i, j in spine_links:
             spine_bw[(pod * l2 + i) * spines + j] += need
-        self._claims[job_id] = (tuple(leaf_links), tuple(spine_links), need)
+        self._claims[job_id] = (leaf_links, spine_links, need)
         self._refresh(leaf_links, spine_links)
 
     def claimants(

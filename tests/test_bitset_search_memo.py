@@ -206,7 +206,7 @@ def _walk_two_level(self, alloc_size):
     score it, and stop at the first ``(0, 0)`` score."""
     best = None
     for shape in self._two_level_shape_iter(alloc_size):
-        for pod in self._two_level_pods(alloc_size, shape):
+        for pod in self.state.feasible_pods(alloc_size, shape.nL, shape.LT):
             found = self._find_two_level_in_pod(pod, shape)
             if found is None:
                 continue
@@ -351,7 +351,9 @@ class TestBucketRowScorer:
         inj.fail_leaf_link(LinkId(TREE16.m2 + 3, 0))  # pod 1 is busy
         # Both pass the prefilter (15 free nodes, two leaves with >= 6)
         # but neither has a third leaf with >= 2 free nodes.
-        assert {0, 1} <= set(alloc._two_level_pods(shape.size, shape))
+        assert {0, 1} <= set(
+            alloc.state.feasible_pods(shape.size, shape.nL, shape.LT)
+        )
         assert alloc._score_shape_pods(shape, [0, 1]) is None
         assert _walk_shape(alloc, shape, [0, 1]) is None
 

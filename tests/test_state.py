@@ -281,6 +281,26 @@ class TestLinkCapacityState:
         with pytest.raises(Exception):
             links.release(7)
 
+    @pytest.mark.parametrize(
+        "leaf_links,spine_links",
+        [([LinkId(0, 0)] * 2, []), ([], [SpineLinkId(0, 0, 0)] * 2),
+         ([LinkId(0, 0)] * 2, [SpineLinkId(0, 0, 0)] * 2)],
+        ids=["leaf", "spine", "both"],
+    )
+    def test_claim_rejects_repeated_link(self, tree, leaf_links, spine_links):
+        """A link named twice was charged twice: 2 x 2.5 GB/s left 5.0
+        GB/s on a link capped at 4.0, and nothing was raised.  Like
+        ``ClusterState.claim``, the claim must fail untouched."""
+        links = LinkCapacityState(tree)
+        leaf, spine, busy = links.masks(1.0)
+        before = (list(leaf), [list(row) for row in spine], list(busy))
+        with pytest.raises(AllocationError, match="duplicate"):
+            links.claim(1, leaf_links, spine_links, 2.5)
+        assert not any(links.leaf_bw) and not any(links.spine_bw)
+        assert (leaf, spine, busy) == before
+        with pytest.raises(AllocationError):
+            links.release(1)  # nothing was recorded either
+
     @pytest.mark.parametrize("radix", [8, 18])
     def test_pod_masks_match_per_link_reference(self, radix):
         """Every row and bit of the per-pod masks against usage summed
