@@ -27,7 +27,6 @@ def _counters(allocator) -> str:
     """Search-effort and cache counters, one line per bench run."""
     s = allocator.stats
     return (
-        f"pruned={s.pods_pruned} cand={s.candidate_hits} "
         f"steps={s.backtrack_steps} "
         f"cache={s.cache_hits}/{s.cache_hits + s.cache_misses}"
     )

@@ -8,8 +8,7 @@ cluster is its worst case, as in the paper).
 Also saves the allocator feasibility-cache companion table (per run,
 the share of allocate()/can_allocate() lookups answered from the
 cross-pass infeasibility cache instead of a full search) and the
-search-effort companion table (pods pruned by the occupancy prefilter,
-candidate-list hits, backtracking steps).
+search-effort companion table (backtracking steps).
 """
 
 from repro.experiments import table3

@@ -111,12 +111,6 @@ class AllocatorStats:
     cache_invalidations: int = metric(
         "repro_feasibility_cache_invalidations_total",
         "feasibility-cache flushes because free capacity grew")
-    pods_pruned: int = metric(
-        "repro_search_pods_pruned_total",
-        "pods rejected by the occupancy prefilter")
-    candidate_hits: int = metric(
-        "repro_search_candidate_hits_total",
-        "candidate lists served from the maintained order")
     backtrack_steps: int = metric(
         "repro_search_backtrack_steps_total",
         "backtracking steps executed by searches")
@@ -150,9 +144,7 @@ class AllocatorStats:
             f"feasibility cache: {self.cache_hits}/{lookups} lookups "
             f"served from cache ({100 * self.cache_hit_rate:.1f}%, "
             f"{self.cache_invalidations} invalidations)",
-            f"search effort: {self.pods_pruned} pods pruned, "
-            f"{self.candidate_hits} candidate-list hits, "
-            f"{self.backtrack_steps} backtracking steps, "
+            f"search effort: {self.backtrack_steps} backtracking steps, "
             f"{self.budget_aborts} budget aborts",
             f"pass prefilter: {self.queue_prefiltered} candidates skipped",
         ))

@@ -276,7 +276,7 @@ class JigsawAllocator(Allocator):
         shapes = self._two_level_shape_iter(alloc_size)
         if not shapes:  # a job larger than a pod
             return None
-        hosts = self._host_pods(alloc_size, len(shapes))
+        hosts = self._host_pods(alloc_size)
         if not hosts:
             return None
         if self.strategy == "first":
@@ -338,7 +338,7 @@ class JigsawAllocator(Allocator):
         greedy set, so the bucket-row score is a lower bound on the
         fit's score, and the fit runs only when that bound beats the
         incumbent.  Before the row, with ``nL < m1``, at most
-        ``leaves_with_at_least(pod, nL) - full_free_leaves[pod]`` of the
+        ``leaf_ge_row(nL)[pod] - full_free_leaves[pod]`` of the
         ``LT`` leaves are partly free, so the rest break fully-free
         leaves: a pod whose ``broken`` floor exceeds the incumbent's is
         skipped outright.  A bound at or above the incumbent cannot
@@ -428,23 +428,17 @@ class JigsawAllocator(Allocator):
             residue += f - shape.nrL
         return (broken, residue, consumed)
 
-    def _host_pods(self, alloc_size: int, shapes_walked: int) -> List[int]:
+    def _host_pods(self, alloc_size: int) -> List[int]:
         """Pods with at least ``alloc_size`` free nodes, ascending: the
         only pods a two-level shape of this search can use, since
         ``pod_free >= size`` is the first tick-free rejection of
         :meth:`_find_two_level_in_pod`.
 
         Read once per search; each shape then filters these pods alone
-        (:meth:`_two_level_pods`).  When there is none the walk visits
-        no shape, so this charges ``pods_pruned`` with what the
-        ``shapes_walked`` per-shape prefilters would each have added:
-        every pod.
+        (:meth:`_two_level_pods`).
         """
         pod_free = self.state.pod_free
-        hosts = [p for p in range(len(pod_free)) if pod_free[p] >= alloc_size]
-        if not hosts:
-            self.stats.pods_pruned += len(pod_free) * shapes_walked
-        return hosts
+        return [p for p in range(len(pod_free)) if pod_free[p] >= alloc_size]
 
     def _two_level_pods(
         self, hosts: Sequence[int], shape: TwoLevelShape
@@ -461,16 +455,7 @@ class JigsawAllocator(Allocator):
         """
         ge = self.state.leaf_ge_row(shape.nL)
         LT = shape.LT
-        pods = [p for p in hosts if ge[p] >= LT]
-        self.stats.pods_pruned += self.tree.num_pods - len(pods)
-        return pods
-
-    def _pod_candidates(self, pod: int, min_free: int) -> List[int]:
-        """Leaves of ``pod`` with at least ``min_free`` free nodes in
-        best-fit order (ascending free count, then leaf id), read off
-        the maintained bucket order."""
-        self.stats.candidate_hits += 1
-        return self.state.leaf_candidates(pod, min_free)
+        return [p for p in hosts if ge[p] >= LT]
 
     # ------------------------------------------------------------------
     # find_L2: search one pod for a two-level allocation
@@ -499,7 +484,7 @@ class JigsawAllocator(Allocator):
         # Best fit: try the leaves with the fewest (sufficient) free nodes
         # first, so partial leaves fill up before fully-free leaves are
         # broken — fully-free leaves are what three-level allocations need.
-        candidates = self._pod_candidates(pod, shape.nL)
+        candidates = state.leaf_candidates(pod, shape.nL)
         if len(candidates) < shape.LT:
             return None
 
@@ -545,7 +530,7 @@ class JigsawAllocator(Allocator):
         rem_leaf: Optional[int] = None
         avail = 0
         leaf_masks = self._leaf_masks
-        for leaf in self._pod_candidates(pod, shape.nrL):
+        for leaf in self.state.leaf_candidates(pod, shape.nrL):
             if leaf in taken:
                 continue
             a = leaf_masks[leaf] & inter
@@ -573,14 +558,11 @@ class JigsawAllocator(Allocator):
         most shapes tried lack them (12.4 k of the 12.9 k tried in a
         seed-0 ``synth28-event`` round).  The per-pod counts are sorted
         once per search, so such a shape is rejected by bisection
-        before any pod walk, charging ``pods_pruned`` with what the
-        prefilter of :meth:`_find_three_level` would have left out.
+        before any pod walk.
         """
         full = sorted(self.state.full_free_leaves)
         for shape in self._three_level_shape_iter(alloc_size):
-            short = bisect_left(full, shape.LT)
-            if len(full) - short < shape.T:
-                self.stats.pods_pruned += short
+            if len(full) - bisect_left(full, shape.LT) < shape.T:
                 continue
             found = self._find_three_level(shape)
             if found is not None:
@@ -610,7 +592,6 @@ class JigsawAllocator(Allocator):
         # leaves here let the search pick a leaf whose uplink was held
         # by a fault, and the subsequent claim blew up mid-allocation.
         prefiltered = state.feasible_pods(0, min_full_leaves=shape.LT)
-        self.stats.pods_pruned += tree.num_pods - len(prefiltered)
         candidates = [
             p for p in prefiltered if state.usable_full_leaves(p) >= shape.LT
         ]
@@ -676,7 +657,6 @@ class JigsawAllocator(Allocator):
             1 if shape.nrL else 0,
             min_full_leaves=shape.LrT,
         )
-        self.stats.pods_pruned += tree.num_pods - len(rps)
         for rp in rps:
             if rp in taken:
                 continue
@@ -750,7 +730,7 @@ class JigsawAllocator(Allocator):
         usable = self.state.usable_full_leaf_mask(rp)
         usable_count = usable.bit_count()
         leaf_masks = self._leaf_masks
-        for leaf in self._pod_candidates(rp, shape.nrL):
+        for leaf in self.state.leaf_candidates(rp, shape.nrL):
             if (usable >> (leaf - base)) & 1 and usable_count <= shape.LrT:
                 continue  # would consume a full leaf the shape still needs
             ok = leaf_masks[leaf] & eligible

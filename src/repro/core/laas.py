@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.core.jigsaw import JigsawAllocator
-from repro.core.shapes import ThreeLevelShape, three_level_shapes
+from repro.core.shapes import ThreeLevelShape
 
 
 class LaaSAllocator(JigsawAllocator):
@@ -81,14 +81,7 @@ class LaaSAllocator(JigsawAllocator):
     def _three_level_shape_iter(self, size: int) -> Iterator[ThreeLevelShape]:
         # Reduction to two levels: whole leaves only.  The rounded size
         # is a multiple of m1, so every shape has nrL = 0 automatically.
-        return three_level_shapes(
-            self._rounded(size),
-            self.tree.m1,
-            self.tree.m2,
-            self.tree.m3,
-            self.order,
-            full_leaves_only=True,
-        )
+        return super()._three_level_shape_iter(self._rounded(size))
 
     def _find_three_level(self, shape: ThreeLevelShape):
         if shape.nrL != 0:

@@ -143,7 +143,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
         shapes = self._two_level_shape_iter(alloc_size)
         if not shapes:  # a job larger than a pod
             return None
-        hosts = self._host_pods(alloc_size, len(shapes))
+        hosts = self._host_pods(alloc_size)
         if not hosts:
             return None
         state = self.state
@@ -252,7 +252,6 @@ class LeastConstrainedAllocator(JigsawAllocator):
         if state.pod_free[pod] < need:
             return []
         # Ascending leaf-id order off the maintained buckets.
-        self.stats.candidate_hits += 1
         candidates = state.leaf_candidates_by_id(pod, nL)
         if len(candidates) < LT:
             return []
@@ -267,7 +266,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
             taken = set(chosen)
             # First eligible leaf in best-fit (free, leaf-id) order ==
             # the min-scan's pick: fewest free nodes, then lowest id.
-            for leaf in self._pod_candidates(pod, nrL):
+            for leaf in state.leaf_candidates(pod, nrL):
                 if leaf in taken:
                     continue
                 avail = leaf_masks[leaf] & inter
@@ -313,7 +312,6 @@ class LeastConstrainedAllocator(JigsawAllocator):
         # and candidate-count): pruned pods would have returned []
         # without spending budget.
         scan = self.state.feasible_pods(LT * nL, nL, LT)
-        self.stats.pods_pruned += tree.num_pods - len(scan)
         sols: Dict[int, List[_PodSolution]] = {}
         for pod in scan:
             s = self._find_all_in_pod(pod, LT, nL, 0)
@@ -388,7 +386,6 @@ class LeastConstrainedAllocator(JigsawAllocator):
             if picked is None:
                 return None
             return list(chosen), None, picked
-        self.stats.pods_pruned += self.tree.num_pods - len(rps)
         taken = {pod for pod, _ in chosen}
         for rp in rps:
             if rp in taken:
@@ -413,7 +410,7 @@ class LeastConstrainedAllocator(JigsawAllocator):
         out: List[_PodSolution] = []
         # Best-fit (free, leaf-id) order — identical to the old
         # sorted((free, leaf)) ranking.
-        ranked = self._pod_candidates(rp, shape.nrL)
+        ranked = self.state.leaf_candidates(rp, shape.nrL)
         for leaf in ranked[:4]:  # a few best-fit candidates suffice
             avail = self._leaf_masks[leaf]
             if avail.bit_count() >= shape.nrL:

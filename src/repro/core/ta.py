@@ -158,7 +158,6 @@ class TopologyAwareAllocator(Allocator):
         tree = self.tree
         usable = self._usable_free()
         ok = [pod for pod, t in enumerate(self._pod_totals(usable)) if t >= size]
-        self.stats.pods_pruned += tree.num_pods - len(ok)
         if not ok:
             return None
         lo = ok[0] * tree.m2  # first feasible pod
@@ -173,7 +172,6 @@ class TopologyAwareAllocator(Allocator):
         tree = self.tree
         m2 = tree.m2
         t3_owner = self._t3_owner
-        self.stats.pods_pruned += tree.num_pods - t3_owner.count(-1)
         usable = self._usable_free()
         leaves: List[int] = []
         total = 0

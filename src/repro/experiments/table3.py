@@ -29,7 +29,7 @@ def table3_full(
 ) -> Tuple[
     Dict[str, Dict[str, float]],
     Dict[str, Dict[str, str]],
-    Dict[str, Dict[str, str]],
+    Dict[str, Dict[str, int]],
 ]:
     """Table 3 plus the allocator cache and search-effort counters, all
     from the same simulation runs.
@@ -37,9 +37,7 @@ def table3_full(
     Returns ``(rows, cache_rows, search_rows)``: ``rows`` is scheme ->
     trace -> mean allocator seconds per job; ``cache_rows`` is scheme ->
     trace -> ``"hit%  (hits/lookups)"``; ``search_rows`` is scheme ->
-    trace -> ``"pruned/cand/steps"`` (pods pruned by the occupancy
-    prefilter, candidate lists read off the maintained order,
-    backtracking steps executed).
+    trace -> backtracking steps executed.
     """
     cells = [
         sim_cell(trace=name, scheme=scheme, scale=scale, seed=seed)
@@ -49,7 +47,7 @@ def table3_full(
     results = iter(run_sim_grid(cells, workers=workers))
     rows: Dict[str, Dict[str, float]] = {scheme: {} for scheme in schemes}
     cache_rows: Dict[str, Dict[str, str]] = {scheme: {} for scheme in schemes}
-    search_rows: Dict[str, Dict[str, str]] = {scheme: {} for scheme in schemes}
+    search_rows: Dict[str, Dict[str, int]] = {scheme: {} for scheme in schemes}
     for name in trace_names:
         for scheme in schemes:
             result = next(results)
@@ -60,10 +58,7 @@ def table3_full(
                 f"{100 * stats.cache_hit_rate:.1f}% "
                 f"({stats.cache_hits}/{lookups})"
             )
-            search_rows[scheme][name] = (
-                f"{stats.pods_pruned}/{stats.candidate_hits}"
-                f"/{stats.backtrack_steps}"
-            )
+            search_rows[scheme][name] = stats.backtrack_steps
     return rows, cache_rows, search_rows
 
 
@@ -116,12 +111,11 @@ def render_cache(cache_rows: Dict[str, Dict[str, str]]) -> str:
     )
 
 
-def render_search(search_rows: Dict[str, Dict[str, str]]) -> str:
-    """The search-effort companion table (pruned/cand/steps)."""
+def render_search(search_rows: Dict[str, Dict[str, int]]) -> str:
+    """The search-effort companion table (backtrack steps)."""
     traces = list(next(iter(search_rows.values())))
     return render_table(
-        "Allocator search effort: pods pruned/candidate hits"
-        "/backtrack steps",
+        "Allocator search effort: backtrack steps",
         search_rows,
         traces,
         row_header="Approach",

@@ -49,16 +49,16 @@ def compute_reservation(
     (``free_now >= need``), the next completion is used as the shadow —
     the earliest moment the fragmentation pattern can change.
     """
-    events = sorted(running)
     free = free_now
     if free >= need:
-        if not events:
+        first = min(running, default=None)
+        if first is None:
             # Nothing running yet nothing fits: an oversized job on an
             # empty machine; it can never start (caller filters these).
             return Reservation(now, free - need)
-        end, released = events[0]
+        end, released = first
         return Reservation(end, free + released - need)
-    for end, released in events:
+    for end, released in sorted(running):
         free += released
         if free >= need:
             return Reservation(end, free - need)

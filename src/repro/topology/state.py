@@ -206,10 +206,6 @@ class ClusterState:
     # ------------------------------------------------------------------
     # Read-side helpers used by allocators
     # ------------------------------------------------------------------
-    @property
-    def num_jobs_resident(self) -> int:
-        return len(self._claims)
-
     def is_idle(self) -> bool:
         return not self._claims
 
@@ -229,24 +225,6 @@ class ClusterState:
     # ------------------------------------------------------------------
     # Incremental occupancy index: O(1)/O(pods) read side
     # ------------------------------------------------------------------
-    def leaves_with_at_least(self, pod: int, k: int) -> int:
-        """Number of leaves of ``pod`` holding at least ``k`` free nodes.
-
-        O(1): answered from the maintained bucket counters, never by
-        rescanning the leaves.  ``k`` must be in ``0..m1``.
-        """
-        return self._leaf_ge[k][pod]
-
-    def fully_free_leaf_mask(self, pod: int) -> int:
-        """Bitmask of completely-free leaf offsets of ``pod`` (bit ``j``
-        = the ``j``-th leaf of the pod is fully free)."""
-        return self._leaf_buckets[pod][self.tree.m1]
-
-    def busy_uplink_leaf_mask(self, pod: int) -> int:
-        """Bitmask of leaf offsets of ``pod`` with at least one claimed
-        uplink.  Maintained incrementally from ``leaf_up_mask``."""
-        return self._busy_leaf_mask[pod]
-
     def usable_full_leaf_mask(self, pod: int) -> int:
         """Bitmask of leaf offsets of ``pod`` that are *usable* as full
         leaves: every node free **and** every uplink cable free.
@@ -254,7 +232,8 @@ class ClusterState:
         A leaf-link fault (or any partial uplink claim) removes a leaf
         from this mask even though its nodes are all free — placements
         that claim all ``l2_per_pod`` uplinks of a full leaf must draw
-        from here, not from :meth:`fully_free_leaf_mask`.
+        from here, not from the fully-free bucket of
+        :meth:`leaf_bucket_row`.
         """
         return self._leaf_buckets[pod][self.tree.m1] & ~self._busy_leaf_mask[pod]
 
@@ -333,7 +312,7 @@ class ClusterState:
 
     def busy_uplink_row(self) -> Sequence[int]:
         """Per-pod bitmasks of leaf offsets with at least one claimed
-        uplink: entry ``pod`` is :meth:`busy_uplink_leaf_mask` ``(pod)``.
+        uplink (a leaf whose ``leaf_up_mask`` is not full).
 
         The maintained list itself, handed out without a copy for the
         searches' per-pod reads: index-owned state that callers only
@@ -341,8 +320,7 @@ class ClusterState:
         return self._busy_leaf_mask
 
     def leaf_ge_row(self, k: int) -> Sequence[int]:
-        """Per-pod counts of leaves with at least ``k`` free nodes: entry
-        ``pod`` is :meth:`leaves_with_at_least` ``(pod, k)``.
+        """Per-pod counts of leaves with at least ``k`` free nodes.
 
         The maintained row itself, handed out without a copy for the
         two-level scorer's per-pod bound: index-owned state that callers

@@ -1,6 +1,5 @@
-"""Small shared utilities: seeded RNG streams and timing helpers."""
+"""Small shared utilities: seeded RNG streams."""
 
 from repro.util.rng import rng_for, spawn_rngs
-from repro.util.timing import Timer
 
-__all__ = ["rng_for", "spawn_rngs", "Timer"]
+__all__ = ["rng_for", "spawn_rngs"]

@@ -18,7 +18,8 @@ Three families:
 * ``search`` — random allocate/release streams straight against one
   allocator.  Digest: the per-step placement stream (nodes, links and
   shape of every placement, ``None`` for every failure), plus the
-  search-effort counters of the LC family, Jigsaw and LaaS.
+  backtracking steps of the LC family, Jigsaw and LaaS (and the LC
+  family's budget aborts).
 * ``provenance`` — the per-job provenance ledger of a Synth-16 replay
   per scheme.
 
@@ -170,10 +171,9 @@ def drive_placements(scheme, seed, steps, max_size, **kwargs):
     the occupancy indexes must audit clean at the end.  The LC family's
     digest also pins its step count and budget aborts: its step budget
     binds, so the step at which a search times out is a decision.
-    Jigsaw's and LaaS's digests pin their search-effort counters
-    (``pods_pruned``, ``candidate_hits``, ``backtrack_steps``): they
-    decide nothing, but a search-path rewrite must spend exactly the
-    recorded effort.  Returns ``(allocator, digest)``.
+    Jigsaw's and LaaS's digests pin their ``backtrack_steps``: it
+    decides nothing, but a search-path rewrite must spend exactly the
+    recorded steps.  Returns ``(allocator, digest)``.
     """
     tree = FatTree.from_radix(8)
     alloc = make_allocator(scheme, tree, **kwargs)
@@ -207,8 +207,6 @@ def drive_placements(scheme, seed, steps, max_size, **kwargs):
         digest["backtrack_steps"] = alloc.stats.backtrack_steps
         digest["budget_aborts"] = alloc.stats.budget_aborts
     elif scheme in ("jigsaw", "laas"):
-        digest["pods_pruned"] = alloc.stats.pods_pruned
-        digest["candidate_hits"] = alloc.stats.candidate_hits
         digest["backtrack_steps"] = alloc.stats.backtrack_steps
     return alloc, digest
 

@@ -26,6 +26,12 @@ class TestComputeReservation:
         res = compute_reservation(now=0.0, need=10, free_now=20, running=running)
         assert res.shadow_time == 40.0
         assert res.spare_nodes == 20 + 7 - 10
+        # an end-time tie releases the smaller job first, as the sorted
+        # completion order does
+        running = [(80.0, 5), (40.0, 9), (40.0, 7)]
+        res = compute_reservation(now=0.0, need=10, free_now=20, running=running)
+        assert res.shadow_time == 40.0
+        assert res.spare_nodes == 20 + 7 - 10
 
     def test_nothing_running_and_blocked(self):
         res = compute_reservation(now=5.0, need=10, free_now=20, running=[])

@@ -323,8 +323,8 @@ class TestBucketRowScorer:
         # A fault on an uplink of an exhausted leaf makes the pod busy
         # without changing what it can host.
         inj.fail_leaf_link(LinkId(busy_pod * TREE16.m2 + 2, 0))
-        assert alloc.state.busy_uplink_leaf_mask(busy_pod)
-        assert not alloc.state.busy_uplink_leaf_mask(1 - busy_pod)
+        assert alloc.state.busy_uplink_row()[busy_pod]
+        assert not alloc.state.busy_uplink_row()[1 - busy_pod]
         return alloc
 
     def test_busy_pod_below_clean_perfect_pod_wins(self):
@@ -362,11 +362,10 @@ class TestBucketRowScorer:
 # Branch and bound: the pruning bounds against the per-pod fit
 # ----------------------------------------------------------------------
 def _broken_floor(state, shape, pod):
-    """The scorer's broken-leaf floor: at most ``leaves_with_at_least(pod,
-    nL) - full_free_leaves[pod]`` of the ``LT`` leaves are partly free."""
+    """The scorer's broken-leaf floor: at most ``leaf_ge_row(nL)[pod] -
+    full_free_leaves[pod]`` of the ``LT`` leaves are partly free."""
     partial = (
-        state.leaves_with_at_least(pod, shape.nL)
-        - state.full_free_leaves[pod]
+        state.leaf_ge_row(shape.nL)[pod] - state.full_free_leaves[pod]
     )
     return shape.LT - partial
 
@@ -390,7 +389,7 @@ def _check_bounds(alloc):
                     else alloc._score_two_level(shape, found)
                 )
                 where = (shape, pod, [r.bit_count() for r in row])
-                if shape.single_leaf or not state.busy_uplink_leaf_mask(pod):
+                if shape.single_leaf or not state.busy_uplink_row()[pod]:
                     assert fit == bound, where
                     continue
                 if bound is None:
@@ -444,7 +443,7 @@ class TestBranchAndBound:
         # An uplink fault on an exhausted leaf makes pod 0 busy without
         # changing what it can host.
         inj.fail_leaf_link(LinkId(free.index(0), 0))
-        assert alloc.state.busy_uplink_leaf_mask(0)
+        assert alloc.state.busy_uplink_row()[0]
         return alloc
 
     @pytest.mark.parametrize("incumbent", [(0, 1, 0), (0, 2, 0)])

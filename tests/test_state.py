@@ -59,7 +59,7 @@ class TestClaimRelease:
         state.claim(1, nodes=[0, 1], leaf_links=[LinkId(0, 0), LinkId(0, 1)])
         assert state.free_nodes_total == tree.num_nodes - 2
         assert state.free_per_leaf[0] == tree.m1 - 2
-        assert not state.fully_free_leaf_mask(0) & 1
+        assert not state.leaf_bucket_row(0)[tree.m1] & 1
         assert state.full_free_leaves[0] == tree.m2 - 1
         assert not state.leaf_up_mask[0] & 0b11
         state.audit()
@@ -135,7 +135,7 @@ class TestClaimRelease:
         state.claim(5, nodes=[0])
         state.claim(9, nodes=[1])
         assert set(state.resident_jobs()) == {5, 9}
-        assert state.num_jobs_resident == 2
+        assert len(state.resident_jobs()) == 2
         assert state.claim_record(5).nodes == (0,)
 
 

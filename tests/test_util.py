@@ -1,8 +1,6 @@
-"""Utility helpers: seeded RNG streams and the timing stopwatch."""
+"""Utility helpers: seeded RNG streams."""
 
-import time
-
-from repro.util import Timer, rng_for, spawn_rngs
+from repro.util import rng_for, spawn_rngs
 
 
 class TestRngStreams:
@@ -27,28 +25,3 @@ class TestRngStreams:
         draws = [r.integers(0, 10**9) for r in rngs]
         assert len(set(int(d) for d in draws)) == 4
 
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        with t:
-            time.sleep(0.01)
-        assert t.calls == 2
-        assert t.seconds >= 0.02
-        assert t.mean >= 0.01
-
-    def test_unused_mean_is_zero(self):
-        # regression: mean on a never-used timer must not divide by zero
-        t = Timer()
-        assert t.mean == 0.0
-        assert t.total == 0.0
-        assert t.count == 0
-
-    def test_total_and_count_alias_seconds_and_calls(self):
-        t = Timer()
-        with t:
-            time.sleep(0.001)
-        assert t.total == t.seconds
-        assert t.count == t.calls == 1
